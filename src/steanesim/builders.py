@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuits import Circuit, Gate
+from .circuits import Circuit, FlagPlan, Gate, derive_layout
 
 N = 7
 
@@ -63,16 +63,6 @@ AUX_GADGETS = (1, 2, 3, 4)
 
 def _round_label(number: int, rep: int) -> str:
     return f"C{number}" if rep == 1 else f"C{number}.{rep}"
-
-
-@dataclass
-class FlagPlan:
-    gadget_id: int
-    kind: str                 # "X" or "Z"
-    wire: int                 # 0-indexed data qubit
-    cn_labels: tuple[str, str]
-    flag_qubits: tuple[int, int]
-    meas_labels: tuple[str, str]
 
 
 def build_encoder() -> Circuit:
@@ -123,20 +113,17 @@ def build_full_ec_circuit(
 
     gates: list[Gate] = []
     next_q = N
-    x_rounds, z_rounds, flag_plans = [], [], []
+    ancillas: dict[str, list[tuple[int, ...]]] = {"X": [], "Z": []}
+    flag_plans = []
 
     # Ancilla blocks and flag pairs are prepared before any labeled gate.
     preps: list[Gate] = []
-    for rep in range(1, syndrome_reps + 1):
-        anc = tuple(range(next_q, next_q + N))
-        next_q += N
-        preps.append(Gate("PREP0L", anc, f"PX{rep}", tag="prep"))
-        x_rounds.append({"rep": rep, "anc": anc, "meas_labels": []})
-    for rep in range(1, syndrome_reps + 1):
-        anc = tuple(range(next_q, next_q + N))
-        next_q += N
-        preps.append(Gate("PREPSTEANE", anc, f"PZ{rep}", tag="prep"))
-        z_rounds.append({"rep": rep, "anc": anc, "meas_labels": []})
+    for kind, macro in (("X", "PREP0L"), ("Z", "PREPSTEANE")):
+        for rep in range(1, syndrome_reps + 1):
+            anc = tuple(range(next_q, next_q + N))
+            next_q += N
+            preps.append(Gate(macro, anc, f"P{kind}{rep}", tag="prep"))
+            ancillas[kind].append(anc)
     for gid in gadget_ids:
         kind, wire, cn_labels, _ = gadget_table[gid]
         fq = (next_q, next_q + 1)
@@ -175,34 +162,18 @@ def build_full_ec_circuit(
         if i not in omitted:
             emit("CNOT", (ctl - 1, tgt - 1), f"C{i}", "encoder")
 
-    def emit_x_round(rnd: dict) -> None:
-        rep = rnd["rep"]
-        for i in range(N):
-            emit("CNOT", (rnd["anc"][i], i), _round_label(12 + i, rep), f"xround{rep}")
-        for i in range(N):
-            label = f"M{rnd['anc'][i] + 1}:X"
-            emit("MX", (rnd["anc"][i],), label, f"xround{rep}")
-            rnd["meas_labels"].append(label)
-
-    def emit_z_round(rnd: dict) -> None:
-        rep = rnd["rep"]
-        for i in range(N):
-            emit("CNOT", (i, rnd["anc"][i]), _round_label(19 + i, rep), f"zround{rep}")
-        for i in range(N):
-            label = f"M{rnd['anc'][i] + 1}:Z"
-            emit("MZ", (rnd["anc"][i],), label, f"zround{rep}")
-            rnd["meas_labels"].append(label)
-
-    if x_rounds_first:
-        for rnd in x_rounds:
-            emit_x_round(rnd)
-        for rnd in z_rounds:
-            emit_z_round(rnd)
-    else:
-        for rnd in z_rounds:
-            emit_z_round(rnd)
-        for rnd in x_rounds:
-            emit_x_round(rnd)
+    # Syndrome rounds: X-stabilizer couplings C12-C18 (ancilla controls),
+    # Z-stabilizer couplings C19-C25 (ancilla targets).
+    for kind in ("X", "Z") if x_rounds_first else ("Z", "X"):
+        for rep, anc in enumerate(ancillas[kind], start=1):
+            tag = f"{kind.lower()}round{rep}"
+            for i in range(N):
+                if kind == "X":
+                    emit("CNOT", (anc[i], i), _round_label(12 + i, rep), tag)
+                else:
+                    emit("CNOT", (i, anc[i]), _round_label(19 + i, rep), tag)
+            for i in range(N):
+                emit(f"M{kind}", (anc[i],), f"M{anc[i] + 1}:{kind}", tag)
 
     # Decoder and terminal readout.
     for i in range(26, 37):
@@ -211,31 +182,16 @@ def build_full_ec_circuit(
             emit("CNOT", (ctl - 1, tgt - 1), f"C{i}", "decoder")
     for i, q in DECODE_H.items():
         emit("H", (q - 1,), f"H{i}", "decoder")
-
-    terminal = []
-    readout = range(N) if aux else range(1, N)
-    for q in readout:
-        label = f"M{q + 1}:Z"
-        emit("MZ", (q,), label, "terminal")
-        terminal.append((q, "X" if q in (1, 2, 3) else "Z", label))
+    for q in range(N) if aux else range(1, N):
+        emit("MZ", (q,), f"M{q + 1}:Z", "terminal")
     for plan in flag_plans:
         for flag, label in zip(plan.flag_qubits, plan.meas_labels):
             kind = "MZ" if plan.kind == "X" else "MX"
             emit(kind, (flag,), label, f"flag{plan.gadget_id}")
 
     circuit = Circuit(next_q, gates, name=f"ec-{block_kind}" + ("-flags" if include_flags else ""))
-    circuit.meta = {
-        "block": block_kind,
-        "data_qubits": tuple(range(N)),
-        "decode_h_qubits": tuple(q - 1 for q in DECODE_H.values()),
-        "syndrome_reps": syndrome_reps,
-        "x_rounds_first": x_rounds_first,
-        "x_rounds": x_rounds,
-        "z_rounds": z_rounds,
-        "terminal_meas": terminal,
-        "gadgets": flag_plans,
-    }
     circuit.validate()
+    circuit.layout = derive_layout(gates)
     return circuit
 
 

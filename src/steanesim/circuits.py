@@ -5,6 +5,10 @@ repeated syndrome round reuses the number with a ``.2`` copy suffix),
 Hadamards ``H1``..``H6``, flag CNOTs ``CN1``..``CN16``, terminal
 measurements ``M<q>:Z`` / ``M<q>:X``. Everything else gets a synthetic
 ``G<n>`` label. Qubits are 0-indexed in memory and 1-indexed in text.
+
+The readout structure of an encode/decode cycle (syndrome rounds, terminal
+readout bases, flag gadgets) is not stored separately: :func:`derive_layout`
+reads it off these labels, for built and parsed circuits alike.
 """
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ TWO_QUBIT_KINDS = {"CNOT", "CAT2"}
 THREE_QUBIT_KINDS = {"CCX"}
 MACRO_KINDS = {"PREP0L", "PREPSTEANE"}  # 7-qubit logical-ancilla preparations
 MEASURE_KINDS = {"MZ", "MX"}
+DATA_QUBITS = range(7)  # the code block's wires in every encode/decode cycle
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,7 @@ class Circuit:
     n_qubits: int
     gates: list[Gate] = field(default_factory=list)
     name: str = ""
-    meta: dict = field(default_factory=dict, compare=False)
+    layout: CycleLayout | None = field(default=None, compare=False)
 
     def append(self, gate: Gate) -> None:
         self.gates.append(gate)
@@ -92,6 +97,108 @@ class Circuit:
             if g.label == label:
                 return g
         raise KeyError(label)
+
+
+@dataclass(frozen=True)
+class FlagPlan:
+    """One flag gadget: a cat pair of flag qubits bracketing a data wire.
+
+    X-type gadgets couple wire->flag and read the flags in the Z basis;
+    Z-type gadgets couple flag->wire and read them in the X basis.
+    """
+
+    gadget_id: int
+    kind: str                 # "X" or "Z"
+    wire: int                 # 0-indexed data qubit
+    cn_labels: tuple[str, str]
+    flag_qubits: tuple[int, int]
+    meas_labels: tuple[str, str]
+
+    @property
+    def flag_side(self) -> str:
+        """The leg of each CN gate that sits on a flag qubit."""
+        return "target" if self.kind == "X" else "control"
+
+
+@dataclass(frozen=True)
+class CycleLayout:
+    """Readout structure of one encode/syndrome/decode cycle."""
+
+    block: str                                       # "data" or "aux"
+    x_rounds: tuple[tuple[str, ...], ...]            # ancilla readout labels per round, data-qubit order
+    z_rounds: tuple[tuple[str, ...], ...]
+    terminal_meas: tuple[tuple[int, str, str], ...]  # (data qubit, basis, label)
+    decode_h_qubits: tuple[int, ...]
+    gadgets: tuple[FlagPlan, ...]
+
+    def is_flag_leg(self, label: str, side: str) -> bool:
+        """True for the flag-qubit leg of a gadget's CN gate."""
+        return any(label in plan.cn_labels and side == plan.flag_side for plan in self.gadgets)
+
+
+def derive_layout(gates: list[Gate]) -> CycleLayout:
+    """Read the cycle structure off the label scheme.
+
+    Syndrome round ``r`` of each type is the copy ``r`` of ``C12..C18``
+    (X-stabilizers, ancilla as control) or ``C19..C25`` (Z-stabilizers,
+    ancilla as target); gadget ``g`` is the pair ``CN(2g-1)``/``CN(2g)``, of
+    X type when its first CN takes the data wire as control; ``H4..H6`` mark
+    the qubits read in the X basis. Raises ValueError naming the first
+    expected label that is missing.
+    """
+    labels = {g.label: g for g in gates}
+    if "C12" not in labels or "C19" not in labels:
+        raise ValueError("not an encode/decode cycle: syndrome couplings C12/C19 missing")
+    readout = {g.qubits[0]: g.label for g in gates if g.is_measurement}
+
+    def gate(label: str, owner: str = "encode/decode cycle") -> Gate:
+        if label not in labels:
+            raise ValueError(f"{owner}: {label} missing")
+        return labels[label]
+
+    def read(qubit: int, basis: str, owner: str) -> str:
+        if qubit not in readout:
+            raise ValueError(f"{owner}: readout M{qubit + 1}:{basis} missing")
+        return readout[qubit]
+
+    def rounds(first: int, anc_side: int, basis: str) -> tuple[tuple[str, ...], ...]:
+        copies = sorted({int(lbl.partition(".")[2] or 1) for lbl in labels if base_label(lbl) == f"C{first}"})
+        out = []
+        for copy in copies:
+            row = []
+            for i in range(len(DATA_QUBITS)):
+                label = f"C{first + i}" + ("" if copy == 1 else f".{copy}")
+                row.append(read(gate(label).qubits[anc_side], basis, label))
+            out.append(tuple(row))
+        return tuple(out)
+
+    # Gadget g shows by its cat-pair preparation CAT<g> or by either CN gate.
+    gadget_ids = {(int(lbl[2:]) + 1) // 2 for lbl in labels if lbl[:2] == "CN" and lbl[2:].isdigit()}
+    gadget_ids |= {int(lbl[3:]) for lbl in labels if lbl[:3] == "CAT" and lbl[3:].isdigit()}
+    gadgets = []
+    for gid in sorted(gadget_ids):
+        cn_labels = (f"CN{2 * gid - 1}", f"CN{2 * gid}")
+        a, b = (gate(label, f"flag gadget {gid}") for label in cn_labels)
+        kind = "X" if a.qubits[0] in DATA_QUBITS else "Z"
+        wire_side = 0 if kind == "X" else 1
+        flags = (a.qubits[1 - wire_side], b.qubits[1 - wire_side])
+        basis = "Z" if kind == "X" else "X"
+        meas = tuple(read(q, basis, label) for q, label in zip(flags, cn_labels))
+        gadgets.append(FlagPlan(gid, kind, a.qubits[wire_side], cn_labels, flags, meas))
+
+    block = "data" if "C1" in labels else "aux"
+    decode_h = tuple(gate(f"H{i}").qubits[0] for i in (4, 5, 6))
+    terminal = DATA_QUBITS if block == "aux" else DATA_QUBITS[1:]  # the data block keeps qubit 1
+    return CycleLayout(
+        block=block,
+        x_rounds=rounds(12, 0, "X"),
+        z_rounds=rounds(19, 1, "Z"),
+        terminal_meas=tuple(
+            (q, "X" if q in decode_h else "Z", read(q, "Z", "terminal")) for q in terminal
+        ),
+        decode_h_qubits=decode_h,
+        gadgets=tuple(gadgets),
+    )
 
 
 def base_label(label: str) -> str:

@@ -2,7 +2,9 @@
 reproducible file outputs.
 
 Exit codes: 0 success, 1 validation failure (a regenerated value disagrees
-with its pinned reference, or a verification suite fails), 2 usage error.
+with its pinned reference, or a verification suite fails), 2 usage error or
+bad input (an unreadable or malformed circuit file, an out-of-range number),
+reported as one line on stderr.
 Numbers print in scientific notation with 15 decimal digits so table
 entries can be compared digit by digit.
 """
@@ -56,11 +58,6 @@ def _write(text: str, out: str | None) -> None:
     path.write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
 
 
-def _block_bundle(block: str):
-    circuit, x_ledger, z_ledger, profile, depth = block_analysis(block)
-    return circuit, x_ledger, z_ledger, profile, depth
-
-
 # ---------------------------------------------------------------------------
 # propagate
 # ---------------------------------------------------------------------------
@@ -82,10 +79,14 @@ def _sig_convention_b(sig, view: str, block: str) -> str:
     return f"g={''.join(map(str, syn))} {names}={bits}"
 
 
+def _read_circuit(path: str):
+    return reconstruct_meta(parse(Path(path).read_text(encoding="utf-8")))
+
+
 def _load_circuit(args):
     if getattr(args, "circuit", None):
-        circuit = reconstruct_meta(parse(Path(args.circuit).read_text(encoding="utf-8")))
-        return circuit, circuit.meta["block"]
+        circuit = _read_circuit(args.circuit)
+        return circuit, circuit.layout.block
     return build_full_ec_circuit(include_flags=args.flags, block_kind=args.block), args.block
 
 
@@ -121,10 +122,10 @@ def cmd_propagate(args) -> int:
 
 def cmd_flags(args) -> int:
     if getattr(args, "circuit", None):
-        circuit = reconstruct_meta(parse(Path(args.circuit).read_text(encoding="utf-8")))
-        _, x_ledger, z_ledger, _, _ = _block_bundle(circuit.meta["block"])
+        circuit = _read_circuit(args.circuit)
+        _, x_ledger, z_ledger, _, _ = block_analysis(circuit.layout.block)
     else:
-        circuit, x_ledger, z_ledger, _, _ = _block_bundle(args.block)
+        circuit, x_ledger, z_ledger, _, _ = block_analysis(args.block)
     reports = check_flag_conditions(circuit, x_ledger, z_ledger)
     payload = [
         {
@@ -157,7 +158,7 @@ def cmd_depth(args) -> int:
     lines, csv_rows = [], ["block,quantity,q1,q2,q3,q4,q5,q6,q7"]
     payload = {}
     for block in ("data", "aux"):
-        _, x_ledger, z_ledger, profile, depth = _block_bundle(block)
+        _, x_ledger, z_ledger, profile, depth = block_analysis(block)
         rows = {
             "r_x": profile.r_x, "r_y": profile.r_y, "r_z": profile.r_z,
             "R": depth.R,
@@ -182,7 +183,7 @@ def cmd_depth(args) -> int:
 def _table_rows(name: str):
     if name in ("1a", "1b"):
         block = "data" if name == "1a" else "aux"
-        depth = _block_bundle(block)[4]
+        depth = block_analysis(block)[4]
         results = generate_table_1(depth)
         header = "k,x,p_th"
         rows = [f"{r.k},{r.x_star},{_fmt(r.max_p_th)}" for r in results]
@@ -194,7 +195,7 @@ def _table_rows(name: str):
         )
         return header, rows, ok
     gate_class = "t" if name == "2a" else "toffoli3"
-    depth = _block_bundle("aux")[4]
+    depth = block_analysis("aux")[4]
     results = generate_table_2(depth, gate_class)
     header = "k,r,x_star,max_p_th"
     rows = [
@@ -226,18 +227,16 @@ def cmd_tables(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    if args.table:
-        return cmd_tables(argparse.Namespace(table=args.table, out=args.out, out_dir=None, check=args.check))
-    block_depth = _block_bundle(args.block)[4]
+    block_depth = block_analysis(args.block)[4]
     if args.curves:
         rows = ["k,x,p_th"]
-        ks = [args.k] if args.k else list(range(1, 7))
+        ks = list(range(1, 7)) if args.k is None else [args.k]
         for k in ks:
             for kk, x, p in curve(block_depth, k, args.x_max, args.r, args.gate):
                 rows.append(f"{kk},{x},{_fmt(p)}")
         _write("\n".join(rows), args.curves)
         return 0
-    ks = [args.k] if args.k else list(range(1, 11))
+    ks = list(range(1, 11)) if args.k is None else [args.k]
     rows = []
     for k in ks:
         res = optimize_x(block_depth, k, args.r, args.gate, args.x_max)
@@ -274,7 +273,7 @@ def cmd_resources(args) -> int:
             "gate": args.gate, "count": args.count,
             "total_cnots": est.total_cnots, "seconds": est.seconds,
         }
-    depth = _block_bundle(args.block)[4]
+    depth = block_analysis(args.block)[4]
     chk = check_permitted_depth(depth, args.k, args.x, args.depth_limit)
     payload["permitted_depth"] = {
         "per_qubit_depth": chk.per_qubit_depth, "limit": chk.limit,
@@ -351,9 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gate", choices=("transversal", "t", "toffoli1", "toffoli2", "toffoli3"),
                     default="transversal")
     sp.add_argument("--x-max", type=int, default=DEFAULT_X_MAX)
-    sp.add_argument("--table", choices=("1a", "1b", "2a", "2b"), default=None)
     sp.add_argument("--curves", default=None, help="write (k,x,p_th) rows to this CSV")
-    sp.add_argument("--check", action="store_true", help="compare against pinned values")
     common(sp)
     sp.set_defaults(func=cmd_threshold)
 
@@ -392,7 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:  # bad outside input: a file, a circuit, a number
+        sys.stderr.write(f"steanesim {args.command}: error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import ceil
 
 from .builders import build_full_ec_circuit
-from .circuits import Circuit
+from .circuits import DATA_QUBITS, Circuit
 from .faults import (
     PerfectOpLedger,
     derive_perfect_assumptions,
@@ -64,18 +64,13 @@ def count_fault_locations(
     syndrome-round copies count. Hadamards contribute their one effective
     fault to the Z-type depth only.
     """
-    data = list(circuit.meta["data_qubits"])
-    index = {q: i for i, q in enumerate(data)}
+    n = len(DATA_QUBITS)
     y_ledger = frozenset(x_ledger | z_ledger)
-    r_x = [0] * len(data)
-    r_y = [0] * len(data)
-    r_z = [0] * len(data)
-    aux = circuit.meta["block"] == "aux"
+    r_x = [0] * n
+    r_y = [0] * n
+    r_z = [0] * n
 
-    for _, label, side, qubit in enumerable_locations(circuit):
-        if qubit not in index:
-            continue
-        i = index[qubit]
+    for _, label, side, i in enumerable_locations(circuit):
         base = label.split(".")[0]
         is_h = side == "single"
         is_flag_cn = base.startswith("CN")
@@ -98,8 +93,8 @@ def count_fault_locations(
             if effects["Y"]:
                 r_y[i] += 1
 
-    if aux:
-        return DepthProfile(tuple(r_x), tuple(r_x), (0,) * len(data))
+    if circuit.layout.block == "aux":
+        return DepthProfile(tuple(r_x), tuple(r_x), (0,) * n)
     return DepthProfile(tuple(r_x), tuple(r_y), tuple(r_z))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .circuits import Circuit, base_label
+from .circuits import DATA_QUBITS, Circuit, base_label, derive_layout
 from .paulis import GENERATOR_SUPPORTS, PauliOperator, conjugate_through, mask_from_qubits, parity
 
 _SUPPORT_MASKS = tuple(mask_from_qubits(s) for s in GENERATOR_SUPPORTS)
@@ -138,16 +138,15 @@ def enumerable_locations(circuit: Circuit, include_flag_legs: bool = False) -> l
     separately by the gadget condition checks (pass ``include_flag_legs``
     to enumerate them too).
     """
-    data = set(circuit.meta["data_qubits"])
     out = []
     for idx, g in enumerate(circuit.gates):
         if g.kind == "CNOT":
-            if g.qubits[0] in data:
+            if g.qubits[0] in DATA_QUBITS:
                 out.append((idx, g.label, "control", g.qubits[0]))
-            if g.qubits[1] in data:
+            if g.qubits[1] in DATA_QUBITS:
                 out.append((idx, g.label, "target", g.qubits[1]))
             if include_flag_legs and g.label.startswith("CN"):
-                side = "target" if g.qubits[0] in data else "control"
+                side = "target" if g.qubits[0] in DATA_QUBITS else "control"
                 flag = g.qubits[1] if side == "target" else g.qubits[0]
                 out.append((idx, g.label, side, flag))
         elif g.kind == "H" and g.label.startswith("H"):
@@ -156,23 +155,54 @@ def enumerable_locations(circuit: Circuit, include_flag_legs: bool = False) -> l
 
 
 def _signature_from_bits(circuit: Circuit, bits: dict[str, int]) -> MeasurementSignature:
-    meta = circuit.meta
+    layout = circuit.layout
     z_syn, x_syn = [], []
-    for rnd in meta["z_rounds"]:
-        word = [bits[lbl] for lbl in rnd["meas_labels"]]
-        mask = sum(b << i for i, b in enumerate(word))
+    for labels in layout.z_rounds:
+        mask = sum(bits[lbl] << i for i, lbl in enumerate(labels))
         z_syn.append(tuple(parity(mask & s) for s in _SUPPORT_MASKS))
-    for rnd in meta["x_rounds"]:
-        word = [bits[lbl] for lbl in rnd["meas_labels"]]
-        mask = sum(b << i for i, b in enumerate(word))
+    for labels in layout.x_rounds:
+        mask = sum(bits[lbl] << i for i, lbl in enumerate(labels))
         x_syn.append(tuple(parity(mask & s) for s in _SUPPORT_MASKS))
-    meas = tuple(bits[lbl] for _, _, lbl in meta["terminal_meas"])
+    meas = tuple(bits[lbl] for _, _, lbl in layout.terminal_meas)
     flags, raw = [], []
-    for plan in meta["gadgets"]:
+    for plan in layout.gadgets:
         pair = (bits[plan.meas_labels[0]], bits[plan.meas_labels[1]])
         raw.append(pair)
         flags.append(pair[0] ^ pair[1])
     return MeasurementSignature(tuple(z_syn), tuple(x_syn), meas, tuple(flags), tuple(raw))
+
+
+_PREP_KINDS = frozenset({"PREP0L", "PREPSTEANE", "CAT2", "PREP0", "PREPP"})
+
+
+def propagate_fault(
+    circuit: Circuit, label: str, side: str, pauli: str
+) -> tuple[PauliOperator, dict[str, int]]:
+    """Pauli frame of one fault at circuit end, and the flip of every readout.
+
+    Preparations after the fault are skipped: they precede every labeled
+    gate. A Z readout flips on an X component of the frame, an X readout on
+    a Z component.
+    """
+    for start, gate in enumerate(circuit.gates):
+        if gate.label == label:
+            break
+    else:
+        raise KeyError(f"no gate labeled {label!r}")
+    qubit = gate.qubits[1] if side == "target" else gate.qubits[0]
+    frame = PauliOperator.single(circuit.n_qubits, qubit + 1, pauli)
+    bits = {lbl: 0 for lbl in _all_measurement_labels(circuit)}
+    for g in circuit.gates[start + 1:]:
+        if g.kind in _PREP_KINDS:
+            continue
+        if g.kind == "MZ":
+            bits[g.label] = (frame.x_bits >> g.qubits[0]) & 1
+            continue
+        if g.kind == "MX":
+            bits[g.label] = (frame.z_bits >> g.qubits[0]) & 1
+            continue
+        frame = conjugate_through(g.kind, g.qubits, frame)
+    return frame, bits
 
 
 def inject_and_propagate(
@@ -183,51 +213,14 @@ def inject_and_propagate(
     Returns the measurement signature and the residual Pauli on the block
     qubits at circuit end (before any correction).
     """
-    start = None
-    qubit = None
-    for idx, g in enumerate(circuit.gates):
-        if g.label == label:
-            if side == "control":
-                qubit = g.qubits[0]
-            elif side == "target":
-                qubit = g.qubits[1]
-            else:
-                qubit = g.qubits[0]
-            start = idx
-            break
-    if start is None:
-        raise KeyError(f"no gate labeled {label!r}")
-    frame = PauliOperator.single(circuit.n_qubits, qubit + 1, pauli)
-    bits: dict[str, int] = {
-        lbl: 0
-        for lbl in _all_measurement_labels(circuit)
-    }
-    for g in circuit.gates[start + 1:]:
-        if g.kind in ("PREP0L", "PREPSTEANE", "CAT2", "PREP0", "PREPP"):
-            continue
-        if g.kind == "MZ":
-            bits[g.label] = (frame.x_bits >> g.qubits[0]) & 1
-            continue
-        if g.kind == "MX":
-            bits[g.label] = (frame.z_bits >> g.qubits[0]) & 1
-            continue
-        frame = conjugate_through(g.kind, g.qubits, frame)
+    frame, bits = propagate_fault(circuit, label, side, pauli)
     # Residuals are reported in the pre-decode-Hadamard frame (an X left
     # after a decode-side H is the same observable as a Z before it).
-    for q in circuit.meta.get("decode_h_qubits", ()):
+    for q in circuit.layout.decode_h_qubits:
         frame = conjugate_through("H", (q,), frame)
-    data = circuit.meta["data_qubits"]
-    mask = sum(1 << q for q in data)
-    residual = PauliOperator(len(data), _compress(frame.x_bits & mask, data), _compress(frame.z_bits & mask, data))
+    mask = (1 << len(DATA_QUBITS)) - 1
+    residual = PauliOperator(len(DATA_QUBITS), frame.x_bits & mask, frame.z_bits & mask)
     return _signature_from_bits(circuit, bits), residual
-
-
-def _compress(bitmask: int, qubits) -> int:
-    out = 0
-    for i, q in enumerate(qubits):
-        if (bitmask >> q) & 1:
-            out |= 1 << i
-    return out
 
 
 def _all_measurement_labels(circuit: Circuit) -> list[str]:
@@ -240,77 +233,23 @@ def trivial_signature(circuit: Circuit) -> MeasurementSignature:
 
 
 def reconstruct_meta(circuit: Circuit) -> Circuit:
-    """Rebuild the analysis metadata of a parsed encode/decode circuit.
+    """Attach the cycle layout to a parsed encode/decode circuit.
 
-    The text format carries only labels, so the round structure, flag
-    gadgets and terminal-readout conventions are recovered from the label
-    scheme. Returns the same circuit with ``meta`` populated.
+    The text format carries only labels; :func:`derive_layout` recovers the
+    round structure, flag gadgets and terminal-readout conventions from
+    them, exactly as for a built circuit. Returns the same circuit.
     """
-    if circuit.meta.get("data_qubits"):
-        return circuit
-    labels = {g.label: g for g in circuit.gates}
-    if "C12" not in labels or "C19" not in labels:
-        raise ValueError("not an encode/decode cycle: syndrome couplings C12/C19 missing")
-    data = tuple(range(7))
-    meas_of = {g.qubits[0]: g.label for g in circuit.gates if g.is_measurement}
-
-    def rounds(first: int, anc_side: int) -> list[dict]:
-        reps = sorted(
-            {int(lbl.split(".")[1]) if "." in lbl else 1
-             for lbl in labels if base_label(lbl) == f"C{first}" and lbl.startswith("C")}
-        )
-        out = []
-        for rep in reps:
-            anc, meas_labels = [], []
-            for i in range(7):
-                lbl = f"C{first + i}" + ("" if rep == 1 else f".{rep}")
-                gate = labels[lbl]
-                anc.append(gate.qubits[anc_side])
-                meas_labels.append(meas_of[gate.qubits[anc_side]])
-            out.append({"rep": rep, "anc": tuple(anc), "meas_labels": meas_labels})
-        return out
-
-    from .builders import FlagPlan  # deferred: builders imports nothing from here
-
-    gadgets = []
-    for gid in range(1, 9):
-        cna, cnb = f"CN{2 * gid - 1}", f"CN{2 * gid}"
-        if cna not in labels:
-            continue
-        a, b = labels[cna], labels[cnb]
-        kind = "X" if a.qubits[0] in data else "Z"
-        wire = a.qubits[0] if kind == "X" else a.qubits[1]
-        flags = (a.qubits[1], b.qubits[1]) if kind == "X" else (a.qubits[0], b.qubits[0])
-        gadgets.append(FlagPlan(gid, kind, wire, (cna, cnb), flags, (meas_of[flags[0]], meas_of[flags[1]])))
-
-    decode_h = tuple(labels[f"H{i}"].qubits[0] for i in (4, 5, 6) if f"H{i}" in labels)
-    terminal = [
-        (q, "X" if q in decode_h else "Z", meas_of[q])
-        for q in data if q in meas_of
-    ]
-    circuit.meta.update(
-        {
-            "block": "aux" if "C1" not in labels else "data",
-            "data_qubits": data,
-            "decode_h_qubits": decode_h,
-            "syndrome_reps": len(rounds(12, 0)),
-            "x_rounds": rounds(12, 0),
-            "z_rounds": rounds(19, 1),
-            "terminal_meas": terminal,
-            "gadgets": gadgets,
-        }
-    )
+    circuit.layout = derive_layout(circuit.gates)
     return circuit
 
 
 def canonical_residual(circuit: Circuit, residual: PauliOperator) -> tuple[int, int]:
     """Observable part of a residual: full Pauli on unread qubits, the
     measurement-flipping component on read-out qubits."""
-    meta = circuit.meta
-    measured = {q: basis for q, basis, _ in meta["terminal_meas"]}
+    measured = {q: basis for q, basis, _ in circuit.layout.terminal_meas}
     x_mask = z_mask = 0
-    for i, q in enumerate(meta["data_qubits"]):
-        bit = 1 << i
+    for q in DATA_QUBITS:
+        bit = 1 << q
         basis = measured.get(q)
         if basis is None:
             x_mask |= bit
@@ -335,15 +274,6 @@ def has_nonflag_effect(circuit: Circuit, sig: MeasurementSignature, residual: Pa
     """
     syndromes_clean = all(t == (0, 0, 0) for t in sig.z_syn) and all(t == (0, 0, 0) for t in sig.x_syn)
     return not (syndromes_clean and not any(sig.meas) and canonical_residual(circuit, residual) == (0, 0))
-
-
-def is_flag_leg(label: str, side: str) -> bool:
-    """True for the flag-qubit leg of a flag CNOT (CN1-8 couple wire->flag,
-    CN9-16 couple flag->wire)."""
-    if not label.startswith("CN"):
-        return False
-    number = int(label[2:].split(".")[0])
-    return side == ("target" if number <= 8 else "control")
 
 
 def enumerate_single_faults(circuit: Circuit, types=("X", "Y", "Z")) -> DecodingTable:
@@ -409,7 +339,7 @@ def _counts_as_member(circuit: Circuit, loc: FaultLocation, sig: MeasurementSign
     flag-qubit legs are gadget-internal: the condition-1 audit covers them
     and they stay out of the decoding-table classes.
     """
-    if is_flag_leg(loc.label, loc.side):
+    if circuit.layout.is_flag_leg(loc.label, loc.side):
         return False
     if loc.label.startswith("CN"):
         return not is_neutral(circuit, sig, res)
@@ -528,25 +458,23 @@ def check_flag_conditions(
        opposite-type table unambiguous (judged under that table's ledger).
     """
     reports = []
-    guarded = {"X": "X", "Z": "Z"}
-    for plan in circuit.meta["gadgets"]:
-        kind = plan.kind
-        g_pauli = guarded[kind]
+    for plan in circuit.layout.gadgets:
+        kind = plan.kind  # also the guarded fault type
         wire_side = "control" if kind == "X" else "target"
-        flag_side = "target" if kind == "X" else "control"
+        flag_side = plan.flag_side
         cn_a, cn_b = plan.cn_labels
 
-        sig_a, res_a = inject_and_propagate(circuit, cn_a, wire_side, g_pauli)
-        own = [inject_and_propagate(circuit, lbl, flag_side, g_pauli) for lbl in (cn_a, cn_b)]
+        sig_a, res_a = inject_and_propagate(circuit, cn_a, wire_side, kind)
+        own = [inject_and_propagate(circuit, lbl, flag_side, kind) for lbl in (cn_a, cn_b)]
         harmless_a = canonical_residual(circuit, res_a) == (0, 0)
         cond1 = all(
             sig_a != sig or (harmless_a and canonical_residual(circuit, res) == (0, 0))
             for sig, res in own
         )
 
-        view = view_table(circuit, g_pauli)
+        view = view_table(circuit, kind)
         classes = {cls.signature: cls for cls in classify_collisions(view, x_ledger if kind == "X" else z_ledger)}
-        sig_b, _ = inject_and_propagate(circuit, cn_b, wire_side, g_pauli)
+        sig_b, _ = inject_and_propagate(circuit, cn_b, wire_side, kind)
         cls_b = classes.get(sig_b)
         cond2 = cls_b is None or cls_b.verdict != "ambiguous"
 

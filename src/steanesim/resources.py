@@ -24,13 +24,6 @@ LEVEL_GROWTH_FACTOR = 7
 
 
 @dataclass(frozen=True)
-class GateCost:
-    gate_class: str
-    cnots_per_period_k1: int
-    growth_factor_per_level: int = LEVEL_GROWTH_FACTOR
-
-
-@dataclass(frozen=True)
 class RuntimeEstimate:
     total_cnots: int
     cnot_time: float
@@ -45,14 +38,6 @@ def derived_cnot_counts() -> dict[str, int]:
         "t": build_t_gadget().count_cnot_labels(),
         "toffoli": build_toffoli_gadget().count_cnot_labels(),
     }
-
-
-def gate_cost(gate_class: str) -> GateCost:
-    try:
-        canonical = GATE_CLASS_ALIASES[gate_class]
-    except KeyError:
-        raise ValueError(f"unknown gate class {gate_class!r}") from None
-    return GateCost(canonical, pinned.CNOTS_PER_PERIOD[canonical])
 
 
 def cnot_count(gate_class: str, k: int = 1, growth_factor: int = LEVEL_GROWTH_FACTOR) -> int:

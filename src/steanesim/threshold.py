@@ -153,6 +153,8 @@ def optimize_x(
         raise ValueError(f"unknown gate class {gate_class!r}")
     if x_max < 1:
         raise ValueError("x_max must be >= 1")
+    if r is not None and r < 1:
+        raise ValueError("r must be >= 1")
     best_x, best_c, best_p = 1, 0.0, float("-inf")
     for x in range(1, x_max + 1):
         c = coefficient_c(block, k, x)
@@ -165,6 +167,8 @@ def optimize_x(
 def curve(block: BlockDepth, k: int, x_max: int = DEFAULT_X_MAX, r: int | None = None,
           gate_class: str = "transversal") -> list[tuple[int, int, float]]:
     """(k, x, p_th) rows for a fixed level."""
+    if r is not None and r < 1:
+        raise ValueError("r must be >= 1")
     rows = []
     for x in range(1, x_max + 1):
         c = coefficient_c(block, k, x)

@@ -22,12 +22,11 @@ from .builders import (
     build_z_round_segment,
 )
 from .circuits import Circuit
-from .faults import enumerable_locations
-from .paulis import PauliOperator, conjugate_through
+from .faults import enumerable_locations, propagate_fault
+from .paulis import PauliOperator
 from .statevec import (
     apply_1q,
     apply_pauli,
-    expand_macros,
     logical_one_state,
     logical_zero_state,
     random_product_state,
@@ -140,20 +139,6 @@ def _strip_measurements(circuit: Circuit) -> Circuit:
     return Circuit(circuit.n_qubits, gates, name=circuit.name + "-unitary")
 
 
-def _frame_after(circuit: Circuit, label: str, side: str, pauli: str) -> PauliOperator:
-    """Propagate a fault through the remaining unitary gates of the circuit."""
-    gates = expand_macros(circuit)
-    start = next(i for i, g in enumerate(gates) if g.label == label)
-    g = gates[start]
-    qubit = g.qubits[0] if side in ("control", "single") else g.qubits[1]
-    frame = PauliOperator.single(circuit.n_qubits, qubit + 1, pauli)
-    for gate in gates[start + 1:]:
-        if gate.is_measurement:
-            continue
-        frame = conjugate_through(gate.kind, gate.qubits, frame)
-    return frame
-
-
 def _segment_inputs(name: str, rng: np.random.Generator) -> np.ndarray:
     if name in ("encoder", "decoder"):
         return random_state(7, rng)
@@ -162,7 +147,8 @@ def _segment_inputs(name: str, rng: np.random.Generator) -> np.ndarray:
 
 
 def check_propagation_oracle(n_faults: int = 200, seed: int = 20240817, tol: float = 1e-10) -> tuple[bool, str]:
-    """Frame engine vs dense simulation on <=14-qubit circuit segments."""
+    """Frame engine (the loop behind ``inject_and_propagate``) vs dense
+    simulation on <=14-qubit circuit segments."""
     rng = np.random.default_rng(seed)
     segments = {
         "encoder": build_encoder(),
@@ -172,8 +158,6 @@ def check_propagation_oracle(n_faults: int = 200, seed: int = 20240817, tol: flo
     }
     pool = []
     for name, circ in segments.items():
-        if "data_qubits" not in circ.meta:
-            circ.meta["data_qubits"] = tuple(range(7))
         for _, label, side, _ in enumerable_locations(circ):
             for pauli in ("X", "Y", "Z"):
                 pool.append((name, label, side, pauli))
@@ -188,7 +172,7 @@ def check_propagation_oracle(n_faults: int = 200, seed: int = 20240817, tol: flo
         fault = PauliOperator.single(circ.n_qubits, qubit + 1, pauli)
         faulted, _ = simulate_statevector(circ, input_state=inp, inject={label: fault})
         clean, _ = simulate_statevector(circ, input_state=inp)
-        frame = _frame_after(circ, label, side, pauli)
+        frame, _ = propagate_fault(circ, label, side, pauli)
         predicted = apply_pauli(clean, frame, circ.n_qubits)
         if not states_equal(faulted, predicted, tol):
             disagreements += 1

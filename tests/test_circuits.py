@@ -52,14 +52,14 @@ def test_aux_block_omits_data_fan_and_z_gadgets():
         assert absent not in labels
     assert "CN8" in labels
     # all seven block qubits are read out
-    assert len(c.meta["terminal_meas"]) == 7
+    assert len(c.layout.terminal_meas) == 7
 
 
 def test_syndrome_rounds_repeat_with_copy_labels():
     c = build_full_ec_circuit(include_flags=False, block_kind="data")
     labels = {g.label for g in c.gates}
     assert {"C12", "C12.2", "C19", "C19.2", "C25", "C25.2"} <= labels
-    assert len(c.meta["x_rounds"]) == 2 and len(c.meta["z_rounds"]) == 2
+    assert len(c.layout.x_rounds) == 2 and len(c.layout.z_rounds) == 2
 
 
 def test_round_order_switch():

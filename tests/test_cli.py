@@ -125,3 +125,33 @@ def test_propagate_accepts_serialized_circuit(tmp_path, capsys):
     assert code == 0
     code, built = run(capsys, "propagate", "--types", "X", "--no-flags")
     assert from_file == built
+
+
+@pytest.mark.parametrize(
+    "dropped,named",
+    [("CN2 ", "CN2"), ("M8:X ", "M8:X"), ("H4 ", "H4"), ("M5:Z ", "M5:Z")],
+    ids=["CN2", "M8:X", "H4", "M5:Z"],
+)
+def test_malformed_circuit_file_exits_2(tmp_path, capsys, dropped, named):
+    _, text = run(capsys, "circuit")
+    path = tmp_path / "ec.txt"
+    path.write_text("".join(line for line in text.splitlines(keepends=True) if not line.startswith(dropped)))
+    for command in ("flags", "propagate"):
+        assert main([command, "--circuit", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("propagate", "--circuit", "no-such-file.txt"),
+    ("resources", "--k", "0"),
+    ("threshold", "--k", "0"),
+    ("threshold", "--k", "0", "--curves", "-"),
+    ("threshold", "--gate", "t", "--k", "2", "--r", "-5"),
+    ("threshold", "--gate", "t", "--k", "2", "--r", "0", "--curves", "-"),
+], ids=["missing-file", "resources-k0", "threshold-k0", "curves-k0", "threshold-r-negative", "curves-r0"])
+def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1

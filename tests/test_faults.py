@@ -1,11 +1,14 @@
 """Fault enumeration against the reference decoding tables."""
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from golden_tables import X_PERFECT, X_TABLE, Z_PERFECT, Z_TABLE
-from steanesim.builders import FLAG_GADGETS, build_full_ec_circuit
-from steanesim.circuits import Circuit
+from steanesim.builders import AUX_GADGETS, FLAG_GADGETS, build_full_ec_circuit
+from steanesim.circuits import Circuit, parse, serialize
 from steanesim.faults import (
     FaultLocation,
     canonical_residual,
@@ -17,6 +20,7 @@ from steanesim.faults import (
     ledger_from_names,
     ledger_names,
     location_from_name,
+    reconstruct_meta,
     view_table,
 )
 from steanesim.paulis import PauliOperator
@@ -124,10 +128,7 @@ def test_y_faults_propagate_as_x_and_z(data_flags_off):
 
 
 def test_empty_circuit_enumerates_nothing():
-    empty = Circuit(7)
-    empty.meta["data_qubits"] = tuple(range(7))
-    empty.meta.update({"x_rounds": [], "z_rounds": [], "terminal_meas": [], "gadgets": []})
-    assert enumerate_single_faults(empty).entries == {}
+    assert enumerate_single_faults(Circuit(7)).entries == {}
 
 
 def test_unknown_gate_label_raises(data_flags_off):
@@ -214,31 +215,55 @@ def test_flag_gadget_wire_assignments():
     assert wires == {1: 2, 2: 3, 3: 4, 4: 4, 5: 5, 6: 7, 7: 6, 8: 5}
 
 
-def test_reconstructed_meta_matches_built_analysis(data_flags_on):
-    from steanesim.circuits import parse, serialize
-    from steanesim.faults import reconstruct_meta
+# Every builder configuration that yields a whole cycle (a flagged one-round
+# build cannot place gadgets 4 and 5), plus two non-default gadget tables.
+BUILD_CONFIGS = {
+    f"{block}-reps{reps}-{'xz' if x_first else 'zx'}-{'flags' if flags else 'noflags'}": dict(
+        block_kind=block, syndrome_reps=reps, x_rounds_first=x_first, include_flags=flags
+    )
+    for block, reps, x_first, flags in itertools.product(("data", "aux"), (1, 2, 3), (True, False), (True, False))
+    if not (flags and reps == 1)
+}
+BUILD_CONFIGS["misplaced-gadget3"] = dict(gadget_overrides={3: ("X", 4, ("CN5", "CN6"), ("C9", "C10"))})
+BUILD_CONFIGS["z-type-gadget1"] = dict(gadget_overrides={1: ("Z", 5, ("CN1", "CN2"), ("C4", "C16.2"))})
 
-    reparsed = reconstruct_meta(parse(serialize(data_flags_on)))
-    assert reparsed.meta["block"] == "data"
-    assert reparsed.meta["syndrome_reps"] == 2
-    assert len(reparsed.meta["gadgets"]) == 8
-    for view in ("X", "Z"):
-        built = derive_perfect_assumptions(view_table(data_flags_on, view))
-        again = derive_perfect_assumptions(view_table(reparsed, view))
-        assert built == again
+
+def analysis_digest(circuit: Circuit):
+    x_ledger = derive_perfect_assumptions(view_table(circuit, "X"))
+    z_ledger = derive_perfect_assumptions(view_table(circuit, "Z"))
+    verdicts = [
+        (r.gadget_id, r.condition1, r.condition2, r.condition3)
+        for r in check_flag_conditions(circuit, x_ledger, z_ledger)
+    ]
+    return x_ledger, z_ledger, verdicts
+
+
+@pytest.mark.parametrize("kwargs", BUILD_CONFIGS.values(), ids=BUILD_CONFIGS.keys())
+def test_reconstructed_meta_matches_built_analysis(kwargs):
+    built = build_full_ec_circuit(**kwargs)
+    reparsed = reconstruct_meta(parse(serialize(built)))
+    layout = reparsed.layout
+    assert layout == built.layout
+    block = kwargs.get("block_kind", "data")
+    assert layout.block == block
+    assert len(layout.x_rounds) == len(layout.z_rounds) == kwargs.get("syndrome_reps", 2)
+    table = {**FLAG_GADGETS, **kwargs.get("gadget_overrides", {})}
+    ids = (AUX_GADGETS if block == "aux" else tuple(table)) if kwargs.get("include_flags", True) else ()
+    assert [(p.gadget_id, p.kind, p.wire + 1, p.cn_labels) for p in layout.gadgets] == [
+        (gid, *table[gid][:3]) for gid in ids
+    ]
+    assert analysis_digest(reparsed) == analysis_digest(built)
 
 
 def test_reconstruct_meta_rejects_non_ec_circuits():
     from steanesim.builders import build_cat_state
-    from steanesim.faults import reconstruct_meta
 
     with pytest.raises(ValueError, match="encode/decode"):
         reconstruct_meta(build_cat_state())
 
 
 def test_flag_leg_faults_enumerated_but_not_classified(data_flags_on):
-    from steanesim.faults import enumerate_single_faults, is_flag_leg
-
+    is_flag_leg = data_flags_on.layout.is_flag_leg
     table = enumerate_single_faults(data_flags_on, types=("X",))
     legs = [
         loc for e in table.entries.values() for loc, _ in e.members
@@ -251,3 +276,62 @@ def test_flag_leg_faults_enumerated_but_not_classified(data_flags_on):
         for loc, _ in cls.members
     }
     assert not any(is_flag_leg(*loc.ledger_key()[:2]) for loc in legs if loc.display_name() in classified)
+
+
+def test_flag_legs_follow_the_layout_not_the_numbering():
+    # A Z-type gadget under CN1/CN2 couples flag->wire: its flag legs are the
+    # controls, and the wire legs (targets, on qubit 5) are classified.
+    circuit = build_full_ec_circuit(**BUILD_CONFIGS["z-type-gadget1"])
+    assert circuit.layout.is_flag_leg("CN1", "control")
+    assert not circuit.layout.is_flag_leg("CN1", "target")
+    classified = {
+        loc.display_name()
+        for cls in classify_collisions(enumerate_single_faults(circuit, types=("X",)))
+        for loc, _ in cls.members
+    }
+    assert {"XCN1^T", "XCN2^T"} <= classified
+    assert not {"XCN1^C", "XCN2^C"} & classified
+
+
+@pytest.mark.parametrize("block", ["data", "aux"])
+@pytest.mark.parametrize("x_first", [True, False])
+def test_half_gadget_is_rejected_by_builder_and_parser(block, x_first):
+    # With one syndrome round the anchor C22.2 of CN7 does not exist.
+    with pytest.raises(ValueError, match="flag gadget 4: CN7 missing"):
+        build_full_ec_circuit(block_kind=block, syndrome_reps=1, x_rounds_first=x_first)
+    text = serialize(build_full_ec_circuit(block_kind=block, x_rounds_first=x_first))
+    without_cn7 = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("CN7 "))
+    with pytest.raises(ValueError, match="flag gadget 4: CN7 missing"):
+        reconstruct_meta(parse(without_cn7))
+
+
+def test_gadget_without_anchors_is_rejected():
+    with pytest.raises(ValueError, match="flag gadget 1: CN1 missing"):
+        build_full_ec_circuit(gadget_overrides={1: ("X", 2, ("CN1", "CN2"), ("C99", "C98"))})
+
+
+CYCLE_LINES = serialize(build_full_ec_circuit()).splitlines()
+LINE_EDIT = st.tuples(
+    st.sampled_from(("delete", "duplicate", "swap")),
+    st.integers(0, len(CYCLE_LINES) - 1),
+    st.integers(0, len(CYCLE_LINES) - 1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(LINE_EDIT, min_size=1, max_size=4))
+def test_edited_cycle_text_parses_or_raises_value_error(edits):
+    lines = list(CYCLE_LINES)
+    for op, i, j in edits:
+        i, j = i % len(lines), j % len(lines)
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+    try:
+        circuit = reconstruct_meta(parse("\n".join(lines)))
+    except ValueError:
+        return
+    assert circuit.layout is not None
