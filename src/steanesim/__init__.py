@@ -17,6 +17,7 @@ from .faults import (
     classify_collisions,
     derive_perfect_assumptions,
     enumerate_single_faults,
+    fault_map,
     inject_and_propagate,
     view_table,
 )

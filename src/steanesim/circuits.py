@@ -92,12 +92,6 @@ class Circuit:
         """Distinct labeled CNOTs; syndrome-round copies share one number."""
         return len({base_label(g.label) for g in self.gates if g.kind == "CNOT"})
 
-    def gate_by_label(self, label: str) -> Gate:
-        for g in self.gates:
-            if g.label == label:
-                return g
-        raise KeyError(label)
-
 
 @dataclass(frozen=True)
 class FlagPlan:
@@ -144,7 +138,8 @@ def derive_layout(gates: list[Gate]) -> CycleLayout:
     ancilla as target); gadget ``g`` is the pair ``CN(2g-1)``/``CN(2g)``, of
     X type when its first CN takes the data wire as control; ``H4..H6`` mark
     the qubits read in the X basis. Raises ValueError naming the first
-    expected label that is missing.
+    expected label that is missing, or a gadget whose two CN gates do not
+    both couple one data wire to a non-data flag qubit.
     """
     labels = {g.label: g for g in gates}
     if "C12" not in labels or "C19" not in labels:
@@ -181,10 +176,16 @@ def derive_layout(gates: list[Gate]) -> CycleLayout:
         a, b = (gate(label, f"flag gadget {gid}") for label in cn_labels)
         kind = "X" if a.qubits[0] in DATA_QUBITS else "Z"
         wire_side = 0 if kind == "X" else 1
+        wire = a.qubits[wire_side] if a.kind == "CNOT" else None
+        if wire not in DATA_QUBITS or any(
+            g.kind != "CNOT" or g.qubits[wire_side] != wire or g.qubits[1 - wire_side] in DATA_QUBITS
+            for g in (a, b)
+        ):
+            raise ValueError(f"flag gadget {gid}: {'/'.join(cn_labels)} must couple one data wire to flag qubits")
         flags = (a.qubits[1 - wire_side], b.qubits[1 - wire_side])
         basis = "Z" if kind == "X" else "X"
         meas = tuple(read(q, basis, label) for q, label in zip(flags, cn_labels))
-        gadgets.append(FlagPlan(gid, kind, a.qubits[wire_side], cn_labels, flags, meas))
+        gadgets.append(FlagPlan(gid, kind, wire, cn_labels, flags, meas))
 
     block = "data" if "C1" in labels else "aux"
     decode_h = tuple(gate(f"H{i}").qubits[0] for i in (4, 5, 6))

@@ -23,6 +23,7 @@ from .depth import block_analysis
 from .faults import (
     check_flag_conditions,
     classify_collisions,
+    derive_perfect_assumptions,
     ledger_names,
     reconstruct_meta,
     view_table,
@@ -79,20 +80,14 @@ def _sig_convention_b(sig, view: str, block: str) -> str:
     return f"g={''.join(map(str, syn))} {names}={bits}"
 
 
-def _read_circuit(path: str):
-    return reconstruct_meta(parse(Path(path).read_text(encoding="utf-8")))
-
-
 def _load_circuit(args):
-    if getattr(args, "circuit", None):
-        circuit = _read_circuit(args.circuit)
-        return circuit, circuit.layout.block
-    return build_full_ec_circuit(include_flags=args.flags, block_kind=args.block), args.block
+    if args.circuit:
+        return reconstruct_meta(parse(Path(args.circuit).read_text(encoding="utf-8")))
+    return build_full_ec_circuit(include_flags=args.flags, block_kind=args.block)
 
 
 def cmd_propagate(args) -> int:
-    circuit, block = _load_circuit(args)
-    args.block = block
+    circuit = _load_circuit(args)
     table = view_table(circuit, args.types)
     classes = classify_collisions(table, frozenset())
     rows = []
@@ -102,7 +97,7 @@ def cmd_propagate(args) -> int:
         rows.append(
             {
                 "signature": str(cls.signature),
-                "signature_b": _sig_convention_b(cls.signature, args.types, args.block),
+                "signature_b": _sig_convention_b(cls.signature, args.types, circuit.layout.block),
                 "locations": members,
                 "residual": residuals,
                 "verdict": cls.verdict,
@@ -121,11 +116,8 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_flags(args) -> int:
-    if getattr(args, "circuit", None):
-        circuit = _read_circuit(args.circuit)
-        _, x_ledger, z_ledger, _, _ = block_analysis(circuit.layout.block)
-    else:
-        circuit, x_ledger, z_ledger, _, _ = block_analysis(args.block)
+    circuit = _load_circuit(args)
+    x_ledger, z_ledger = (derive_perfect_assumptions(view_table(circuit, view)) for view in ("X", "Z"))
     reports = check_flag_conditions(circuit, x_ledger, z_ledger)
     payload = [
         {
@@ -337,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--block", choices=("data", "aux"), default="data")
     sp.add_argument("--circuit", default=None, help="analyze a serialized circuit file instead")
     common(sp)
-    sp.set_defaults(func=cmd_flags)
+    sp.set_defaults(func=cmd_flags, flags=True)  # the audit builds the flagged cycle
 
     sp = sub.add_parser("depth", help="print depth profiles and R coefficients")
     common(sp)

@@ -17,12 +17,12 @@ from math import ceil
 from .builders import build_full_ec_circuit
 from .circuits import DATA_QUBITS, Circuit
 from .faults import (
+    FaultLocation,
     PerfectOpLedger,
+    counts_as_member,
     derive_perfect_assumptions,
     enumerable_locations,
-    has_nonflag_effect,
-    inject_and_propagate,
-    is_neutral,
+    fault_map,
     view_table,
 )
 
@@ -57,12 +57,11 @@ def count_fault_locations(
 ) -> DepthProfile:
     """Tally effective locations per block qubit for X, Y and Z faults.
 
-    A labeled-gate (C/H) location counts when its fault leaves a syndrome,
-    readout or residual trace; a flag false-positive alone means the block
-    is rejected, not corrupted, and is excluded. The flag CNOTs' own wire
-    legs are introduced overhead and count on any observable effect. Both
-    syndrome-round copies count. Hadamards contribute their one effective
-    fault to the Z-type depth only.
+    A location counts when its fault is a classified member
+    (:func:`~steanesim.faults.counts_as_member`): a labeled-gate (C/H) fault
+    counts on a syndrome, readout or residual trace, a flag CNOT's wire-leg
+    fault on any observable effect. Both syndrome-round copies count.
+    Hadamards contribute their one effective fault to the Z-type depth only.
     """
     n = len(DATA_QUBITS)
     y_ledger = frozenset(x_ledger | z_ledger)
@@ -70,28 +69,23 @@ def count_fault_locations(
     r_y = [0] * n
     r_z = [0] * n
 
-    for _, label, side, i in enumerable_locations(circuit):
-        base = label.split(".")[0]
-        is_h = side == "single"
-        is_flag_cn = base.startswith("CN")
-        effects = {}
-        for pauli in ("X", "Y", "Z"):
-            sig, res = inject_and_propagate(circuit, label, side, pauli)
-            if is_flag_cn:
-                effects[pauli] = not is_neutral(circuit, sig, res)
-            else:
-                effects[pauli] = has_nonflag_effect(circuit, sig, res)
-        in_y_ledger = (base, side, "X") in y_ledger or (base, side, "Z") in y_ledger
-        if not is_h and effects["X"] and (base, side, "X") not in x_ledger:
+    faults = fault_map(circuit)
+    for _, label, side, i in enumerable_locations(circuit):  # flag legs never count
+        x_loc, y_loc, z_loc = (FaultLocation(label, side, pauli) for pauli in ("X", "Y", "Z"))
+        x, y, z = (counts_as_member(circuit, loc, *faults[loc]) for loc in (x_loc, y_loc, z_loc))
+        if side == "single":
+            if x or z:
+                r_z[i] += 1
+                if y:
+                    r_y[i] += 1
+            continue
+        x_key, z_key = x_loc.ledger_key(), z_loc.ledger_key()
+        if x and x_key not in x_ledger:
             r_x[i] += 1
-        if not is_h and effects["Y"] and not in_y_ledger:
+        if y and x_key not in y_ledger and z_key not in y_ledger:
             r_y[i] += 1
-        if not is_h and effects["Z"] and (base, side, "Z") not in z_ledger:
+        if z and z_key not in z_ledger:
             r_z[i] += 1
-        if is_h and (effects["X"] or effects["Z"]):
-            r_z[i] += 1
-            if effects["Y"]:
-                r_y[i] += 1
 
     if circuit.layout.block == "aux":
         return DepthProfile(tuple(r_x), tuple(r_x), (0,) * n)

@@ -6,6 +6,11 @@ is propagated as a Pauli frame to every measurement; the resulting
 signature combines both repetitions of each syndrome type, the terminal
 redundant-qubit readout, and one parity bit per flag gadget.
 
+One fault map per circuit (:func:`fault_map`) feeds the views, ledgers,
+depth counts and flag audit: it propagates X and Z once per location-side
+and takes Y as their sum (propagation is linear over GF(2)).
+:func:`inject_and_propagate` propagates one fault by gate label.
+
 Enumerated locations are the data-block legs of the labeled CNOTs C1-C36
 (ancilla legs of the syndrome couplings belong to the ancilla block's own
 analysis), the Hadamards H1-H6, and both legs of the flag CNOTs CN1-CN16.
@@ -16,9 +21,8 @@ import re
 from dataclasses import dataclass, field
 
 from .circuits import DATA_QUBITS, Circuit, base_label, derive_layout
-from .paulis import GENERATOR_SUPPORTS, PauliOperator, conjugate_through, mask_from_qubits, parity
+from .paulis import GENERATOR_SUPPORTS, PauliOperator, conjugate_bits, parity
 
-_SUPPORT_MASKS = tuple(mask_from_qubits(s) for s in GENERATOR_SUPPORTS)
 _LOC_RE = re.compile(r"^(C|CN|H)(\d+)(?:\.(\d+))?$")
 
 
@@ -76,7 +80,6 @@ class MeasurementSignature:
     x_syn: tuple[tuple[int, int, int], ...]
     meas: tuple[int, ...]                    # terminal data readout, qubit order
     flags: tuple[int, ...]                   # one parity bit per flag gadget
-    flag_raw: tuple[tuple[int, int], ...] = field(default=(), compare=False)
 
     @property
     def rounds_disagree(self) -> bool:
@@ -131,13 +134,10 @@ class DecodingTable:
         return out
 
 
-def enumerable_locations(circuit: Circuit, include_flag_legs: bool = False) -> list[tuple[int, str, str, int]]:
-    """(gate index, label, side, qubit) for every data-block fault leg.
-
-    Flag CNOTs contribute their wire leg; the flag-qubit legs are audited
-    separately by the gadget condition checks (pass ``include_flag_legs``
-    to enumerate them too).
-    """
+def enumerable_locations(circuit: Circuit) -> list[tuple[int, str, str, int]]:
+    """(gate index, label, side, qubit) for every fault leg: the data-block
+    legs of the CNOTs and Hadamards, and the flag-qubit leg of each flag
+    CNOT (audited by the gadget condition checks, never classified)."""
     out = []
     for idx, g in enumerate(circuit.gates):
         if g.kind == "CNOT":
@@ -145,7 +145,7 @@ def enumerable_locations(circuit: Circuit, include_flag_legs: bool = False) -> l
                 out.append((idx, g.label, "control", g.qubits[0]))
             if g.qubits[1] in DATA_QUBITS:
                 out.append((idx, g.label, "target", g.qubits[1]))
-            if include_flag_legs and g.label.startswith("CN"):
+            if g.label.startswith("CN"):
                 side = "target" if g.qubits[0] in DATA_QUBITS else "control"
                 flag = g.qubits[1] if side == "target" else g.qubits[0]
                 out.append((idx, g.label, side, flag))
@@ -154,55 +154,66 @@ def enumerable_locations(circuit: Circuit, include_flag_legs: bool = False) -> l
     return out
 
 
-def _signature_from_bits(circuit: Circuit, bits: dict[str, int]) -> MeasurementSignature:
-    layout = circuit.layout
-    z_syn, x_syn = [], []
-    for labels in layout.z_rounds:
-        mask = sum(bits[lbl] << i for i, lbl in enumerate(labels))
-        z_syn.append(tuple(parity(mask & s) for s in _SUPPORT_MASKS))
-    for labels in layout.x_rounds:
-        mask = sum(bits[lbl] << i for i, lbl in enumerate(labels))
-        x_syn.append(tuple(parity(mask & s) for s in _SUPPORT_MASKS))
-    meas = tuple(bits[lbl] for _, _, lbl in layout.terminal_meas)
-    flags, raw = [], []
-    for plan in layout.gadgets:
-        pair = (bits[plan.meas_labels[0]], bits[plan.meas_labels[1]])
-        raw.append(pair)
-        flags.append(pair[0] ^ pair[1])
-    return MeasurementSignature(tuple(z_syn), tuple(x_syn), meas, tuple(flags), tuple(raw))
-
-
 _PREP_KINDS = frozenset({"PREP0L", "PREPSTEANE", "CAT2", "PREP0", "PREPP"})
 
 
-def propagate_fault(
-    circuit: Circuit, label: str, side: str, pauli: str
-) -> tuple[PauliOperator, dict[str, int]]:
-    """Pauli frame of one fault at circuit end, and the flip of every readout.
+def propagate_fault(circuit: Circuit, start: int, qubit: int, pauli: str) -> tuple[int, int, int]:
+    """Frame of one fault at circuit end, and the flip of every readout.
 
+    The fault is ``pauli`` on wire ``qubit`` right after gate ``start``.
+    Returns the frame as X and Z bit words over all wires, and a flip word
+    whose bit ``i`` is set when the readout at gate index ``i`` flips.
     Preparations after the fault are skipped: they precede every labeled
     gate. A Z readout flips on an X component of the frame, an X readout on
     a Z component.
     """
-    for start, gate in enumerate(circuit.gates):
-        if gate.label == label:
-            break
-    else:
-        raise KeyError(f"no gate labeled {label!r}")
-    qubit = gate.qubits[1] if side == "target" else gate.qubits[0]
-    frame = PauliOperator.single(circuit.n_qubits, qubit + 1, pauli)
-    bits = {lbl: 0 for lbl in _all_measurement_labels(circuit)}
-    for g in circuit.gates[start + 1:]:
-        if g.kind in _PREP_KINDS:
-            continue
+    if pauli not in ("X", "Y", "Z"):
+        raise ValueError(f"unknown Pauli kind {pauli!r}")
+    x = 1 << qubit if pauli != "Z" else 0
+    z = 1 << qubit if pauli != "X" else 0
+    flips = 0
+    for i, g in enumerate(circuit.gates[start + 1:], start + 1):
         if g.kind == "MZ":
-            bits[g.label] = (frame.x_bits >> g.qubits[0]) & 1
-            continue
-        if g.kind == "MX":
-            bits[g.label] = (frame.z_bits >> g.qubits[0]) & 1
-            continue
-        frame = conjugate_through(g.kind, g.qubits, frame)
-    return frame, bits
+            flips |= ((x >> g.qubits[0]) & 1) << i
+        elif g.kind == "MX":
+            flips |= ((z >> g.qubits[0]) & 1) << i
+        elif g.kind not in _PREP_KINDS:
+            x, z = conjugate_bits(g.kind, g.qubits, x, z)
+    return x, z, flips
+
+
+def _readout_masks(circuit: Circuit):
+    """Every signature bit as a mask over the flip word, in the shape of
+    :class:`MeasurementSignature`: the bit is the parity of the flips its
+    mask selects."""
+    flip = {g.label: 1 << i for i, g in enumerate(circuit.gates) if g.is_measurement}
+    layout = circuit.layout
+
+    def syndromes(rounds) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(sum(flip[row[q - 1]] for q in s) for s in GENERATOR_SUPPORTS) for row in rounds)
+
+    return (
+        syndromes(layout.z_rounds),
+        syndromes(layout.x_rounds),
+        tuple(flip[lbl] for _, _, lbl in layout.terminal_meas),
+        tuple(flip[a] | flip[b] for a, b in (plan.meas_labels for plan in layout.gadgets)),
+    )
+
+
+def _outcome(circuit: Circuit, masks, x: int, z: int, flips: int) -> tuple[MeasurementSignature, PauliOperator]:
+    """Signature and block residual of a propagated frame."""
+    z_rounds, x_rounds, terminal, flags = masks
+
+    def read(bits: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(parity(flips & m) for m in bits)
+
+    sig = MeasurementSignature(tuple(map(read, z_rounds)), tuple(map(read, x_rounds)), read(terminal), read(flags))
+    # Residuals are reported in the pre-decode-Hadamard frame (an X left
+    # after a decode-side H is the same observable as a Z before it).
+    for q in circuit.layout.decode_h_qubits:
+        x, z = conjugate_bits("H", (q,), x, z)
+    mask = (1 << len(DATA_QUBITS)) - 1
+    return sig, PauliOperator(len(DATA_QUBITS), x & mask, z & mask)
 
 
 def inject_and_propagate(
@@ -211,25 +222,39 @@ def inject_and_propagate(
     """Deterministic frame propagation of one fault to all readouts.
 
     Returns the measurement signature and the residual Pauli on the block
-    qubits at circuit end (before any correction).
+    qubits at circuit end (before any correction). Raises KeyError when no
+    gate carries ``label``.
     """
-    frame, bits = propagate_fault(circuit, label, side, pauli)
-    # Residuals are reported in the pre-decode-Hadamard frame (an X left
-    # after a decode-side H is the same observable as a Z before it).
-    for q in circuit.layout.decode_h_qubits:
-        frame = conjugate_through("H", (q,), frame)
-    mask = (1 << len(DATA_QUBITS)) - 1
-    residual = PauliOperator(len(DATA_QUBITS), frame.x_bits & mask, frame.z_bits & mask)
-    return _signature_from_bits(circuit, bits), residual
+    for start, gate in enumerate(circuit.gates):
+        if gate.label == label:
+            break
+    else:
+        raise KeyError(f"no gate labeled {label!r}")
+    qubit = gate.qubits[1] if side == "target" else gate.qubits[0]
+    return _outcome(circuit, _readout_masks(circuit), *propagate_fault(circuit, start, qubit, pauli))
 
 
-def _all_measurement_labels(circuit: Circuit) -> list[str]:
-    return [g.label for g in circuit.gates if g.is_measurement]
+def fault_map(circuit: Circuit) -> dict[FaultLocation, tuple[MeasurementSignature, PauliOperator]]:
+    """Signature and residual of X, Y and Z faults on every enumerable
+    location-side, flag legs included.
+
+    X and Z are propagated once per location; the Y entry is built from the
+    XOR of their frames and flip words.
+    """
+    locations = enumerable_locations(circuit)
+    masks = _readout_masks(circuit) if locations else ()  # a circuit without faults needs no layout
+    out = {}
+    for start, label, side, qubit in locations:
+        x_frame = propagate_fault(circuit, start, qubit, "X")
+        z_frame = propagate_fault(circuit, start, qubit, "Z")
+        y_frame = tuple(a ^ b for a, b in zip(x_frame, z_frame))
+        for pauli, frame in (("X", x_frame), ("Y", y_frame), ("Z", z_frame)):
+            out[FaultLocation(label, side, pauli)] = _outcome(circuit, masks, *frame)
+    return out
 
 
 def trivial_signature(circuit: Circuit) -> MeasurementSignature:
-    bits = {lbl: 0 for lbl in _all_measurement_labels(circuit)}
-    return _signature_from_bits(circuit, bits)
+    return _outcome(circuit, _readout_masks(circuit), 0, 0, 0)[0]
 
 
 def reconstruct_meta(circuit: Circuit) -> Circuit:
@@ -276,14 +301,12 @@ def has_nonflag_effect(circuit: Circuit, sig: MeasurementSignature, residual: Pa
     return not (syndromes_clean and not any(sig.meas) and canonical_residual(circuit, residual) == (0, 0))
 
 
-def enumerate_single_faults(circuit: Circuit, types=("X", "Y", "Z")) -> DecodingTable:
+def enumerate_single_faults(circuit: Circuit) -> DecodingTable:
     """One table entry per signature over every (location-side, Pauli type)
     on the CNOT legs (flag legs included), Hadamards, and flag CNOTs."""
     table = DecodingTable(circuit)
-    for _, label, side, _ in enumerable_locations(circuit, include_flag_legs=True):
-        for pauli in types:
-            sig, residual = inject_and_propagate(circuit, label, side, pauli)
-            table.add(sig, FaultLocation(label, side, pauli), residual)
+    for loc, (sig, residual) in fault_map(circuit).items():
+        table.add(sig, loc, residual)
     return table
 
 
@@ -295,21 +318,19 @@ def view_table(circuit: Circuit, view: str) -> DecodingTable:
     X after a decode-side H mimic Z-type residuals). The Y view holds Y
     faults on CNOT legs and Hadamards.
     """
-    if view not in ("X", "Y", "Z"):
+    return _view(circuit, fault_map(circuit), view)
+
+
+_HADAMARD_PAULIS = {"X": (), "Y": ("Y",), "Z": ("X", "Z")}  # the Hadamard faults in each view
+
+
+def _view(circuit: Circuit, faults: dict, view: str) -> DecodingTable:
+    if view not in _HADAMARD_PAULIS:
         raise ValueError(f"unknown view {view!r}")
     table = DecodingTable(circuit)
-    for _, label, side, _ in enumerable_locations(circuit, include_flag_legs=True):
-        is_h = side == "single"
-        paulis: tuple[str, ...]
-        if view == "Y":
-            paulis = ("Y",)
-        elif is_h:
-            paulis = ("X", "Z") if view == "Z" else ()
-        else:
-            paulis = (view,)
-        for pauli in paulis:
-            sig, residual = inject_and_propagate(circuit, label, side, pauli)
-            table.add(sig, FaultLocation(label, side, pauli), residual)
+    for loc, (sig, residual) in faults.items():
+        if loc.pauli in (_HADAMARD_PAULIS[view] if loc.side == "single" else (view,)):
+            table.add(sig, loc, residual)
     return table
 
 
@@ -329,7 +350,7 @@ class CollisionClass:
     residual_groups: list[tuple[tuple[int, int], list[FaultLocation]]]
 
 
-def _counts_as_member(circuit: Circuit, loc: FaultLocation, sig: MeasurementSignature, res: PauliOperator) -> bool:
+def counts_as_member(circuit: Circuit, loc: FaultLocation, sig: MeasurementSignature, res: PauliOperator) -> bool:
     """Result-neutral faults are enumerated but excluded from classification.
 
     For the labeled gates a flag false-positive alone is not a result (the
@@ -362,7 +383,7 @@ def classify_collisions(table: DecodingTable, ledger: PerfectOpLedger = frozense
         members = [
             (loc, res)
             for loc, res in entry.members
-            if loc.ledger_key() not in ledger and _counts_as_member(circuit, loc, entry.signature, res)
+            if loc.ledger_key() not in ledger and counts_as_member(circuit, loc, entry.signature, res)
         ]
         if not members and entry.signature != clean:
             continue
@@ -457,43 +478,37 @@ def check_flag_conditions(
     3. Opposite-type faults on the gadget's wire legs leave the
        opposite-type table unambiguous (judged under that table's ledger).
     """
+    faults = fault_map(circuit)
+    ambiguous = {
+        kind: {cls.signature for cls in classify_collisions(_view(circuit, faults, kind), ledger)
+               if cls.verdict == "ambiguous"}
+        for kind, ledger in (("X", x_ledger), ("Z", z_ledger))
+    }
     reports = []
     for plan in circuit.layout.gadgets:
         kind = plan.kind  # also the guarded fault type
+        other = "Z" if kind == "X" else "X"
         wire_side = "control" if kind == "X" else "target"
-        flag_side = plan.flag_side
         cn_a, cn_b = plan.cn_labels
 
-        sig_a, res_a = inject_and_propagate(circuit, cn_a, wire_side, kind)
-        own = [inject_and_propagate(circuit, lbl, flag_side, kind) for lbl in (cn_a, cn_b)]
+        sig_a, res_a = faults[FaultLocation(cn_a, wire_side, kind)]
+        own = [faults[FaultLocation(lbl, plan.flag_side, kind)] for lbl in (cn_a, cn_b)]
         harmless_a = canonical_residual(circuit, res_a) == (0, 0)
         cond1 = all(
             sig_a != sig or (harmless_a and canonical_residual(circuit, res) == (0, 0))
             for sig, res in own
         )
 
-        view = view_table(circuit, kind)
-        classes = {cls.signature: cls for cls in classify_collisions(view, x_ledger if kind == "X" else z_ledger)}
-        sig_b, _ = inject_and_propagate(circuit, cn_b, wire_side, kind)
-        cls_b = classes.get(sig_b)
-        cond2 = cls_b is None or cls_b.verdict != "ambiguous"
+        sig_b, _ = faults[FaultLocation(cn_b, wire_side, kind)]
+        cond2 = sig_b not in ambiguous[kind]
 
-        other = "Z" if kind == "X" else "X"
-        other_view = view_table(circuit, other)
-        other_ledger = z_ledger if other == "Z" else x_ledger
-        other_classes = {cls.signature: cls for cls in classify_collisions(other_view, other_ledger)}
-        cond3 = True
-        detail_sigs = {}
-        for lbl in (cn_a, cn_b):
-            sig, res = inject_and_propagate(circuit, lbl, wire_side, other)
-            detail_sigs[f"{other}@{lbl}"] = str(sig)
-            cls = other_classes.get(sig)
-            if cls is not None and cls.verdict == "ambiguous":
-                cond3 = False
+        other_sigs = {f"{other}@{lbl}": faults[FaultLocation(lbl, wire_side, other)][0] for lbl in (cn_a, cn_b)}
+        cond3 = not ambiguous[other] & set(other_sigs.values())
         reports.append(
             FlagConditionReport(
                 plan.gadget_id, kind, plan.cn_labels, cond1, cond2, cond3,
-                {"sig_first_cn_wire": str(sig_a), "sig_second_cn_wire": str(sig_b), **detail_sigs},
+                {"sig_first_cn_wire": str(sig_a), "sig_second_cn_wire": str(sig_b),
+                 **{key: str(sig) for key, sig in other_sigs.items()}},
             )
         )
     return reports

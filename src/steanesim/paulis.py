@@ -24,7 +24,7 @@ def mask_from_qubits(qubits) -> int:
 
 
 def parity(x: int) -> int:
-    return bin(x).count("1") & 1
+    return x.bit_count() & 1
 
 
 @dataclass(frozen=True)
@@ -84,17 +84,11 @@ class PauliOperator:
     def is_identity(self) -> bool:
         return self.x_bits == 0 and self.z_bits == 0
 
-    def weight(self) -> int:
-        return bin(self.x_bits | self.z_bits).count("1")
-
     def multiply(self, other: "PauliOperator") -> "PauliOperator":
         """Componentwise product, phase discarded (XOR of bit vectors)."""
         if self.n != other.n:
             raise ValueError("size mismatch")
         return PauliOperator(self.n, self.x_bits ^ other.x_bits, self.z_bits ^ other.z_bits)
-
-    def commutes_with(self, other: "PauliOperator") -> bool:
-        return self.symplectic_product(other) == 0
 
     def symplectic_product(self, other: "PauliOperator") -> int:
         if self.n != other.n:
@@ -153,22 +147,25 @@ def syndrome_bit(err: PauliOperator, g: StabilizerGenerator) -> int:
     return parity(err.z_bits & g.support)
 
 
-def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    return a.multiply(b)
-
-
 def conjugate_through(kind: str, qubits: tuple[int, ...], p: PauliOperator) -> PauliOperator:
     """Heisenberg-picture propagation of ``p`` through one Clifford gate.
 
     Returns P' with gate∘P = P'∘gate up to global phase. ``qubits`` are
-    0-indexed. CNOT copies X from control to target and Z from target to
-    control; H swaps X and Z; S maps X<->Y; Paulis and measurements act
-    trivially on the frame. T is not a Clifford and is rejected.
+    0-indexed. The rule itself is :func:`conjugate_bits`.
     """
     for q in qubits:
         if q < 0 or q >= p.n:
             raise ValueError(f"gate qubit {q} out of range for n={p.n}")
-    x, z = p.x_bits, p.z_bits
+    return PauliOperator(p.n, *conjugate_bits(kind, qubits, p.x_bits, p.z_bits))
+
+
+def conjugate_bits(kind: str, qubits: tuple[int, ...], x: int, z: int) -> tuple[int, int]:
+    """The conjugation rule on a frame held as X and Z bit words.
+
+    CNOT copies X from control to target and Z from target to control; H
+    swaps X and Z; S maps X<->Y; Paulis and measurements act trivially on
+    the frame. T is not a Clifford and is rejected.
+    """
     if kind == "CNOT":
         c, t = qubits
         if c == t:
@@ -193,4 +190,4 @@ def conjugate_through(kind: str, qubits: tuple[int, ...], p: PauliOperator) -> P
         raise ValueError("T gates are not propagation steps in the frame engine")
     else:
         raise ValueError(f"no conjugation rule for gate kind {kind!r}")
-    return PauliOperator(p.n, x, z)
+    return x, z

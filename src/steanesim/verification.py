@@ -147,8 +147,9 @@ def _segment_inputs(name: str, rng: np.random.Generator) -> np.ndarray:
 
 
 def check_propagation_oracle(n_faults: int = 200, seed: int = 20240817, tol: float = 1e-10) -> tuple[bool, str]:
-    """Frame engine (the loop behind ``inject_and_propagate``) vs dense
-    simulation on <=14-qubit circuit segments."""
+    """Frame engine (``propagate_fault``, the loop behind ``fault_map`` and
+    ``inject_and_propagate``) vs dense simulation on <=14-qubit circuit
+    segments."""
     rng = np.random.default_rng(seed)
     segments = {
         "encoder": build_encoder(),
@@ -158,22 +159,20 @@ def check_propagation_oracle(n_faults: int = 200, seed: int = 20240817, tol: flo
     }
     pool = []
     for name, circ in segments.items():
-        for _, label, side, _ in enumerable_locations(circ):
+        for start, label, _, qubit in enumerable_locations(circ):
             for pauli in ("X", "Y", "Z"):
-                pool.append((name, label, side, pauli))
+                pool.append((name, start, label, qubit, pauli))
     picks = rng.choice(len(pool), size=n_faults, replace=True)
     disagreements = 0
     for idx in picks:
-        name, label, side, pauli = pool[int(idx)]
+        name, start, label, qubit, pauli = pool[int(idx)]
         circ = segments[name]
         inp = _segment_inputs(name, rng)
-        gate = circ.gate_by_label(label)
-        qubit = gate.qubits[0] if side in ("control", "single") else gate.qubits[1]
         fault = PauliOperator.single(circ.n_qubits, qubit + 1, pauli)
         faulted, _ = simulate_statevector(circ, input_state=inp, inject={label: fault})
         clean, _ = simulate_statevector(circ, input_state=inp)
-        frame, _ = propagate_fault(circ, label, side, pauli)
-        predicted = apply_pauli(clean, frame, circ.n_qubits)
+        x, z, _ = propagate_fault(circ, start, qubit, pauli)
+        predicted = apply_pauli(clean, PauliOperator(circ.n_qubits, x, z), circ.n_qubits)
         if not states_equal(faulted, predicted, tol):
             disagreements += 1
     return disagreements == 0, f"{n_faults} random faults, {disagreements} disagreements"

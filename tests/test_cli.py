@@ -5,7 +5,11 @@ import json
 
 import pytest
 
+from steanesim.builders import build_full_ec_circuit
+from steanesim.circuits import serialize
 from steanesim.cli import main
+from steanesim.depth import block_analysis
+from steanesim.faults import check_flag_conditions, derive_perfect_assumptions, view_table
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -140,6 +144,37 @@ def test_malformed_circuit_file_exits_2(tmp_path, capsys, dropped, named):
         assert main([command, "--circuit", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and named in err
+
+
+def test_gadget_off_the_data_wires_exits_2(tmp_path, capsys):
+    # CN1 moved to couple flag qubit 36 to non-data wire 9.
+    _, text = run(capsys, "circuit")
+    assert "CN1 CNOT 2 36\n" in text
+    path = tmp_path / "ec.txt"
+    path.write_text(text.replace("CN1 CNOT 2 36\n", "CN1 CNOT 36 9\n"))
+    for command in ("flags", "propagate"):
+        assert main([command, "--circuit", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "flag gadget 1" in err
+
+
+def test_flags_on_a_file_uses_its_own_ledgers(tmp_path, capsys):
+    # This override's own X ledger differs from the default build's by X4^C;
+    # under the default ledgers gadget 3 would fail condition 2.
+    circuit = build_full_ec_circuit(gadget_overrides={1: ("Z", 5, ("CN1", "CN2"), ("C4", "C16.2"))})
+    x_ledger = derive_perfect_assumptions(view_table(circuit, "X"))
+    z_ledger = derive_perfect_assumptions(view_table(circuit, "Z"))
+    assert x_ledger != block_analysis("data")[1]
+    expected = [
+        {"gadget": r.gadget_id, "condition1": r.condition1, "condition2": r.condition2, "condition3": r.condition3}
+        for r in check_flag_conditions(circuit, x_ledger, z_ledger)
+    ]
+    path = tmp_path / "ec.txt"
+    path.write_text(serialize(circuit))
+    code, out = run(capsys, "flags", "--circuit", str(path), "--format", "json")
+    got = [{k: r[k] for k in ("gadget", "condition1", "condition2", "condition3")} for r in json.loads(out)]
+    assert got == expected
+    assert code == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -15,7 +15,9 @@ from steanesim.faults import (
     check_flag_conditions,
     classify_collisions,
     derive_perfect_assumptions,
+    enumerable_locations,
     enumerate_single_faults,
+    fault_map,
     inject_and_propagate,
     ledger_from_names,
     ledger_names,
@@ -255,6 +257,19 @@ def test_reconstructed_meta_matches_built_analysis(kwargs):
     assert analysis_digest(reparsed) == analysis_digest(built)
 
 
+@pytest.mark.parametrize("kwargs", BUILD_CONFIGS.values(), ids=BUILD_CONFIGS.keys())
+def test_fault_map_matches_single_fault_propagation(kwargs):
+    # Y entries are X xor Z in the map and propagated directly here.
+    circuit = build_full_ec_circuit(**kwargs)
+    faults = fault_map(circuit)
+    locations = enumerable_locations(circuit)
+    assert len(faults) == 3 * len(locations)
+    for _, label, side, _ in locations:
+        for pauli in ("X", "Y", "Z"):
+            expected = inject_and_propagate(circuit, label, side, pauli)
+            assert faults[FaultLocation(label, side, pauli)] == expected, (label, side, pauli)
+
+
 def test_reconstruct_meta_rejects_non_ec_circuits():
     from steanesim.builders import build_cat_state
 
@@ -264,7 +279,7 @@ def test_reconstruct_meta_rejects_non_ec_circuits():
 
 def test_flag_leg_faults_enumerated_but_not_classified(data_flags_on):
     is_flag_leg = data_flags_on.layout.is_flag_leg
-    table = enumerate_single_faults(data_flags_on, types=("X",))
+    table = view_table(data_flags_on, "X")
     legs = [
         loc for e in table.entries.values() for loc, _ in e.members
         if is_flag_leg(loc.label, loc.side)
@@ -286,7 +301,7 @@ def test_flag_legs_follow_the_layout_not_the_numbering():
     assert not circuit.layout.is_flag_leg("CN1", "target")
     classified = {
         loc.display_name()
-        for cls in classify_collisions(enumerate_single_faults(circuit, types=("X",)))
+        for cls in classify_collisions(view_table(circuit, "X"))
         for loc, _ in cls.members
     }
     assert {"XCN1^T", "XCN2^T"} <= classified
