@@ -13,6 +13,7 @@ reads it off these labels, for built and parsed circuits alike.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 ONE_QUBIT_KINDS = {"H", "S", "SDG", "T", "TDG", "X", "Z", "Y", "PREP0", "PREPP", "MZ", "MX"}
 TWO_QUBIT_KINDS = {"CNOT", "CAT2"}
@@ -125,9 +126,14 @@ class CycleLayout:
     decode_h_qubits: tuple[int, ...]
     gadgets: tuple[FlagPlan, ...]
 
+    @cached_property
+    def flag_legs(self) -> frozenset[tuple[str, str]]:
+        """The ``(label, side)`` flag-qubit leg of every gadget's CN gates."""
+        return frozenset((label, plan.flag_side) for plan in self.gadgets for label in plan.cn_labels)
+
     def is_flag_leg(self, label: str, side: str) -> bool:
         """True for the flag-qubit leg of a gadget's CN gate."""
-        return any(label in plan.cn_labels and side == plan.flag_side for plan in self.gadgets)
+        return (label, side) in self.flag_legs
 
 
 def derive_layout(gates: list[Gate]) -> CycleLayout:

@@ -7,9 +7,13 @@ signature combines both repetitions of each syndrome type, the terminal
 redundant-qubit readout, and one parity bit per flag gadget.
 
 One fault map per circuit (:func:`fault_map`) feeds the views, ledgers,
-depth counts and flag audit: it propagates X and Z once per location-side
-and takes Y as their sum (propagation is linear over GF(2)).
-:func:`inject_and_propagate` propagates one fault by gate label.
+depth counts and flag audit. Propagation is linear over GF(2), so one
+backward sweep over the gates (:func:`fault_frames`) gives the X and Z
+frames of every location-side at once, and Y is their sum. The map is
+memoized by circuit content, so the analyses of one circuit share it.
+:func:`propagate_fault` walks one fault forward gate by gate; it is the
+reference the sweep is tested against, and :func:`inject_and_propagate`
+uses it to propagate one fault by gate label.
 
 Enumerated locations are the data-block legs of the labeled CNOTs C1-C36
 (ancilla legs of the syndrome couplings belong to the ancilla block's own
@@ -18,9 +22,12 @@ analysis), the Hadamards H1-H6, and both legs of the flag CNOTs CN1-CN16.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
-from .circuits import DATA_QUBITS, Circuit, base_label, derive_layout
+from .circuits import DATA_QUBITS, Circuit, CycleLayout, Gate, base_label, derive_layout
 from .paulis import GENERATOR_SUPPORTS, PauliOperator, conjugate_bits, parity
 
 _LOC_RE = re.compile(r"^(C|CN|H)(\d+)(?:\.(\d+))?$")
@@ -234,23 +241,95 @@ def inject_and_propagate(
     return _outcome(circuit, _readout_masks(circuit), *propagate_fault(circuit, start, qubit, pauli))
 
 
-def fault_map(circuit: Circuit) -> dict[FaultLocation, tuple[MeasurementSignature, PauliOperator]]:
-    """Signature and residual of X, Y and Z faults on every enumerable
-    location-side, flag legs included.
+def fault_frames(circuit: Circuit, locations) -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:
+    """Frames of an X and of a Z fault at each ``(gate index, label, side,
+    qubit)`` location, in the ``(x, z, flips)`` form of :func:`propagate_fault`.
 
-    X and Z are propagated once per location; the Y entry is built from the
-    XOR of their frames and flip words.
+    One backward sweep over the gates keeps, for every wire, the end-of-
+    circuit effect of an X and of a Z injected at the current point, packed
+    into one int (X word, Z word, then the flip word). Stepping back over a
+    gate maps each of its qubits' X and Z through :func:`conjugate_bits` and
+    sums the effects of the image; an ``MZ``/``MX`` adds its readout bit to
+    the X/Z effect of its wire; preparations are skipped, as in
+    :func:`propagate_fault`. A location reads its wire's pair when the sweep
+    reaches its gate index, and the sweep stops at the first location, so a
+    gate the frame rule rejects (``T``) raises only where the forward loop
+    would meet it.
     """
+    if not locations:
+        return []
+    gates = circuit.gates
+    width = circuit.n_qubits
+    wires = (1 << width) - 1
+    x_eff = [1 << w for w in range(width)]
+    z_eff = [1 << (width + w) for w in range(width)]
+    at: dict[int, list[int]] = {}
+    for pos, (start, *_) in enumerate(locations):
+        at.setdefault(start, []).append(pos)
+    first = min(at)
+    out = [None] * len(locations)
+    for i in range(len(gates) - 1, first - 1, -1):
+        for pos in at.get(i, ()):
+            q = locations[pos][3]
+            out[pos] = tuple((v & wires, (v >> width) & wires, v >> 2 * width) for v in (x_eff[q], z_eff[q]))
+        if i == first:
+            break
+        g = gates[i]
+        if g.kind == "MZ":
+            x_eff[g.qubits[0]] ^= 1 << (2 * width + i)
+        elif g.kind == "MX":
+            z_eff[g.qubits[0]] ^= 1 << (2 * width + i)
+        elif g.kind not in _PREP_KINDS:
+            # Before the gate, a Pauli has the effect its image has after it.
+            before = [
+                (_effect(conjugate_bits(g.kind, g.qubits, 1 << q, 0), g.qubits, x_eff, z_eff),
+                 _effect(conjugate_bits(g.kind, g.qubits, 0, 1 << q), g.qubits, x_eff, z_eff))
+                for q in g.qubits
+            ]
+            for q, (vx, vz) in zip(g.qubits, before):
+                x_eff[q], z_eff[q] = vx, vz
+    return out
+
+
+def _effect(frame: tuple[int, int], qubits: tuple[int, ...], x_eff: list[int], z_eff: list[int]) -> int:
+    """Summed packed effect of a Pauli ``frame`` supported on ``qubits``."""
+    x, z = frame
+    v = 0
+    for q in qubits:
+        if (x >> q) & 1:
+            v ^= x_eff[q]
+        if (z >> q) & 1:
+            v ^= z_eff[q]
+    return v
+
+
+FaultMap = Mapping[FaultLocation, tuple[MeasurementSignature, PauliOperator]]
+
+
+def fault_map(circuit: Circuit) -> FaultMap:
+    """Signature and residual of X, Y and Z faults on every enumerable
+    location-side, flag legs included, as a read-only mapping.
+
+    The X and Z frames come from one backward sweep (:func:`fault_frames`);
+    the Y entry is built from the XOR of their frames and flip words. The
+    map is memoized by circuit content (wire count, gates and layout), so
+    the analyses of one circuit share one map, and a circuit changed after
+    a call gets the map of its new content.
+    """
+    return _fault_map(circuit.n_qubits, tuple(circuit.gates), circuit.layout)
+
+
+@lru_cache(maxsize=1)
+def _fault_map(n_qubits: int, gates: tuple[Gate, ...], layout: CycleLayout | None) -> FaultMap:
+    circuit = Circuit(n_qubits, list(gates), layout=layout)
     locations = enumerable_locations(circuit)
     masks = _readout_masks(circuit) if locations else ()  # a circuit without faults needs no layout
     out = {}
-    for start, label, side, qubit in locations:
-        x_frame = propagate_fault(circuit, start, qubit, "X")
-        z_frame = propagate_fault(circuit, start, qubit, "Z")
+    for (_, label, side, _), (x_frame, z_frame) in zip(locations, fault_frames(circuit, locations)):
         y_frame = tuple(a ^ b for a, b in zip(x_frame, z_frame))
         for pauli, frame in (("X", x_frame), ("Y", y_frame), ("Z", z_frame)):
             out[FaultLocation(label, side, pauli)] = _outcome(circuit, masks, *frame)
-    return out
+    return MappingProxyType(out)
 
 
 def trivial_signature(circuit: Circuit) -> MeasurementSignature:
@@ -324,7 +403,7 @@ def view_table(circuit: Circuit, view: str) -> DecodingTable:
 _HADAMARD_PAULIS = {"X": (), "Y": ("Y",), "Z": ("X", "Z")}  # the Hadamard faults in each view
 
 
-def _view(circuit: Circuit, faults: dict, view: str) -> DecodingTable:
+def _view(circuit: Circuit, faults: FaultMap, view: str) -> DecodingTable:
     if view not in _HADAMARD_PAULIS:
         raise ValueError(f"unknown view {view!r}")
     table = DecodingTable(circuit)
@@ -478,6 +557,8 @@ def check_flag_conditions(
     3. Opposite-type faults on the gadget's wire legs leave the
        opposite-type table unambiguous (judged under that table's ledger).
     """
+    if not circuit.layout.gadgets:
+        return []
     faults = fault_map(circuit)
     ambiguous = {
         kind: {cls.signature for cls in classify_collisions(_view(circuit, faults, kind), ledger)

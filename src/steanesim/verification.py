@@ -147,9 +147,9 @@ def _segment_inputs(name: str, rng: np.random.Generator) -> np.ndarray:
 
 
 def check_propagation_oracle(n_faults: int = 200, seed: int = 20240817, tol: float = 1e-10) -> tuple[bool, str]:
-    """Frame engine (``propagate_fault``, the loop behind ``fault_map`` and
-    ``inject_and_propagate``) vs dense simulation on <=14-qubit circuit
-    segments."""
+    """Forward frame loop (``propagate_fault``, behind ``inject_and_propagate``
+    and the reference the backward sweep of ``fault_map`` is tested against)
+    vs dense simulation on <=14-qubit circuit segments."""
     rng = np.random.default_rng(seed)
     segments = {
         "encoder": build_encoder(),

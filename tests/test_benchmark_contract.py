@@ -1,8 +1,10 @@
-"""The package names the benchmark's tracer resolves.
+"""The package names the benchmark's tracer resolves, and the caches it clears.
 
 ``perfbench/spans.py`` wraps functions by module and name, and binds some
 of their arguments by name to count propagations and oracle faults. A
 rename in the package would break a traced run of the benchmark.
+``perfbench/run.py`` clears every ``lru_cache`` it finds in the package
+before an in-process op, so each op starts as cold as a fresh process.
 """
 from __future__ import annotations
 
@@ -11,18 +13,18 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def load_perfbench(stem: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}", PERFBENCH / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_names_resolve():
-    spans = load_spans()
+    spans = load_perfbench("spans")
     targets = list(spans.SPAN_TARGETS) + list(spans.COUNT_TARGETS)
     missing = [
         f"{module}.{name}" for module, name, _ in targets
@@ -32,9 +34,28 @@ def test_traced_names_resolve():
 
 
 def test_bound_arguments_are_parameters():
-    spans = load_spans()
+    spans = load_perfbench("spans")
     modules = {name: module for module, name, _ in spans.SPAN_TARGETS}
     propagate = getattr(importlib.import_module(modules[spans.PROPAGATE]), spans.PROPAGATE)
     oracle = getattr(importlib.import_module(modules[spans.ORACLE]), spans.ORACLE)
     assert {"circuit", "label", "side", "pauli"} <= set(inspect.signature(propagate).parameters)
     assert "n_faults" in inspect.signature(oracle).parameters
+
+
+def test_fault_map_memo_is_cleared_between_ops():
+    # A traced reproduce command runs in-process and must start as cold as a
+    # fresh process: the run clears every lru_cache it finds in the package,
+    # and the fault-map memo must be one of them.
+    from steanesim import depth, faults
+    from steanesim.builders import build_full_ec_circuit
+
+    run_module = load_perfbench("run")
+    run_module.depth = depth  # bound by the benchmark's main() before a Run is made
+    run = run_module.Run(workload=None)
+    assert faults._fault_map in run.caches
+    circuit = build_full_ec_circuit()
+    faults.fault_map(circuit)
+    run.clear_caches()
+    misses = faults._fault_map.cache_info().misses
+    faults.fault_map(circuit)
+    assert faults._fault_map.cache_info().misses == misses + 1

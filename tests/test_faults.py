@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from golden_tables import X_PERFECT, X_TABLE, Z_PERFECT, Z_TABLE
+from steanesim import faults as faults_module
 from steanesim.builders import AUX_GADGETS, FLAG_GADGETS, build_full_ec_circuit
-from steanesim.circuits import Circuit, parse, serialize
+from steanesim.circuits import Circuit, Gate, parse, serialize
 from steanesim.faults import (
     FaultLocation,
     canonical_residual,
@@ -17,11 +18,13 @@ from steanesim.faults import (
     derive_perfect_assumptions,
     enumerable_locations,
     enumerate_single_faults,
+    fault_frames,
     fault_map,
     inject_and_propagate,
     ledger_from_names,
     ledger_names,
     location_from_name,
+    propagate_fault,
     reconstruct_meta,
     view_table,
 )
@@ -268,6 +271,85 @@ def test_fault_map_matches_single_fault_propagation(kwargs):
         for pauli in ("X", "Y", "Z"):
             expected = inject_and_propagate(circuit, label, side, pauli)
             assert faults[FaultLocation(label, side, pauli)] == expected, (label, side, pauli)
+
+
+SWEEP_WIRES = 4
+ONE_QUBIT_GATES = ("H", "S", "SDG", "X", "Y", "Z", "MZ", "MX", "PREP0", "PREPP")
+SWEEP_GATE = st.one_of(
+    st.tuples(st.sampled_from(ONE_QUBIT_GATES), st.integers(0, SWEEP_WIRES - 1).map(lambda q: (q,))),
+    st.tuples(
+        st.sampled_from(("CNOT", "CAT2")),
+        st.permutations(range(SWEEP_WIRES)).map(lambda p: tuple(p[:2])),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(SWEEP_GATE, min_size=1, max_size=14), st.data())
+def test_backward_sweep_matches_forward_propagation(gates, data):
+    # Every gate kind the frame rule knows, including S, SDG and the Paulis
+    # that no built cycle contains; locations on any wire after any gate.
+    circuit = Circuit(SWEEP_WIRES, [Gate(kind, qubits, f"G{i}") for i, (kind, qubits) in enumerate(gates)])
+    pairs = st.tuples(st.integers(0, len(gates) - 1), st.integers(0, SWEEP_WIRES - 1))
+    locations = [(start, f"G{start}", "single", qubit) for start, qubit in data.draw(st.lists(pairs, min_size=1))]
+    frames = fault_frames(circuit, locations)
+    for (start, _, _, qubit), (x_frame, z_frame) in zip(locations, frames):
+        assert x_frame == propagate_fault(circuit, start, qubit, "X")
+        assert z_frame == propagate_fault(circuit, start, qubit, "Z")
+        y_frame = tuple(a ^ b for a, b in zip(x_frame, z_frame))
+        assert y_frame == propagate_fault(circuit, start, qubit, "Y")
+
+
+def test_backward_sweep_rejects_t_after_the_first_location():
+    circuit = Circuit(2, [Gate("H", (0,), "G0"), Gate("T", (0,), "G1"), Gate("CNOT", (0, 1), "G2")])
+    with pytest.raises(ValueError):
+        propagate_fault(circuit, 0, 0, "X")
+    with pytest.raises(ValueError):
+        fault_frames(circuit, [(0, "G0", "single", 0)])
+    # A T before every location is never stepped over, forward or backward.
+    [(x_frame, z_frame)] = fault_frames(circuit, [(1, "G1", "single", 0)])
+    assert x_frame == propagate_fault(circuit, 1, 0, "X")
+    assert z_frame == propagate_fault(circuit, 1, 0, "Z")
+
+
+def test_fault_map_follows_edits_of_a_circuit():
+    circuit = build_full_ec_circuit(include_flags=False)
+    before = dict(fault_map(circuit))
+    i = next(i for i, g in enumerate(circuit.gates) if g.label == "C5")
+    circuit.gates[i] = Gate("CNOT", circuit.gates[i].qubits[::-1], "C5")
+    replaced = dict(fault_map(circuit))
+    circuit.append(Gate("H", (0,), "G999"))  # qubit 1 is never read out: residuals change
+    appended = dict(fault_map(circuit))
+    assert before != replaced != appended
+    faults_module._fault_map.cache_clear()
+    fresh = Circuit(circuit.n_qubits, list(circuit.gates), layout=circuit.layout)
+    assert dict(fault_map(fresh)) == appended
+    del fresh.gates[-1]
+    assert dict(fault_map(fresh)) == replaced
+
+
+def test_alternating_circuits_get_their_own_maps(data_flags_on, aux_flags_on):
+    data_map, aux_map = dict(fault_map(data_flags_on)), dict(fault_map(aux_flags_on))
+    assert data_map != aux_map
+    for _ in range(2):
+        assert fault_map(data_flags_on) == data_map
+        assert fault_map(aux_flags_on) == aux_map
+
+
+def test_fault_map_is_read_only(data_flags_on):
+    faults = fault_map(data_flags_on)
+    loc = next(iter(faults))
+    with pytest.raises(TypeError):
+        faults[loc] = faults[loc]
+    with pytest.raises(TypeError):
+        del faults[loc]
+
+
+def test_unflagged_cycle_skips_the_flag_audit(data_flags_on, data_flags_off):
+    fault_map(data_flags_on)  # the memo holds another circuit's map
+    misses = faults_module._fault_map.cache_info().misses
+    assert check_flag_conditions(data_flags_off) == []
+    assert faults_module._fault_map.cache_info().misses == misses
 
 
 def test_reconstruct_meta_rejects_non_ec_circuits():
