@@ -1,6 +1,6 @@
 """Fault-tolerant Steane-code encode/decode analysis toolkit."""
 
-from .paulis import PauliOperator, StabilizerGenerator, X_GENERATORS, Z_GENERATORS, syndrome_bit
+from .paulis import PauliOperator
 from .circuits import Circuit, Gate, parse, serialize
 from .builders import (
     GadgetSpec,
@@ -16,7 +16,6 @@ from .faults import (
     check_flag_conditions,
     classify_collisions,
     derive_perfect_assumptions,
-    enumerate_single_faults,
     fault_map,
     inject_and_propagate,
     view_table,

@@ -69,9 +69,9 @@ def build_encoder() -> Circuit:
     """Seven-qubit encoder: 3 Hadamards and the 11 fan-out CNOTs C1-C11."""
     c = Circuit(N, name="encoder")
     for i, q in ENCODE_H.items():
-        c.add("H", (q - 1,), f"H{i}", tag="encoder")
+        c.add("H", (q - 1,), f"H{i}")
     for i, (ctl, tgt) in ENCODER_CNOTS.items():
-        c.add("CNOT", (ctl - 1, tgt - 1), f"C{i}", tag="encoder")
+        c.add("CNOT", (ctl - 1, tgt - 1), f"C{i}")
     c.validate()
     return c
 
@@ -81,9 +81,9 @@ def build_decoder() -> Circuit:
     c = Circuit(N, name="decoder")
     for i in range(26, 37):
         ctl, tgt = DECODER_CNOTS[i]
-        c.add("CNOT", (ctl - 1, tgt - 1), f"C{i}", tag="decoder")
+        c.add("CNOT", (ctl - 1, tgt - 1), f"C{i}")
     for i, q in DECODE_H.items():
-        c.add("H", (q - 1,), f"H{i}", tag="decoder")
+        c.add("H", (q - 1,), f"H{i}")
     c.validate()
     return c
 
@@ -122,13 +122,13 @@ def build_full_ec_circuit(
         for rep in range(1, syndrome_reps + 1):
             anc = tuple(range(next_q, next_q + N))
             next_q += N
-            preps.append(Gate(macro, anc, f"P{kind}{rep}", tag="prep"))
+            preps.append(Gate(macro, anc, f"P{kind}{rep}"))
             ancillas[kind].append(anc)
     for gid in gadget_ids:
         kind, wire, cn_labels, _ = gadget_table[gid]
         fq = (next_q, next_q + 1)
         next_q += 2
-        preps.append(Gate("CAT2", fq, f"CAT{gid}", tag="prep"))
+        preps.append(Gate("CAT2", fq, f"CAT{gid}"))
         basis = "Z" if kind == "X" else "X"
         flag_plans.append(
             FlagPlan(gid, kind, wire - 1, cn_labels, fq, (f"M{fq[0] + 1}:{basis}", f"M{fq[1] + 1}:{basis}"))
@@ -146,48 +146,47 @@ def build_full_ec_circuit(
         label = plan.cn_labels[which]
         flag = plan.flag_qubits[which]
         qubits = (plan.wire, flag) if plan.kind == "X" else (flag, plan.wire)
-        gates.append(Gate("CNOT", qubits, label, tag=f"flag{plan.gadget_id}"))
+        gates.append(Gate("CNOT", qubits, label))
 
-    def emit(kind: str, qubits: tuple[int, ...], label: str, tag: str) -> None:
+    def emit(kind: str, qubits: tuple[int, ...], label: str) -> None:
         for plan in plan_by_anchor_before.get(label, ()):
             emit_cn(plan, 0)
-        gates.append(Gate(kind, qubits, label, tag))
+        gates.append(Gate(kind, qubits, label))
         for plan in plan_by_anchor_after.get(label, ()):
             emit_cn(plan, 1)
 
     # Encoder.
     for i, q in ENCODE_H.items():
-        emit("H", (q - 1,), f"H{i}", "encoder")
+        emit("H", (q - 1,), f"H{i}")
     for i, (ctl, tgt) in ENCODER_CNOTS.items():
         if i not in omitted:
-            emit("CNOT", (ctl - 1, tgt - 1), f"C{i}", "encoder")
+            emit("CNOT", (ctl - 1, tgt - 1), f"C{i}")
 
     # Syndrome rounds: X-stabilizer couplings C12-C18 (ancilla controls),
     # Z-stabilizer couplings C19-C25 (ancilla targets).
     for kind in ("X", "Z") if x_rounds_first else ("Z", "X"):
         for rep, anc in enumerate(ancillas[kind], start=1):
-            tag = f"{kind.lower()}round{rep}"
             for i in range(N):
                 if kind == "X":
-                    emit("CNOT", (anc[i], i), _round_label(12 + i, rep), tag)
+                    emit("CNOT", (anc[i], i), _round_label(12 + i, rep))
                 else:
-                    emit("CNOT", (i, anc[i]), _round_label(19 + i, rep), tag)
+                    emit("CNOT", (i, anc[i]), _round_label(19 + i, rep))
             for i in range(N):
-                emit(f"M{kind}", (anc[i],), f"M{anc[i] + 1}:{kind}", tag)
+                emit(f"M{kind}", (anc[i],), f"M{anc[i] + 1}:{kind}")
 
     # Decoder and terminal readout.
     for i in range(26, 37):
         if i not in omitted:
             ctl, tgt = DECODER_CNOTS[i]
-            emit("CNOT", (ctl - 1, tgt - 1), f"C{i}", "decoder")
+            emit("CNOT", (ctl - 1, tgt - 1), f"C{i}")
     for i, q in DECODE_H.items():
-        emit("H", (q - 1,), f"H{i}", "decoder")
+        emit("H", (q - 1,), f"H{i}")
     for q in range(N) if aux else range(1, N):
-        emit("MZ", (q,), f"M{q + 1}:Z", "terminal")
+        emit("MZ", (q,), f"M{q + 1}:Z")
     for plan in flag_plans:
         for flag, label in zip(plan.flag_qubits, plan.meas_labels):
             kind = "MZ" if plan.kind == "X" else "MX"
-            emit(kind, (flag,), label, f"flag{plan.gadget_id}")
+            emit(kind, (flag,), label)
 
     circuit = Circuit(next_q, gates, name=f"ec-{block_kind}" + ("-flags" if include_flags else ""))
     circuit.validate()
@@ -204,27 +203,26 @@ class GadgetSpec:
     """Named gadget request; ``repetitions`` counts verification rounds."""
 
     name: str
-    blocks: int = 1
     repetitions: int = 2
 
 
 def build_cz_decomposition() -> Circuit:
     """Controlled-Z on (control, target) as H(t), CNOT, H(t)."""
     c = Circuit(2, name="cz")
-    c.add("H", (1,), "G1", "gadget")
-    c.add("CNOT", (0, 1), "G2", "gadget")
-    c.add("H", (1,), "G3", "gadget")
+    c.add("H", (1,), "G1")
+    c.add("CNOT", (0, 1), "G2")
+    c.add("H", (1,), "G3")
     return c
 
 
 def build_cs_decomposition() -> Circuit:
     """Controlled-S on (control, target): T(t), CNOT, Tdg(t), CNOT, T(c)."""
     c = Circuit(2, name="cs")
-    c.add("T", (1,), "G1", "gadget")
-    c.add("CNOT", (0, 1), "G2", "gadget")
-    c.add("TDG", (1,), "G3", "gadget")
-    c.add("CNOT", (0, 1), "G4", "gadget")
-    c.add("T", (0,), "G5", "gadget")
+    c.add("T", (1,), "G1")
+    c.add("CNOT", (0, 1), "G2")
+    c.add("TDG", (1,), "G3")
+    c.add("CNOT", (0, 1), "G4")
+    c.add("T", (0,), "G5")
     return c
 
 
@@ -238,23 +236,23 @@ def build_toffoli_decomposition() -> Circuit:
         ("TDG", (b,)), ("CNOT", (a, b)), ("TDG", (b,)), ("CNOT", (a, b)), ("T", (a,)), ("S", (b,)),
     ]
     for i, (kind, qubits) in enumerate(seq, start=1):
-        c.add(kind, qubits, f"G{i}", "gadget")
+        c.add(kind, qubits, f"G{i}")
     return c
 
 
-def build_cat_state(n: int = 7, verification_reps: int = 2) -> Circuit:
-    """GHZ preparation (chain) plus repeated two-CNOT parity verification."""
-    c = Circuit(n + verification_reps, name=f"cat{n}")
-    c.add("H", (0,), "G0", "gadget")
+def build_cat_state(verification_reps: int = 2) -> Circuit:
+    """Seven-qubit GHZ preparation (chain) plus repeated two-CNOT parity verification."""
+    c = Circuit(N + verification_reps, name=f"cat{N}")
+    c.add("H", (0,), "G0")
     k = 1
-    for i in range(n - 1):
-        c.add("CNOT", (i, i + 1), f"G{k}", "gadget")
+    for i in range(N - 1):
+        c.add("CNOT", (i, i + 1), f"G{k}")
         k += 1
     for r in range(verification_reps):
-        anc = n + r
-        c.add("CNOT", (0, anc), f"G{k}", "verify"); k += 1
-        c.add("CNOT", (n - 1, anc), f"G{k}", "verify"); k += 1
-        c.add("MZ", (anc,), f"M{anc + 1}:Z", "verify")
+        anc = N + r
+        c.add("CNOT", (0, anc), f"G{k}"); k += 1
+        c.add("CNOT", (N - 1, anc), f"G{k}"); k += 1
+        c.add("MZ", (anc,), f"M{anc + 1}:Z")
     return c
 
 
@@ -262,12 +260,12 @@ def build_steane_state_circuit() -> Circuit:
     """Uniform-codeword state: logical-zero fan-outs then transversal H."""
     c = Circuit(N, name="steane-state")
     for i, q in ENCODE_H.items():
-        c.add("H", (q - 1,), f"H{i}", "encoder")
+        c.add("H", (q - 1,), f"H{i}")
     for i in range(3, 12):
         ctl, tgt = ENCODER_CNOTS[i]
-        c.add("CNOT", (ctl - 1, tgt - 1), f"C{i}", "encoder")
+        c.add("CNOT", (ctl - 1, tgt - 1), f"C{i}")
     for q in range(N):
-        c.add("H", (q,), f"G{q + 1}", "gadget")
+        c.add("H", (q,), f"G{q + 1}")
     return c
 
 
@@ -276,7 +274,7 @@ def _append_block(dest: Circuit, block: Circuit, prefix: str) -> tuple[int, ...]
     offset = dest.n_qubits
     dest.n_qubits += block.n_qubits
     for g in block.gates:
-        dest.append(Gate(g.kind, tuple(q + offset for q in g.qubits), f"{prefix}-{g.label}", g.tag))
+        dest.append(Gate(g.kind, tuple(q + offset for q in g.qubits), f"{prefix}-{g.label}"))
     return tuple(range(offset, offset + block.n_qubits))
 
 
@@ -291,7 +289,7 @@ def _theta_measurement_rep(dest: Circuit, cat: tuple[int, ...], blk: tuple[int, 
     def add(kind, qubits):
         nonlocal k
         k += 1
-        dest.add(kind, qubits, f"{prefix}-G{k}", "gadget")
+        dest.add(kind, qubits, f"{prefix}-G{k}")
 
     for i in range(N):
         add("CNOT", (cat[i], blk[i]))
@@ -303,7 +301,7 @@ def _theta_measurement_rep(dest: Circuit, cat: tuple[int, ...], blk: tuple[int, 
     for i in range(N):
         add("T", (cat[i],))
     for i in range(N):
-        dest.add("MX", (cat[i],), f"M{cat[i] + 1}:X", "gadget")
+        dest.add("MX", (cat[i],), f"M{cat[i] + 1}:X")
 
 
 def build_t_gadget(repetitions: int = 2) -> Circuit:
@@ -322,9 +320,9 @@ def build_t_gadget(repetitions: int = 2) -> Circuit:
         _theta_measurement_rep(c, cat, blk[:N], f"TH{r}")
     data = _append_block(c, Circuit(N, name="data"), "D")
     for i in range(N):  # transversal coupling onto the incoming data block
-        c.add("CNOT", (blk[i], data[i]), f"TC-G{i + 1}", "gadget")
+        c.add("CNOT", (blk[i], data[i]), f"TC-G{i + 1}")
     for i in range(N):
-        c.add("MZ", (data[i],), f"M{data[i] + 1}:Z", "gadget")
+        c.add("MZ", (data[i],), f"M{data[i] + 1}:Z")
     _append_block(c, build_full_ec_circuit(True, "aux"), "AUX")
     return c
 
@@ -341,7 +339,7 @@ def build_toffoli_gadget(repetitions: int = 2) -> Circuit:
         def add(kind, qubits):
             nonlocal k
             k += 1
-            c.add(kind, qubits, f"AP{r}-G{k}", "gadget")
+            c.add(kind, qubits, f"AP{r}-G{k}")
         for i in range(N):
             add("H", (anc[0][i],)); add("H", (anc[1][i],)); add("H", (anc[2][i],))
         for i in range(N):  # CZ from the third block to the cat
@@ -350,12 +348,12 @@ def build_toffoli_gadget(repetitions: int = 2) -> Circuit:
             for g in toff.gates:
                 add(g.kind, tuple((anc[0][i], anc[1][i], cat[i])[q] for q in g.qubits))
         for i in range(N):
-            c.add("MZ", (cat[i],), f"M{cat[i] + 1}:Z", "gadget")
+            c.add("MZ", (cat[i],), f"M{cat[i] + 1}:Z")
     k = 0
     def add(kind, qubits):
         nonlocal k
         k += 1
-        c.add(kind, qubits, f"TG-G{k}", "gadget")
+        c.add(kind, qubits, f"TG-G{k}")
     for i in range(N):  # teleportation couplings
         add("CNOT", (anc[0][i], xyz[0][i]))
         add("CNOT", (anc[1][i], xyz[1][i]))
@@ -365,9 +363,9 @@ def build_toffoli_gadget(repetitions: int = 2) -> Circuit:
         add("CNOT", (anc[0][i], anc[2][i]))
         add("CNOT", (anc[0][i], anc[1][i]))
     for i in range(N):
-        c.add("MZ", (xyz[0][i],), f"M{xyz[0][i] + 1}:Z", "gadget")
-        c.add("MZ", (xyz[1][i],), f"M{xyz[1][i] + 1}:Z", "gadget")
-        c.add("MX", (xyz[2][i],), f"M{xyz[2][i] + 1}:X", "gadget")
+        c.add("MZ", (xyz[0][i],), f"M{xyz[0][i] + 1}:Z")
+        c.add("MZ", (xyz[1][i],), f"M{xyz[1][i] + 1}:Z")
+        c.add("MX", (xyz[2][i],), f"M{xyz[2][i] + 1}:X")
     return c
 
 
@@ -375,11 +373,11 @@ def build_x_round_segment() -> Circuit:
     """One X-stabilizer syndrome round on data 1-7 with its ancilla block."""
     c = Circuit(2 * N, name="x-round")
     anc = tuple(range(N, 2 * N))
-    c.add("PREP0L", anc, "PX1", "prep")
+    c.add("PREP0L", anc, "PX1")
     for i in range(N):
-        c.add("CNOT", (anc[i], i), f"C{12 + i}", "xround1")
+        c.add("CNOT", (anc[i], i), f"C{12 + i}")
     for i in range(N):
-        c.add("MX", (anc[i],), f"M{anc[i] + 1}:X", "xround1")
+        c.add("MX", (anc[i],), f"M{anc[i] + 1}:X")
     return c
 
 
@@ -387,11 +385,11 @@ def build_z_round_segment() -> Circuit:
     """One Z-stabilizer syndrome round on data 1-7 with its ancilla block."""
     c = Circuit(2 * N, name="z-round")
     anc = tuple(range(N, 2 * N))
-    c.add("PREPSTEANE", anc, "PZ1", "prep")
+    c.add("PREPSTEANE", anc, "PZ1")
     for i in range(N):
-        c.add("CNOT", (i, anc[i]), f"C{19 + i}", "zround1")
+        c.add("CNOT", (i, anc[i]), f"C{19 + i}")
     for i in range(N):
-        c.add("MZ", (anc[i],), f"M{anc[i] + 1}:Z", "zround1")
+        c.add("MZ", (anc[i],), f"M{anc[i] + 1}:Z")
     return c
 
 
@@ -401,26 +399,26 @@ def build_z_round_segment() -> Circuit:
 def build_t_gadget_trivial() -> Circuit:
     """T by teleportation: qubit 0 data, qubit 1 ancilla prepared as T|+>."""
     c = Circuit(2, name="t-gadget-trivial")
-    c.add("H", (1,), "G1", "prep")
-    c.add("T", (1,), "G2", "prep")
-    c.add("CNOT", (1, 0), "G3", "gadget")
-    c.add("MZ", (0,), "M1:Z", "gadget")
+    c.add("H", (1,), "G1")
+    c.add("T", (1,), "G2")
+    c.add("CNOT", (1, 0), "G3")
+    c.add("MZ", (0,), "M1:Z")
     return c
 
 
 def build_theta_prep_trivial() -> Circuit:
     """Ancilla-state preparation on the trivial code: qubit 0 cat, 1 block."""
     c = Circuit(2, name="theta-prep-trivial")
-    c.add("H", (0,), "G1", "prep")
-    c.add("CNOT", (0, 1), "G2", "gadget")
-    c.add("T", (1,), "G3", "gadget")        # controlled-S, decomposed
-    c.add("CNOT", (0, 1), "G4", "gadget")
-    c.add("TDG", (1,), "G5", "gadget")
-    c.add("CNOT", (0, 1), "G6", "gadget")
-    c.add("T", (0,), "G7", "gadget")
-    c.add("TDG", (0,), "G8", "gadget")      # transversal T on a 1-qubit cat
-    c.add("H", (0,), "G9", "gadget")
-    c.add("MZ", (0,), "M1:Z", "gadget")
+    c.add("H", (0,), "G1")
+    c.add("CNOT", (0, 1), "G2")
+    c.add("T", (1,), "G3")  # controlled-S, decomposed
+    c.add("CNOT", (0, 1), "G4")
+    c.add("TDG", (1,), "G5")
+    c.add("CNOT", (0, 1), "G6")
+    c.add("T", (0,), "G7")
+    c.add("TDG", (0,), "G8")  # transversal T on a 1-qubit cat
+    c.add("H", (0,), "G9")
+    c.add("MZ", (0,), "M1:Z")
     return c
 
 
@@ -428,15 +426,15 @@ def build_a_prep_trivial() -> Circuit:
     """Toffoli ancilla-state preparation on the trivial code (cat + 3 blocks)."""
     c = Circuit(4, name="a-prep-trivial")
     cat, b1, b2, b3 = 0, 1, 2, 3
-    c.add("H", (cat,), "G1", "prep")
+    c.add("H", (cat,), "G1")
     for i, q in enumerate((b1, b2, b3), start=2):
-        c.add("H", (q,), f"G{i}", "gadget")
-    c.add("H", (cat,), "G5", "gadget")      # CZ from block 3 to the cat
-    c.add("CNOT", (b3, cat), "G6", "gadget")
-    c.add("H", (cat,), "G7", "gadget")
-    c.add("H", (cat,), "G8", "gadget")
-    c.add("CCX", (b1, b2, cat), "G9", "gadget")
-    c.add("MZ", (cat,), "M1:Z", "gadget")
+        c.add("H", (q,), f"G{i}")
+    c.add("H", (cat,), "G5")  # CZ from block 3 to the cat
+    c.add("CNOT", (b3, cat), "G6")
+    c.add("H", (cat,), "G7")
+    c.add("H", (cat,), "G8")
+    c.add("CCX", (b1, b2, cat), "G9")
+    c.add("MZ", (cat,), "M1:Z")
     return c
 
 
@@ -444,15 +442,15 @@ def build_toffoli_gadget_trivial() -> Circuit:
     """Toffoli by teleportation on the trivial code: data (x,y,z) + |A> ancilla."""
     c = Circuit(6, name="toffoli-gadget-trivial")
     x, y, z, a1, a2, a3 = range(6)
-    c.add("H", (a1,), "G1", "prep")
-    c.add("H", (a2,), "G2", "prep")
-    c.add("CCX", (a1, a2, a3), "G3", "prep")
-    c.add("CNOT", (a1, x), "G4", "gadget")
-    c.add("CNOT", (a2, y), "G5", "gadget")
-    c.add("CNOT", (z, a3), "G6", "gadget")
-    c.add("MZ", (x,), "M1:Z", "gadget")
-    c.add("MZ", (y,), "M2:Z", "gadget")
-    c.add("MX", (z,), "M3:X", "gadget")
+    c.add("H", (a1,), "G1")
+    c.add("H", (a2,), "G2")
+    c.add("CCX", (a1, a2, a3), "G3")
+    c.add("CNOT", (a1, x), "G4")
+    c.add("CNOT", (a2, y), "G5")
+    c.add("CNOT", (z, a3), "G6")
+    c.add("MZ", (x,), "M1:Z")
+    c.add("MZ", (y,), "M2:Z")
+    c.add("MX", (z,), "M3:X")
     return c
 
 

@@ -19,18 +19,18 @@ ONE_QUBIT_KINDS = {"H", "S", "SDG", "T", "TDG", "X", "Z", "Y", "PREP0", "PREPP",
 TWO_QUBIT_KINDS = {"CNOT", "CAT2"}
 THREE_QUBIT_KINDS = {"CCX"}
 MACRO_KINDS = {"PREP0L", "PREPSTEANE"}  # 7-qubit logical-ancilla preparations
+PREP_KINDS = MACRO_KINDS | {"CAT2", "PREP0", "PREPP"}  # every preparation; all precede the labeled gates
 MEASURE_KINDS = {"MZ", "MX"}
 DATA_QUBITS = range(7)  # the code block's wires in every encode/decode cycle
 
 
 @dataclass(frozen=True)
 class Gate:
-    """One labeled gate. ``tag`` carries the builder role and is not serialized."""
+    """One labeled gate."""
 
     kind: str
     qubits: tuple[int, ...]
     label: str
-    tag: str = field(default="", compare=False)
 
     def __post_init__(self):
         if self.kind in ONE_QUBIT_KINDS:
@@ -65,8 +65,8 @@ class Circuit:
     def append(self, gate: Gate) -> None:
         self.gates.append(gate)
 
-    def add(self, kind: str, qubits: tuple[int, ...], label: str, tag: str = "") -> Gate:
-        g = Gate(kind, qubits, label, tag)
+    def add(self, kind: str, qubits: tuple[int, ...], label: str) -> Gate:
+        g = Gate(kind, qubits, label)
         self.gates.append(g)
         return g
 
@@ -85,9 +85,6 @@ class Circuit:
             seen.add(g.label)
             if g.is_measurement:
                 dead.add(g.qubits[0])
-
-    def count_kind(self, kind: str) -> int:
-        return sum(1 for g in self.gates if g.kind == kind)
 
     def count_cnot_labels(self) -> int:
         """Distinct labeled CNOTs; syndrome-round copies share one number."""

@@ -311,8 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="steanesim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    def common(sp, *formats):
+        """``--out``, and ``--format`` over the formats the subcommand writes."""
+        if formats:
+            sp.add_argument("--format", choices=("text", *formats), default="text")
         sp.add_argument("--out", default=None, help="output path (default stdout; "
                         "relative paths resolve under $STEANESIM_OUTDIR)")
 
@@ -322,17 +324,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--no-flags", dest="flags", action="store_false")
     sp.add_argument("--block", choices=("data", "aux"), default="data")
     sp.add_argument("--circuit", default=None, help="analyze a serialized circuit file instead")
-    common(sp)
+    common(sp, "json")
     sp.set_defaults(func=cmd_propagate)
 
     sp = sub.add_parser("flags", help="audit the flag-gadget usage conditions")
     sp.add_argument("--block", choices=("data", "aux"), default="data")
     sp.add_argument("--circuit", default=None, help="analyze a serialized circuit file instead")
-    common(sp)
+    common(sp, "json")
     sp.set_defaults(func=cmd_flags, flags=True)  # the audit builds the flagged cycle
 
     sp = sub.add_parser("depth", help="print depth profiles and R coefficients")
-    common(sp)
+    common(sp, "csv", "json")
     sp.set_defaults(func=cmd_depth)
 
     sp = sub.add_parser("threshold", help="maximum-threshold search")
@@ -343,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="transversal")
     sp.add_argument("--x-max", type=int, default=DEFAULT_X_MAX)
     sp.add_argument("--curves", default=None, help="write (k,x,p_th) rows to this CSV")
-    common(sp)
+    common(sp, "json")
     sp.set_defaults(func=cmd_threshold)
 
     sp = sub.add_parser("resources", help="CNOT counts, runtime and depth limits")
@@ -354,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--block", choices=("data", "aux"), default="data")
     sp.add_argument("--cnot-time", type=float, default=pinned.CNOT_TIME_SECONDS)
     sp.add_argument("--depth-limit", type=int, default=pinned.PERMITTED_DEPTH)
-    common(sp)
+    common(sp, "json")
     sp.set_defaults(func=cmd_resources)
 
     sp = sub.add_parser("verify", help="run the statevector and oracle suites")

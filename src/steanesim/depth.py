@@ -26,8 +26,6 @@ from .faults import (
     view_table,
 )
 
-DEFAULT_GAMMA = 4
-
 
 @dataclass(frozen=True)
 class DepthProfile:
@@ -43,7 +41,7 @@ class BlockDepth:
     """Period coefficients R_1..R_7 and the syndrome/recovery depth."""
 
     R: tuple[int, ...]
-    gamma: int = DEFAULT_GAMMA
+    gamma: int = 4  # the paper's syndrome/recovery depth
 
     def __post_init__(self):
         if len(self.R) != 7:
@@ -92,25 +90,25 @@ def count_fault_locations(
     return DepthProfile(tuple(r_x), tuple(r_y), tuple(r_z))
 
 
-def effective_R(profile: DepthProfile, gamma: int = DEFAULT_GAMMA) -> BlockDepth:
+def effective_R(profile: DepthProfile) -> BlockDepth:
     """R_q = ceil((r_x + r_y + r_z) / 3) per qubit."""
     R = tuple(ceil((x + y + z) / 3) for x, y, z in zip(profile.r_x, profile.r_y, profile.r_z))
-    return BlockDepth(R, gamma)
+    return BlockDepth(R)
 
 
 @lru_cache(maxsize=None)
-def block_analysis(block: str, gamma: int = DEFAULT_GAMMA):
+def block_analysis(block: str):
     """Circuit, derived ledgers, depth profile and R for one block kind."""
     circuit = build_full_ec_circuit(include_flags=True, block_kind=block)
     x_ledger = derive_perfect_assumptions(view_table(circuit, "X"))
     z_ledger = derive_perfect_assumptions(view_table(circuit, "Z"))
     profile = count_fault_locations(circuit, x_ledger, z_ledger)
-    return circuit, x_ledger, z_ledger, profile, effective_R(profile, gamma)
+    return circuit, x_ledger, z_ledger, profile, effective_R(profile)
 
 
-def data_block_depth(gamma: int = DEFAULT_GAMMA) -> BlockDepth:
-    return block_analysis("data", gamma)[4]
+def data_block_depth() -> BlockDepth:
+    return block_analysis("data")[4]
 
 
-def aux_block_depth(gamma: int = DEFAULT_GAMMA) -> BlockDepth:
-    return block_analysis("aux", gamma)[4]
+def aux_block_depth() -> BlockDepth:
+    return block_analysis("aux")[4]

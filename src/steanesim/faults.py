@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
-from .circuits import DATA_QUBITS, Circuit, CycleLayout, Gate, base_label, derive_layout
+from .circuits import DATA_QUBITS, PREP_KINDS, Circuit, CycleLayout, Gate, base_label, derive_layout
 from .paulis import GENERATOR_SUPPORTS, PauliOperator, conjugate_bits, parity
 
 _LOC_RE = re.compile(r"^(C|CN|H)(\d+)(?:\.(\d+))?$")
@@ -87,10 +87,6 @@ class MeasurementSignature:
     x_syn: tuple[tuple[int, int, int], ...]
     meas: tuple[int, ...]                    # terminal data readout, qubit order
     flags: tuple[int, ...]                   # one parity bit per flag gadget
-
-    @property
-    def rounds_disagree(self) -> bool:
-        return len(set(self.z_syn)) > 1 or len(set(self.x_syn)) > 1
 
     @property
     def is_trivial(self) -> bool:
@@ -161,9 +157,6 @@ def enumerable_locations(circuit: Circuit) -> list[tuple[int, str, str, int]]:
     return out
 
 
-_PREP_KINDS = frozenset({"PREP0L", "PREPSTEANE", "CAT2", "PREP0", "PREPP"})
-
-
 def propagate_fault(circuit: Circuit, start: int, qubit: int, pauli: str) -> tuple[int, int, int]:
     """Frame of one fault at circuit end, and the flip of every readout.
 
@@ -184,7 +177,7 @@ def propagate_fault(circuit: Circuit, start: int, qubit: int, pauli: str) -> tup
             flips |= ((x >> g.qubits[0]) & 1) << i
         elif g.kind == "MX":
             flips |= ((z >> g.qubits[0]) & 1) << i
-        elif g.kind not in _PREP_KINDS:
+        elif g.kind not in PREP_KINDS:
             x, z = conjugate_bits(g.kind, g.qubits, x, z)
     return x, z, flips
 
@@ -279,7 +272,7 @@ def fault_frames(circuit: Circuit, locations) -> list[tuple[tuple[int, int, int]
             x_eff[g.qubits[0]] ^= 1 << (2 * width + i)
         elif g.kind == "MX":
             z_eff[g.qubits[0]] ^= 1 << (2 * width + i)
-        elif g.kind not in _PREP_KINDS:
+        elif g.kind not in PREP_KINDS:
             # Before the gate, a Pauli has the effect its image has after it.
             before = [
                 (_effect(conjugate_bits(g.kind, g.qubits, 1 << q, 0), g.qubits, x_eff, z_eff),
@@ -378,15 +371,6 @@ def has_nonflag_effect(circuit: Circuit, sig: MeasurementSignature, residual: Pa
     """
     syndromes_clean = all(t == (0, 0, 0) for t in sig.z_syn) and all(t == (0, 0, 0) for t in sig.x_syn)
     return not (syndromes_clean and not any(sig.meas) and canonical_residual(circuit, residual) == (0, 0))
-
-
-def enumerate_single_faults(circuit: Circuit) -> DecodingTable:
-    """One table entry per signature over every (location-side, Pauli type)
-    on the CNOT legs (flag legs included), Hadamards, and flag CNOTs."""
-    table = DecodingTable(circuit)
-    for loc, (sig, residual) in fault_map(circuit).items():
-        table.add(sig, loc, residual)
-    return table
 
 
 def view_table(circuit: Circuit, view: str) -> DecodingTable:

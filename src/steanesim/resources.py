@@ -4,7 +4,7 @@ The per-period counts at k=1 are cross-checked against the assembled
 circuits (labeled CNOTs; a repeated syndrome round reuses its number, and
 the flag scheme contributes CN1-CN16). Per extra concatenation level every
 CNOT is replaced transversally, so counts grow by a factor of 7 per level
-(an estimate; the factor is configurable).
+(an estimate).
 """
 from __future__ import annotations
 
@@ -15,11 +15,6 @@ from . import pinned
 from .builders import build_full_ec_circuit, build_t_gadget, build_toffoli_gadget
 from .depth import BlockDepth
 
-GATE_CLASS_ALIASES = {
-    "transversal": "transversal",
-    "t": "t", "tgate": "t", "tGate": "t",
-    "toffoli": "toffoli", "toffoli1": "toffoli", "toffoli2": "toffoli", "toffoli3": "toffoli",
-}
 LEVEL_GROWTH_FACTOR = 7
 
 
@@ -40,29 +35,28 @@ def derived_cnot_counts() -> dict[str, int]:
     }
 
 
-def cnot_count(gate_class: str, k: int = 1, growth_factor: int = LEVEL_GROWTH_FACTOR) -> int:
+def cnot_count(gate_class: str, k: int = 1) -> int:
     """Labeled CNOTs for one period of the gate class at concatenation level k."""
     if k < 1:
         raise ValueError("k must be >= 1")
     try:
-        base = pinned.CNOTS_PER_PERIOD[GATE_CLASS_ALIASES[gate_class]]
+        base = pinned.CNOTS_PER_PERIOD[gate_class]
     except KeyError:
         raise ValueError(f"unknown gate class {gate_class!r}") from None
-    return base * growth_factor ** (k - 1)
+    return base * LEVEL_GROWTH_FACTOR ** (k - 1)
 
 
 def estimate_runtime(
     gate_counts: dict[str, int],
     k: int = 1,
     cnot_time: float = pinned.CNOT_TIME_SECONDS,
-    growth_factor: int = LEVEL_GROWTH_FACTOR,
 ) -> RuntimeEstimate:
     """Total CNOTs across gate classes times the per-CNOT time bound."""
     total = 0
     for gate_class, count in gate_counts.items():
         if count < 0:
             raise ValueError("gate counts must be nonnegative")
-        total += count * cnot_count(gate_class, k, growth_factor)
+        total += count * cnot_count(gate_class, k)
     return RuntimeEstimate(total, cnot_time, total * cnot_time)
 
 

@@ -12,7 +12,7 @@ from math import sqrt
 
 import numpy as np
 
-from .circuits import Circuit, Gate
+from .circuits import MACRO_KINDS, PREP_KINDS, Circuit, Gate
 from .paulis import PauliOperator
 
 MAX_QUBITS = 20
@@ -125,29 +125,29 @@ def _expand_macro(gate: Gate) -> list[Gate]:
     q = gate.qubits
     seq: list[Gate] = []
     for i, w in ENCODE_H.items():
-        seq.append(Gate("H", (q[w - 1],), f"{gate.label}.h{i}", gate.tag))
+        seq.append(Gate("H", (q[w - 1],), f"{gate.label}.h{i}"))
     for i in range(3, 12):
         ctl, tgt = ENCODER_CNOTS[i]
-        seq.append(Gate("CNOT", (q[ctl - 1], q[tgt - 1]), f"{gate.label}.c{i}", gate.tag))
+        seq.append(Gate("CNOT", (q[ctl - 1], q[tgt - 1]), f"{gate.label}.c{i}"))
     if gate.kind == "PREPSTEANE":
         for i in range(7):
-            seq.append(Gate("H", (q[i],), f"{gate.label}.th{i}", gate.tag))
+            seq.append(Gate("H", (q[i],), f"{gate.label}.th{i}"))
     return seq
 
 
 def expand_macros(circuit: Circuit) -> list[Gate]:
     out: list[Gate] = []
     for g in circuit.gates:
-        if g.kind in ("PREP0L", "PREPSTEANE"):
+        if g.kind not in PREP_KINDS:
+            out.append(g)
+        elif g.kind in MACRO_KINDS:
             out.extend(_expand_macro(g))
         elif g.kind == "CAT2":
-            out.append(Gate("H", (g.qubits[0],), f"{g.label}.h", g.tag))
-            out.append(Gate("CNOT", g.qubits, f"{g.label}.c", g.tag))
-        elif g.kind in ("PREP0", "PREPP"):
-            if g.kind == "PREPP":
-                out.append(Gate("H", g.qubits, f"{g.label}.h", g.tag))
-        else:
-            out.append(g)
+            out.append(Gate("H", (g.qubits[0],), f"{g.label}.h"))
+            out.append(Gate("CNOT", g.qubits, f"{g.label}.c"))
+        elif g.kind == "PREPP":
+            out.append(Gate("H", g.qubits, f"{g.label}.h"))
+        # PREP0 adds no gate: its wire is taken to start in |0>.
     return out
 
 

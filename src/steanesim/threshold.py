@@ -62,13 +62,12 @@ class ThresholdResult:
     max_p_th: float
 
 
-def expand_levels(base, k: int) -> ConcatenationProfile:
+def expand_levels(block: BlockDepth, k: int) -> ConcatenationProfile:
     """Materialized level-k depth list (7x growth per level).
 
     Each element e of the current list is replaced by [e + R1, R2, ..., R7];
     level 1 is the base list itself.
     """
-    block = base if isinstance(base, BlockDepth) else BlockDepth(tuple(base))
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > MAX_LITERAL_LEVEL:
@@ -102,15 +101,14 @@ def coefficient_c0_literal(profile: ConcatenationProfile, x: int, gamma: int) ->
     return c0
 
 
-def coefficient_c0(block: BlockDepth, k: int, x: int, gamma: int | None = None) -> int:
+def coefficient_c0(block: BlockDepth, k: int, x: int) -> int:
     """Exact integer c0 in closed form (no 7^k list)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if x < 1:
         raise ValueError("x must be >= 1")
     R = block.R
-    gamma = block.gamma if gamma is None else gamma
-    gx = gamma * x
+    gx = block.gamma * x
     B, D, E, F = R[1] + gx, R[3] + gx, R[4] + gx, R[5] + gx
     n_lineage = 7 ** (k - 1)
     total = sum(R)
@@ -125,9 +123,9 @@ def coefficient_c0(block: BlockDepth, k: int, x: int, gamma: int | None = None) 
     return linear * sum_A + n_lineage * rest
 
 
-def coefficient_c(block: BlockDepth, k: int, x: int, gamma: int | None = None) -> float:
+def coefficient_c(block: BlockDepth, k: int, x: int) -> float:
     """c = c0 / 7^(k-1), the per-level pair count."""
-    return coefficient_c0(block, k, x, gamma) / 7 ** (k - 1)
+    return coefficient_c0(block, k, x) / 7 ** (k - 1)
 
 
 def evaluate_p_th(query: ThresholdQuery, c: float) -> float:
@@ -141,6 +139,16 @@ def p_th(block: BlockDepth, k: int, x: int, r: int | None = None, gate_class: st
     return evaluate_p_th(ThresholdQuery(k, r, gate_class, x), coefficient_c(block, k, x))
 
 
+def _check_scan(r: int | None, gate_class: str, x_max: int) -> None:
+    """The argument checks shared by the x scans."""
+    if gate_class not in GATE_CLASSES:
+        raise ValueError(f"unknown gate class {gate_class!r}")
+    if x_max < 1:
+        raise ValueError("x_max must be >= 1")
+    if r is not None and r < 1:
+        raise ValueError("r must be >= 1")
+
+
 def optimize_x(
     block: BlockDepth,
     k: int,
@@ -149,12 +157,7 @@ def optimize_x(
     x_max: int = DEFAULT_X_MAX,
 ) -> ThresholdResult:
     """Scan x = 1..x_max; ties resolve to the smallest x (first maximum)."""
-    if gate_class not in GATE_CLASSES:
-        raise ValueError(f"unknown gate class {gate_class!r}")
-    if x_max < 1:
-        raise ValueError("x_max must be >= 1")
-    if r is not None and r < 1:
-        raise ValueError("r must be >= 1")
+    _check_scan(r, gate_class, x_max)
     best_x, best_c, best_p = 1, 0.0, float("-inf")
     for x in range(1, x_max + 1):
         c = coefficient_c(block, k, x)
@@ -167,8 +170,7 @@ def optimize_x(
 def curve(block: BlockDepth, k: int, x_max: int = DEFAULT_X_MAX, r: int | None = None,
           gate_class: str = "transversal") -> list[tuple[int, int, float]]:
     """(k, x, p_th) rows for a fixed level."""
-    if r is not None and r < 1:
-        raise ValueError("r must be >= 1")
+    _check_scan(r, gate_class, x_max)
     rows = []
     for x in range(1, x_max + 1):
         c = coefficient_c(block, k, x)

@@ -190,3 +190,28 @@ def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
     assert main(list(argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("tables", "--format", "json"),
+    ("verify", "--format", "text"),
+    ("circuit", "--format", "json"),
+    ("flags", "--format", "csv"),
+    ("propagate", "--format", "csv"),
+    ("threshold", "--format", "csv"),
+    ("resources", "--format", "csv"),
+    ("depth", "--format", "yaml"),
+], ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_format_is_limited_to_what_the_subcommand_writes(capsys, argv):
+    # tables/verify/circuit write one fixed form; depth alone writes csv.
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+def test_curves_rejects_bad_scan_arguments(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["threshold", "--curves", "-", "--x-max", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "steanesim threshold: error: x_max must be >= 1\n"

@@ -1,7 +1,10 @@
 """Fault enumeration against the reference decoding tables."""
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,7 @@ from golden_tables import X_PERFECT, X_TABLE, Z_PERFECT, Z_TABLE
 from steanesim import faults as faults_module
 from steanesim.builders import AUX_GADGETS, FLAG_GADGETS, build_full_ec_circuit
 from steanesim.circuits import Circuit, Gate, parse, serialize
+from steanesim.depth import count_fault_locations
 from steanesim.faults import (
     FaultLocation,
     canonical_residual,
@@ -17,7 +21,6 @@ from steanesim.faults import (
     classify_collisions,
     derive_perfect_assumptions,
     enumerable_locations,
-    enumerate_single_faults,
     fault_frames,
     fault_map,
     inject_and_propagate,
@@ -51,7 +54,7 @@ def boxed_view(circuit: Circuit, view: str):
     out = {}
     for cls in classify_collisions(view_table(circuit, view)):
         sig = cls.signature
-        if sig.rounds_disagree:
+        if sig.agreed_z() is None or sig.agreed_x() is None:  # the rounds disagree
             continue
         syn = sig.agreed_z() if view == "X" else sig.agreed_x()
         meas_idx = (3, 4, 5) if view == "X" else (0, 1, 2)
@@ -91,9 +94,9 @@ def test_spec_anchor_propagations(data_flags_off):
     # The boxed locations on syndrome-round gates are the final-copy faults;
     # first-copy faults surface as round disagreement instead.
     sig1, _ = inject_and_propagate(data_flags_off, "C25", "control", "X")
-    assert sig1.rounds_disagree
+    assert sig1.agreed_z() is None
     sig, res = inject_and_propagate(data_flags_off, "C25.2", "control", "X")
-    assert sig.agreed_z() == (0, 0, 0) and not sig.rounds_disagree
+    assert sig.agreed_z() == (0, 0, 0) and sig.agreed_x() == (0, 0, 0)
     assert tuple(sig.meas[i] for i in (3, 4, 5)) == (0, 0, 1)
     assert str(res) == "X7"
 
@@ -116,10 +119,10 @@ def test_x_fault_groups_under_nonzero_syndrome(data_flags_off):
 
 def test_enumeration_is_deterministic(data_flags_off):
     def dump(circuit):
-        table = enumerate_single_faults(circuit)
+        faults_module._fault_map.cache_clear()  # rebuild the map, not read the memo
         return [
             (str(e.signature), [(l.label, l.side, l.pauli, str(r)) for l, r in e.members])
-            for e in table.sorted_entries()
+            for view in ("X", "Y", "Z") for e in view_table(circuit, view).sorted_entries()
         ]
     assert dump(data_flags_off) == dump(data_flags_off)
 
@@ -128,12 +131,12 @@ def test_y_faults_propagate_as_x_and_z(data_flags_off):
     sig_y, res_y = inject_and_propagate(data_flags_off, "C20", "control", "Y")
     sig_x, res_x = inject_and_propagate(data_flags_off, "C20", "control", "X")
     sig_z, res_z = inject_and_propagate(data_flags_off, "C20", "control", "Z")
-    assert res_y == res_x.multiply(res_z)
+    assert res_y == PauliOperator(7, res_x.x_bits ^ res_z.x_bits, res_x.z_bits ^ res_z.z_bits)
     assert sig_y.meas == tuple(a ^ b for a, b in zip(sig_x.meas, sig_z.meas))
 
 
 def test_empty_circuit_enumerates_nothing():
-    assert enumerate_single_faults(Circuit(7)).entries == {}
+    assert fault_map(Circuit(7)) == {}
 
 
 def test_unknown_gate_label_raises(data_flags_off):
@@ -233,18 +236,47 @@ BUILD_CONFIGS["misplaced-gadget3"] = dict(gadget_overrides={3: ("X", 4, ("CN5", 
 BUILD_CONFIGS["z-type-gadget1"] = dict(gadget_overrides={1: ("Z", 5, ("CN1", "CN2"), ("C4", "C16.2"))})
 
 
-def analysis_digest(circuit: Circuit):
+GOLDEN_CONFIGS = Path(__file__).with_name("golden_configs.json")
+
+
+def analysis_record(circuit: Circuit) -> dict:
+    """Ledger names, depth profile, flag verdicts and one SHA-256 over every
+    X/Y/Z class (signature, verdict, member names), in JSON form. The Y view
+    is classified without a ledger: ledger keys carry the Pauli letter."""
     x_ledger = derive_perfect_assumptions(view_table(circuit, "X"))
     z_ledger = derive_perfect_assumptions(view_table(circuit, "Z"))
+    profile = count_fault_locations(circuit, x_ledger, z_ledger)
     verdicts = [
-        (r.gadget_id, r.condition1, r.condition2, r.condition3)
+        [r.gadget_id, r.condition1, r.condition2, r.condition3]
         for r in check_flag_conditions(circuit, x_ledger, z_ledger)
     ]
-    return x_ledger, z_ledger, verdicts
+    classes = hashlib.sha256()
+    for view, ledger in (("X", x_ledger), ("Y", frozenset()), ("Z", z_ledger)):
+        for cls in classify_collisions(view_table(circuit, view), ledger):
+            members = ";".join(loc.display_name() for loc, _ in cls.members)
+            classes.update(f"{view}|{cls.signature}|{cls.verdict}|{members}\n".encode())
+    return {
+        "perfect_x": ledger_names(x_ledger),
+        "perfect_z": ledger_names(z_ledger),
+        "profile": {"r_x": list(profile.r_x), "r_y": list(profile.r_y), "r_z": list(profile.r_z)},
+        "flags": verdicts,
+        "classes_sha256": classes.hexdigest(),
+    }
 
 
-@pytest.mark.parametrize("kwargs", BUILD_CONFIGS.values(), ids=BUILD_CONFIGS.keys())
-def test_reconstructed_meta_matches_built_analysis(kwargs):
+def write_golden_configs() -> None:
+    """Regenerate ``golden_configs.json``: ``PYTHONPATH=src:tests python tests/test_faults.py``."""
+    rows = [
+        f"{json.dumps(name)}: {json.dumps(analysis_record(build_full_ec_circuit(**kwargs)), sort_keys=True)}"
+        for name, kwargs in BUILD_CONFIGS.items()
+    ]
+    GOLDEN_CONFIGS.write_text("{\n" + ",\n".join(rows) + "\n}\n", encoding="utf-8")  # one line per configuration
+
+
+@pytest.mark.parametrize("name", BUILD_CONFIGS)
+def test_reconstructed_meta_matches_built_analysis(name):
+    # Both circuits must give the analysis pinned for this configuration.
+    kwargs = BUILD_CONFIGS[name]
     built = build_full_ec_circuit(**kwargs)
     reparsed = reconstruct_meta(parse(serialize(built)))
     layout = reparsed.layout
@@ -257,7 +289,9 @@ def test_reconstructed_meta_matches_built_analysis(kwargs):
     assert [(p.gadget_id, p.kind, p.wire + 1, p.cn_labels) for p in layout.gadgets] == [
         (gid, *table[gid][:3]) for gid in ids
     ]
-    assert analysis_digest(reparsed) == analysis_digest(built)
+    pinned = json.loads(GOLDEN_CONFIGS.read_text(encoding="utf-8"))[name]
+    assert analysis_record(built) == pinned
+    assert analysis_record(reparsed) == pinned
 
 
 @pytest.mark.parametrize("kwargs", BUILD_CONFIGS.values(), ids=BUILD_CONFIGS.keys())
@@ -432,3 +466,7 @@ def test_edited_cycle_text_parses_or_raises_value_error(edits):
     except ValueError:
         return
     assert circuit.layout is not None
+
+
+if __name__ == "__main__":
+    write_golden_configs()

@@ -43,8 +43,9 @@ def test_expand_levels_examples():
 
 
 def test_coefficient_anchors():
-    assert coefficient_c0(DATA, 1, 3, gamma=4) == 11786
-    assert coefficient_c0(AUX, 1, 2, gamma=4) == 4722
+    assert DATA.gamma == AUX.gamma == 4
+    assert coefficient_c0(DATA, 1, 3) == 11786
+    assert coefficient_c0(AUX, 1, 2) == 4722
     # the same anchors recovered from the level-1 table: p_th = x / c
     assert round(3 / pinned.TABLE_1A_DATA[1][1]) == 11786
     assert round(2 / pinned.TABLE_1B_AUX[1][1]) == 4722
@@ -56,7 +57,7 @@ def test_coefficient_matches_pairwise_oracle():
     for block in (DATA, AUX):
         for x in (1, 2, 5):
             want = step17_by_hand(block.R, 4, x, block.R[0])
-            assert coefficient_c0(block, 1, x, gamma=4) == want
+            assert coefficient_c0(block, 1, x) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -163,3 +164,12 @@ def test_curve_rows_shape():
     rows = curve(DATA, 3, x_max=5)
     assert [(k, x) for k, x, _ in rows] == [(3, x) for x in range(1, 6)]
     assert all(math.isfinite(p) for _, _, p in rows)
+
+
+def test_curve_checks_its_arguments_like_optimize_x():
+    for kwargs in ({"gate_class": "bogus"}, {"x_max": 0}, {"r": 0}):
+        with pytest.raises(ValueError) as curve_error:
+            curve(DATA, 1, **kwargs)
+        with pytest.raises(ValueError) as scan_error:
+            optimize_x(DATA, 1, **kwargs)
+        assert str(curve_error.value) == str(scan_error.value)
