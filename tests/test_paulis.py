@@ -114,20 +114,42 @@ def test_conjugation_preserves_commutation(bits_a, bits_b, kind):
     assert anticommute(a, b) == anticommute(conjugate(kind, qubits, a), conjugate(kind, qubits, b))
 
 
-def test_generator_parity_matches_dense_anticommutation():
-    # A syndrome bit is the parity of the error over a generator's support:
-    # X components for a Z-type generator, Z components for an X-type one.
+# A syndrome bit is the parity of the error over a generator's support:
+# X components for a Z-type generator, Z components for an X-type one.
+MASKS = [sum(1 << (q - 1) for q in support) for support in GENERATOR_SUPPORTS]
+GENERATORS = [(PauliOperator(7, 0, m), "Z", m) for m in MASKS] + [(PauliOperator(7, m, 0), "X", m) for m in MASKS]
+
+
+def syndrome_bit(err: PauliOperator, kind: str, mask: int) -> int:
+    return parity((err.x_bits if kind == "Z" else err.z_bits) & mask)
+
+
+def test_generators_match_check_matrix():
     assert GENERATOR_SUPPORTS == ((1, 3, 5, 7), (2, 3, 6, 7), (4, 5, 6, 7))
-    masks = [sum(1 << (q - 1) for q in support) for support in GENERATOR_SUPPORTS]
-    gens = [(PauliOperator(7, 0, m), "Z", m) for m in masks] + [(PauliOperator(7, m, 0), "X", m) for m in masks]
-    assert parity(0b1 & masks[0]) == 1 and parity(0b1 & masks[2]) == 0  # X1 under Z-type g1, g3
-    assert parity(0b10000 & masks[0]) == 1  # Z5 under X-type g1
-    dense_gens = [dense(g) for g, _, _ in gens]
+    # Hamming [7,4] check matrix: column q is q in binary, generator i on bit i.
+    for q in range(1, 8):
+        assert [(m >> (q - 1)) & 1 for m in MASKS] == [(q >> i) & 1 for i in range(3)]
+    # Every X-type generator commutes with every Z-type one.
+    for a, _, _ in GENERATORS:
+        for b, _, _ in GENERATORS:
+            assert anticommute(a, b) == 0
+
+
+def test_syndrome_bit_examples():
+    x1 = PauliOperator.single(7, 1, "X")
+    assert syndrome_bit(x1, *GENERATORS[0][1:]) == 1
+    assert syndrome_bit(x1, *GENERATORS[2][1:]) == 0
+    z5 = PauliOperator.single(7, 5, "Z")
+    assert syndrome_bit(z5, *GENERATORS[3][1:]) == 1
+
+
+def test_syndrome_bit_matches_dense_anticommutation():
+    dense_gens = [dense(g) for g, _, _ in GENERATORS]
     rng = np.random.default_rng(5)
     for _ in range(100):
         err = PauliOperator(7, int(rng.integers(0, 128)), int(rng.integers(0, 128)))
         de = dense(err)
-        for (_, kind, mask), dg in zip(gens, dense_gens):
+        for (_, kind, mask), dg in zip(GENERATORS, dense_gens):
             anti = np.allclose(de @ dg, -dg @ de)
             assert anti or np.allclose(de @ dg, dg @ de)
-            assert parity((err.x_bits if kind == "Z" else err.z_bits) & mask) == anti
+            assert syndrome_bit(err, kind, mask) == anti
