@@ -221,12 +221,13 @@ def cmd_tables(args) -> int:
 def cmd_threshold(args) -> int:
     block_depth = block_analysis(args.block)[4]
     if args.curves:
-        rows = ["k,x,p_th"]
         ks = list(range(1, 7)) if args.k is None else [args.k]
-        for k in ks:
-            for kk, x, p in curve(block_depth, k, args.x_max, args.r, args.gate):
-                rows.append(f"{kk},{x},{_fmt(p)}")
-        _write("\n".join(rows), args.curves)
+        points = [pt for k in ks for pt in curve(block_depth, k, args.x_max, args.r, args.gate)]
+        if args.format == "json":
+            text = json.dumps([{"k": k, "x": x, "p_th": p} for k, x, p in points], indent=2, sort_keys=True)
+        else:
+            text = "\n".join(["k,x,p_th"] + [f"{k},{x},{_fmt(p)}" for k, x, p in points])
+        _write(text, args.curves)
         return 0
     ks = list(range(1, 11)) if args.k is None else [args.k]
     rows = []
@@ -289,6 +290,9 @@ def cmd_resources(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for option, value in (("--faults", args.faults), ("--seed", args.seed)):
+        if value < 0:
+            raise ValueError(f"{option} must be >= 0, got {value}")
     from . import verification
 
     results = verification.run_all(n_oracle_faults=args.faults, seed=args.seed)
@@ -344,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gate", choices=("transversal", "t", "toffoli1", "toffoli2", "toffoli3"),
                     default="transversal")
     sp.add_argument("--x-max", type=int, default=DEFAULT_X_MAX)
-    sp.add_argument("--curves", default=None, help="write (k,x,p_th) rows to this CSV")
+    sp.add_argument("--curves", default=None,
+                    help="write (k,x,p_th) rows to this file (CSV, or JSON under --format json)")
     common(sp, "json")
     sp.set_defaults(func=cmd_threshold)
 

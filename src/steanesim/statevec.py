@@ -4,7 +4,9 @@ Used to verify the bit-vector machinery against exact linear algebra:
 encoder output states, decoder inversion, gadget algebra on the trivial
 code, and Pauli-frame propagation on syndrome-round segments. Mid-circuit
 measurements are handled by explicit branch selection (project on a chosen
-outcome and renormalize), never by sampling.
+outcome and renormalize), never by sampling. Every kernel also takes stacked
+states, any array whose last axis has length 2^n, and acts on each row; a
+forked run carries a clean and a faulted row this way.
 """
 from __future__ import annotations
 
@@ -76,44 +78,37 @@ def steane_state() -> np.ndarray:
 
 
 def apply_1q(state: np.ndarray, matrix: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    psi = state.reshape([2] * n)
-    axis = n - 1 - qubit  # qubit q indexes bit (1 << q): axis order is reversed
-    psi = np.moveaxis(np.tensordot(matrix, np.moveaxis(psi, axis, 0), axes=([1], [0])), 0, axis)
-    return np.ascontiguousarray(psi).reshape(-1)
+    # The operand np.tensordot builds (rows: bit ``qubit`` = 0, 1) and its dot call: same rounding.
+    psi = state.reshape(-1, 2, 1 << qubit).transpose(1, 0, 2).reshape(2, -1)
+    return matrix.dot(psi).reshape(2, -1, 1 << qubit).transpose(1, 0, 2).reshape(state.shape)
+
+
+def _controlled_x(state: np.ndarray, controls: tuple[int, ...], target: int, n: int) -> np.ndarray:
+    """Flip ``target`` where every control bit is 1: a permutation, so exact."""
+    psi = state.reshape(state.shape[:-1] + (2,) * n).copy()
+    idx = [slice(None)] * n
+    for c in controls:
+        idx[n - 1 - c] = 1
+    sub = (Ellipsis, *idx)
+    psi[sub] = np.flip(psi[sub], axis=-1 - target + sum(c < target for c in controls))
+    return psi.reshape(state.shape)
 
 
 def apply_cnot(state: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
-    psi = state.reshape([2] * n).copy()
-    c_ax, t_ax = n - 1 - control, n - 1 - target
-    idx1 = [slice(None)] * n
-    idx1[c_ax] = 1
-    sub = psi[tuple(idx1)]
-    psi[tuple(idx1)] = np.flip(sub, axis=t_ax if t_ax < c_ax else t_ax - 1)
-    return psi.reshape(-1)
+    return _controlled_x(state, (control,), target, n)
 
 
 def apply_ccx(state: np.ndarray, c1: int, c2: int, target: int, n: int) -> np.ndarray:
-    psi = state.reshape([2] * n).copy()
-    axes = sorted((n - 1 - c1, n - 1 - c2))
-    idx = [slice(None)] * n
-    idx[axes[0]] = 1
-    idx[axes[1]] = 1
-    t_ax = n - 1 - target
-    t_sub = t_ax - sum(1 for a in axes if a < t_ax)
-    sub = psi[tuple(idx)]
-    psi[tuple(idx)] = np.flip(sub, axis=t_sub)
-    return psi.reshape(-1)
+    return _controlled_x(state, (c1, c2), target, n)
 
 
 def project(state: np.ndarray, qubit: int, outcome: int, n: int) -> np.ndarray:
-    """Project on a measurement outcome and renormalize; error if impossible."""
-    psi = state.reshape([2] * n).copy()
-    idx = [slice(None)] * n
-    idx[n - 1 - qubit] = 1 - outcome
-    psi[tuple(idx)] = 0.0
-    flat = psi.reshape(-1)
-    norm = np.linalg.norm(flat)
-    if norm < 1e-12:
+    """Project on a measurement outcome and renormalize each row; error if impossible."""
+    psi = state.reshape(-1, 2, 1 << qubit).copy()
+    psi[:, 1 - outcome] = 0.0
+    flat = psi.reshape(state.shape)
+    norm = np.linalg.norm(flat, axis=-1, keepdims=True)
+    if np.any(norm < 1e-12):
         raise ValueError(f"outcome {outcome} on qubit {qubit + 1} has zero amplitude")
     return flat / norm
 
@@ -155,14 +150,16 @@ def simulate_statevector(
     circuit: Circuit,
     input_state: np.ndarray | None = None,
     outcomes: dict[str, int] | None = None,
-    inject: dict[str, PauliOperator] | None = None,
+    fork: tuple[str, PauliOperator] | None = None,
 ) -> tuple[np.ndarray, dict[str, int]]:
     """Exact dense state after the circuit; measurements need chosen outcomes.
 
     ``outcomes`` maps measurement labels to the selected branch (0/1).
-    ``inject`` maps gate labels to a Pauli applied right after that gate,
-    which is how the propagation oracle places deterministic faults.
-    Returns the final state and the realized outcome per measurement label.
+    ``fork=(label, pauli)`` splits the run right after gate ``label``: the
+    clean state and a copy with ``pauli`` applied run on as the two rows of
+    one (2, 2^n) array, which is returned. This is how the propagation
+    oracle places a deterministic fault without simulating the shared prefix
+    twice. Returns the final state and the realized outcome per measurement label.
     """
     n = circuit.n_qubits
     if n > MAX_QUBITS:
@@ -171,7 +168,6 @@ def simulate_statevector(
     if state.shape != (1 << n,):
         raise ValueError("input state has wrong dimension")
     outcomes = outcomes or {}
-    inject = inject or {}
     recorded: dict[str, int] = {}
 
     for g in expand_macros(circuit):
@@ -190,9 +186,10 @@ def simulate_statevector(
             recorded[g.label] = outcome
         else:
             raise ValueError(f"dense oracle cannot apply {g.kind}")
-        if g.label in inject:
-            p = inject[g.label]
-            state = apply_pauli(state, p, n)
+        if fork is not None and g.label == fork[0]:
+            state = np.stack((state, apply_pauli(state, fork[1], n)))
+    if fork is not None and state.ndim == 1:
+        raise ValueError(f"fork label {fork[0]!r} names no gate")
     return state, recorded
 
 

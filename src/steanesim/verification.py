@@ -4,7 +4,8 @@ Each check pits the bit-vector machinery against exact linear algebra:
 encoder output amplitudes, the transversal-H identity on the logical zero
 state, decoder inversion, teleportation-gadget algebra on the trivial code,
 and frame propagation against dense simulation on encode, decode and
-syndrome-round segments (at most 14 qubits per segment).
+syndrome-round segments (at most 14 qubits per segment), one dense run per
+fault forked into a clean and a faulted row at the fault.
 """
 from __future__ import annotations
 
@@ -143,13 +144,20 @@ def _segment_inputs(name: str, rng: np.random.Generator) -> np.ndarray:
     if name in ("encoder", "decoder"):
         return random_state(7, rng)
     # syndrome segments: random block state on the data wires, ancilla |0...0>
-    return np.kron(np.eye(128, dtype=complex)[0], random_state(7, rng))
+    state = np.zeros(1 << 14, dtype=complex)
+    state[:128] = random_state(7, rng)
+    return state
 
 
 def check_propagation_oracle(n_faults: int = 200, seed: int = 20240817, tol: float = 1e-10) -> tuple[bool, str]:
     """Forward frame loop (``propagate_fault``, behind ``inject_and_propagate``
     and the reference the backward sweep of ``fault_map`` is tested against)
-    vs dense simulation on <=14-qubit circuit segments."""
+    vs dense simulation on <=14-qubit circuit segments.
+
+    Each fault is one ``simulate_statevector`` run forked at the faulty gate:
+    the gates before it are simulated once, the rest on the clean and the
+    faulted row together. The frame, applied to the clean row, must give the
+    faulted row up to global phase."""
     rng = np.random.default_rng(seed)
     segments = {
         "encoder": build_encoder(),
@@ -166,13 +174,11 @@ def check_propagation_oracle(n_faults: int = 200, seed: int = 20240817, tol: flo
     disagreements = 0
     for idx in picks:
         name, start, label, qubit, pauli = pool[int(idx)]
-        circ = segments[name]
-        inp = _segment_inputs(name, rng)
-        fault = PauliOperator.single(circ.n_qubits, qubit + 1, pauli)
-        faulted, _ = simulate_statevector(circ, input_state=inp, inject={label: fault})
-        clean, _ = simulate_statevector(circ, input_state=inp)
+        circ, n = segments[name], segments[name].n_qubits
+        fault = PauliOperator.single(n, qubit + 1, pauli)
+        (clean, faulted), _ = simulate_statevector(circ, _segment_inputs(name, rng), fork=(label, fault))
         x, z, _ = propagate_fault(circ, start, qubit, pauli)
-        predicted = apply_pauli(clean, PauliOperator(circ.n_qubits, x, z), circ.n_qubits)
+        predicted = apply_pauli(clean, PauliOperator(n, x, z), n)
         if not states_equal(faulted, predicted, tol):
             disagreements += 1
     return disagreements == 0, f"{n_faults} random faults, {disagreements} disagreements"

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +115,13 @@ def test_file_output(tmp_path, capsys, monkeypatch):
     assert text.splitlines()[1] == "1,2,4.235493434985176e-04"
 
 
+def test_verify_stdout_matches_the_benchmark_golden(capsys):
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "goldens" / "verify.txt"
+    code, out = run(capsys, "verify")
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def test_verify_subcommand_fast(capsys):
     code, out = run(capsys, "verify", "--faults", "10")
     assert code == 0
@@ -184,12 +192,17 @@ def test_flags_on_a_file_uses_its_own_ledgers(tmp_path, capsys):
     ("threshold", "--k", "0", "--curves", "-"),
     ("threshold", "--gate", "t", "--k", "2", "--r", "-5"),
     ("threshold", "--gate", "t", "--k", "2", "--r", "0", "--curves", "-"),
-], ids=["missing-file", "resources-k0", "threshold-k0", "curves-k0", "threshold-r-negative", "curves-r0"])
+    ("verify", "--faults", "-3"),
+    ("verify", "--seed", "-1"),
+], ids=["missing-file", "resources-k0", "threshold-k0", "curves-k0", "threshold-r-negative", "curves-r0",
+        "verify-faults-negative", "verify-seed-negative"])
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert main(list(argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
+    if argv[0] == "verify":
+        assert f"{argv[1]} must be >= 0" in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -215,3 +228,15 @@ def test_curves_rejects_bad_scan_arguments(tmp_path, monkeypatch, capsys):
     assert main(["threshold", "--curves", "-", "--x-max", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "steanesim threshold: error: x_max must be >= 1\n"
+
+
+def test_curves_write_json_under_format_json(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["threshold", "--curves", "c", "--k", "1", "--x-max", "3"]
+    assert main(argv) == 0
+    csv_rows = (tmp_path / "c").read_text().splitlines()
+    assert main(argv + ["--format", "json"]) == 0
+    points = json.loads((tmp_path / "c").read_text())
+    assert csv_rows[0] == "k,x,p_th"
+    assert [f"{p['k']},{p['x']},{p['p_th']:.15e}" for p in points] == csv_rows[1:]
+    assert capsys.readouterr().out == ""

@@ -7,11 +7,16 @@ import pytest
 from steanesim import verification
 from steanesim.builders import build_encoder, build_gadget, build_toffoli_decomposition, GadgetSpec
 from steanesim.circuits import Circuit
+from steanesim.paulis import PauliOperator
 from steanesim.statevec import (
     LOGICAL_ZERO_WORDS,
+    _MATRICES,
+    apply_1q,
     apply_ccx,
     apply_cnot,
     logical_zero_state,
+    project,
+    random_state,
     simulate_statevector,
     states_equal,
     steane_state,
@@ -109,3 +114,78 @@ def test_logical_zero_words_form_a_linear_code():
         for b in words:
             assert (a ^ b) in words
     assert np.allclose(np.linalg.norm(logical_zero_state()), 1.0)
+
+
+def _tensordot_1q(state, matrix, qubit, n):
+    """Reference: the 1-qubit kernel through np.tensordot, one state at a time."""
+    psi = state.reshape([2] * n)
+    axis = n - 1 - qubit
+    psi = np.moveaxis(np.tensordot(matrix, np.moveaxis(psi, axis, 0), axes=([1], [0])), 0, axis)
+    return np.ascontiguousarray(psi).reshape(-1)
+
+
+def test_apply_1q_matches_tensordot_bit_for_bit():
+    # The printed amplitude errors of ``verify`` depend on this rounding.
+    rng = np.random.default_rng(17)
+    for n in range(1, 8):
+        psi = random_state(n, rng)
+        for name, matrix in _MATRICES.items():
+            for q in range(n):
+                got = apply_1q(psi, matrix, q, n)
+                assert got.tobytes() == _tensordot_1q(psi, matrix, q, n).tobytes(), (n, name, q)
+
+
+def test_kernels_act_on_each_row_of_a_stack():
+    rng = np.random.default_rng(19)
+    for n in range(1, 8):
+        stack = np.stack((random_state(n, rng), random_state(n, rng)))
+        kernels = []
+        for q in range(n):
+            kernels += [(lambda s, m=m, q=q: apply_1q(s, m, q, n)) for m in _MATRICES.values()]
+            kernels += [(lambda s, q=q, o=o: project(s, q, o, n)) for o in (0, 1)]
+            kernels += [(lambda s, q=q, t=t: apply_cnot(s, q, t, n)) for t in range(n) if t != q]
+        if n >= 3:
+            kernels.append(lambda s: apply_ccx(s, n - 1, 0, 1, n))
+        for kernel in kernels:
+            out = kernel(stack)
+            assert out.shape == stack.shape
+            for row, single in zip(out, stack):
+                want = kernel(single)
+                if n >= 3:
+                    assert row.tobytes() == want.tobytes()
+                else:  # one or two columns per row: BLAS takes another kernel, last bits may differ
+                    assert np.allclose(row, want, rtol=0, atol=1e-15)
+
+
+def _round_segment_and_input():
+    segment = verification._strip_measurements(verification.build_x_round_segment())
+    return segment, verification._segment_inputs("x-round", np.random.default_rng(23))
+
+
+def test_fork_clean_row_equals_unforked_run():
+    segment, psi = _round_segment_and_input()
+    label = next(g.label for g in segment.gates if g.kind == "CNOT")
+    fault = PauliOperator.single(segment.n_qubits, 3, "Y")
+    (clean, faulted), _ = simulate_statevector(segment, psi, fork=(label, fault))
+    unforked, _ = simulate_statevector(segment, psi)
+    assert clean.tobytes() == unforked.tobytes()
+    assert not states_equal(faulted, clean)
+
+
+def test_fork_on_a_missing_label_raises():
+    segment, psi = _round_segment_and_input()
+    with pytest.raises(ValueError, match="names no gate"):
+        simulate_statevector(segment, psi, fork=("nope", PauliOperator.single(segment.n_qubits, 1, "X")))
+
+
+def test_oracle_catches_a_wrong_propagation(monkeypatch):
+    true_propagation = verification.propagate_fault
+
+    def x_word_only(circuit, start, qubit, pauli):
+        x, _, rest = true_propagation(circuit, start, qubit, pauli)
+        return x, 0, rest
+
+    monkeypatch.setattr(verification, "propagate_fault", x_word_only)
+    ok, detail = verification.check_propagation_oracle(n_faults=40, seed=99)
+    assert not ok
+    assert int(detail.split(", ")[1].split()[0]) > 0
