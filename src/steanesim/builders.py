@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuits import Circuit, FlagPlan, Gate, derive_layout
+from .circuits import Circuit, Gate, derive_layout
 
 N = 7
 
@@ -114,7 +114,7 @@ def build_full_ec_circuit(
     gates: list[Gate] = []
     next_q = N
     ancillas: dict[str, list[tuple[int, ...]]] = {"X": [], "Z": []}
-    flag_plans = []
+    flag_qubits: dict[int, tuple[int, int]] = {}
 
     # Ancilla blocks and flag pairs are prepared before any labeled gate.
     preps: list[Gate] = []
@@ -125,35 +125,29 @@ def build_full_ec_circuit(
             preps.append(Gate(macro, anc, f"P{kind}{rep}"))
             ancillas[kind].append(anc)
     for gid in gadget_ids:
-        kind, wire, cn_labels, _ = gadget_table[gid]
-        fq = (next_q, next_q + 1)
+        flag_qubits[gid] = (next_q, next_q + 1)
         next_q += 2
-        preps.append(Gate("CAT2", fq, f"CAT{gid}"))
-        basis = "Z" if kind == "X" else "X"
-        flag_plans.append(
-            FlagPlan(gid, kind, wire - 1, cn_labels, fq, (f"M{fq[0] + 1}:{basis}", f"M{fq[1] + 1}:{basis}"))
-        )
+        preps.append(Gate("CAT2", flag_qubits[gid], f"CAT{gid}"))
     gates.extend(preps)
 
-    plan_by_anchor_before: dict[str, list[FlagPlan]] = {}
-    plan_by_anchor_after: dict[str, list[FlagPlan]] = {}
-    for plan in flag_plans:
-        before, after = gadget_table[plan.gadget_id][3]
-        plan_by_anchor_before.setdefault(before, []).append(plan)
-        plan_by_anchor_after.setdefault(after, []).append(plan)
+    # A gadget's first CN precedes its first anchor, its second CN follows
+    # the second; each anchor is popped when its gate is emitted.
+    anchored: tuple[dict[str, list[int]], dict[str, list[int]]] = ({}, {})
+    for gid in gadget_ids:
+        for which, anchor in enumerate(gadget_table[gid][3]):
+            anchored[which].setdefault(anchor, []).append(gid)
 
-    def emit_cn(plan: FlagPlan, which: int) -> None:
-        label = plan.cn_labels[which]
-        flag = plan.flag_qubits[which]
-        qubits = (plan.wire, flag) if plan.kind == "X" else (flag, plan.wire)
-        gates.append(Gate("CNOT", qubits, label))
+    def emit_cn(gid: int, which: int) -> None:
+        kind, wire, cn_labels, _ = gadget_table[gid]
+        flag = flag_qubits[gid][which]
+        gates.append(Gate("CNOT", (wire - 1, flag) if kind == "X" else (flag, wire - 1), cn_labels[which]))
 
     def emit(kind: str, qubits: tuple[int, ...], label: str) -> None:
-        for plan in plan_by_anchor_before.get(label, ()):
-            emit_cn(plan, 0)
+        for gid in anchored[0].pop(label, ()):
+            emit_cn(gid, 0)
         gates.append(Gate(kind, qubits, label))
-        for plan in plan_by_anchor_after.get(label, ()):
-            emit_cn(plan, 1)
+        for gid in anchored[1].pop(label, ()):
+            emit_cn(gid, 1)
 
     # Encoder.
     for i, q in ENCODE_H.items():
@@ -183,10 +177,14 @@ def build_full_ec_circuit(
         emit("H", (q - 1,), f"H{i}")
     for q in range(N) if aux else range(1, N):
         emit("MZ", (q,), f"M{q + 1}:Z")
-    for plan in flag_plans:
-        for flag, label in zip(plan.flag_qubits, plan.meas_labels):
-            kind = "MZ" if plan.kind == "X" else "MX"
-            emit(kind, (flag,), label)
+    for gid, flags in flag_qubits.items():
+        kind = "MZ" if gadget_table[gid][0] == "X" else "MX"
+        for flag in flags:
+            emit(kind, (flag,), f"M{flag + 1}:{kind[1]}")
+    for gid in gadget_ids:  # an anchor still pending is one this cycle never emitted
+        for which, anchor in enumerate(gadget_table[gid][3]):
+            if anchor in anchored[which]:
+                raise ValueError(f"flag gadget {gid}: anchor {anchor} is not built with syndrome_reps={syndrome_reps}")
 
     circuit = Circuit(next_q, gates, name=f"ec-{block_kind}" + ("-flags" if include_flags else ""))
     circuit.validate()

@@ -1,12 +1,13 @@
 """Effective fault-location counts per block qubit and the period coefficients.
 
-A location-side counts toward a qubit's depth for an error type when a
-fault of that type there has any observable effect (it is not result-
-neutral) and it is not covered by the perfect-operation ledger. Both copies
-of a repeated syndrome round count. Hadamard faults never enter the X-type
-depth; each H contributes its one effective fault to the Z-type depth of
-its qubit. For the auxiliary block only X-type errors are analyzed: the
-Y-type depth equals the X-type depth and the Z-type depth is zero.
+Depth is a tally of view members: a location-side counts toward a qubit's
+depth for an error type when a fault the matching view holds there is a
+member of that view's classes under that view's ledger (the one rule,
+:func:`~steanesim.faults.counts_as_member`). Both copies of a repeated
+syndrome round count. The Z view holds a Hadamard's X and Z faults, so
+each H adds at most one location to its qubit's Z-type depth and none to
+the X-type depth. For the auxiliary block only X-type errors are analyzed:
+the Y-type depth equals the X-type depth and the Z-type depth is zero.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .faults import (
     derive_perfect_assumptions,
     enumerable_locations,
     fault_map,
+    view_paulis,
     view_table,
 )
 
@@ -53,41 +55,27 @@ def count_fault_locations(
     x_ledger: PerfectOpLedger = frozenset(),
     z_ledger: PerfectOpLedger = frozenset(),
 ) -> DepthProfile:
-    """Tally effective locations per block qubit for X, Y and Z faults.
+    """Tally, per block qubit, the location-sides with a member in each view.
 
-    A location counts when its fault is a classified member
-    (:func:`~steanesim.faults.counts_as_member`): a labeled-gate (C/H) fault
-    counts on a syndrome, readout or residual trace, a flag CNOT's wire-leg
-    fault on any observable effect. Both syndrome-round copies count.
-    Hadamards contribute their one effective fault to the Z-type depth only.
+    A location-side counts for type t when a fault the t view holds there
+    is a member (:func:`~steanesim.faults.counts_as_member`) under that
+    view's ledger: ``x_ledger`` for X, ``x_ledger | z_ledger`` for Y,
+    ``z_ledger`` for Z.
     """
-    n = len(DATA_QUBITS)
-    y_ledger = frozenset(x_ledger | z_ledger)
-    r_x = [0] * n
-    r_y = [0] * n
-    r_z = [0] * n
-
+    ledgers = {"X": x_ledger, "Y": x_ledger | z_ledger, "Z": z_ledger}
+    counts = {view: [0] * len(DATA_QUBITS) for view in ledgers}
     faults = fault_map(circuit)
-    for _, label, side, i in enumerable_locations(circuit):  # flag legs never count
-        x_loc, y_loc, z_loc = (FaultLocation(label, side, pauli) for pauli in ("X", "Y", "Z"))
-        x, y, z = (counts_as_member(circuit, loc, *faults[loc]) for loc in (x_loc, y_loc, z_loc))
-        if side == "single":
-            if x or z:
-                r_z[i] += 1
-                if y:
-                    r_y[i] += 1
-            continue
-        x_key, z_key = x_loc.ledger_key(), z_loc.ledger_key()
-        if x and x_key not in x_ledger:
-            r_x[i] += 1
-        if y and x_key not in y_ledger and z_key not in y_ledger:
-            r_y[i] += 1
-        if z and z_key not in z_ledger:
-            r_z[i] += 1
-
+    for _, label, side, qubit in enumerable_locations(circuit):  # flag legs are never members
+        for view, ledger in ledgers.items():
+            for pauli in view_paulis(view, side):
+                loc = FaultLocation(label, side, pauli)
+                if counts_as_member(circuit, loc, *faults[loc], ledger):
+                    counts[view][qubit] += 1
+                    break
+    r_x, r_y, r_z = (tuple(counts[view]) for view in "XYZ")
     if circuit.layout.block == "aux":
-        return DepthProfile(tuple(r_x), tuple(r_x), (0,) * n)
-    return DepthProfile(tuple(r_x), tuple(r_y), tuple(r_z))
+        return DepthProfile(r_x, r_x, (0,) * len(DATA_QUBITS))
+    return DepthProfile(r_x, r_y, r_z)
 
 
 def effective_R(profile: DepthProfile) -> BlockDepth:

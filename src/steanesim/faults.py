@@ -88,15 +88,6 @@ class MeasurementSignature:
     meas: tuple[int, ...]                    # terminal data readout, qubit order
     flags: tuple[int, ...]                   # one parity bit per flag gadget
 
-    @property
-    def is_trivial(self) -> bool:
-        return (
-            all(t == (0, 0, 0) for t in self.z_syn)
-            and all(t == (0, 0, 0) for t in self.x_syn)
-            and not any(self.meas)
-            and not any(self.flags)
-        )
-
     def agreed_z(self) -> tuple[int, int, int] | None:
         return self.z_syn[0] if len(set(self.z_syn)) == 1 else None
 
@@ -358,21 +349,6 @@ def canonical_residual(circuit: Circuit, residual: PauliOperator) -> tuple[int, 
     return (residual.x_bits & x_mask, residual.z_bits & z_mask)
 
 
-def is_neutral(circuit: Circuit, sig: MeasurementSignature, residual: PauliOperator) -> bool:
-    """A fault with no observable effect at all."""
-    return sig.is_trivial and canonical_residual(circuit, residual) == (0, 0)
-
-
-def has_nonflag_effect(circuit: Circuit, sig: MeasurementSignature, residual: PauliOperator) -> bool:
-    """True when the fault leaves a syndrome, readout or residual trace.
-
-    A fault whose only consequence is a flag false-positive (block rejected,
-    no error delivered) does not count as an effect here.
-    """
-    syndromes_clean = all(t == (0, 0, 0) for t in sig.z_syn) and all(t == (0, 0, 0) for t in sig.x_syn)
-    return not (syndromes_clean and not any(sig.meas) and canonical_residual(circuit, residual) == (0, 0))
-
-
 def view_table(circuit: Circuit, view: str) -> DecodingTable:
     """Single-error-type table as grouped in the reference analysis.
 
@@ -387,12 +363,18 @@ def view_table(circuit: Circuit, view: str) -> DecodingTable:
 _HADAMARD_PAULIS = {"X": (), "Y": ("Y",), "Z": ("X", "Z")}  # the Hadamard faults in each view
 
 
+def view_paulis(view: str, side: str) -> tuple[str, ...]:
+    """The faults a view holds on one leg: its own Pauli on a CNOT leg, the
+    view's effective faults on a Hadamard."""
+    return _HADAMARD_PAULIS[view] if side == "single" else (view,)
+
+
 def _view(circuit: Circuit, faults: FaultMap, view: str) -> DecodingTable:
     if view not in _HADAMARD_PAULIS:
         raise ValueError(f"unknown view {view!r}")
     table = DecodingTable(circuit)
     for loc, (sig, residual) in faults.items():
-        if loc.pauli in (_HADAMARD_PAULIS[view] if loc.side == "single" else (view,)):
+        if loc.pauli in view_paulis(view, loc.side):
             table.add(sig, loc, residual)
     return table
 
@@ -413,30 +395,46 @@ class CollisionClass:
     residual_groups: list[tuple[tuple[int, int], list[FaultLocation]]]
 
 
-def counts_as_member(circuit: Circuit, loc: FaultLocation, sig: MeasurementSignature, res: PauliOperator) -> bool:
-    """Result-neutral faults are enumerated but excluded from classification.
+_COMPONENTS = {"X": ("X",), "Y": ("Y", "X", "Z"), "Z": ("Z",)}
 
-    For the labeled gates a flag false-positive alone is not a result (the
-    block is rejected, no error is delivered); for the flag CNOTs' own wire
-    legs any observable effect counts, since those locations are the
-    introduced overhead the gadget must account for. Faults on the
-    flag-qubit legs are gadget-internal: the condition-1 audit covers them
-    and they stay out of the decoding-table classes.
-    """
-    if circuit.layout.is_flag_leg(loc.label, loc.side):
+
+def ledger_covers(ledger: PerfectOpLedger, loc: FaultLocation) -> bool:
+    """True when the ledger assumes the fault's leg perfect for its Pauli or
+    for one of its components: a Y fault is covered by its leg's X or Z key."""
+    if not ledger:
         return False
-    if loc.label.startswith("CN"):
-        return not is_neutral(circuit, sig, res)
-    return has_nonflag_effect(circuit, sig, res)
+    label, side, pauli = loc.ledger_key()
+    return any((label, side, p) in ledger for p in _COMPONENTS[pauli])
+
+
+def counts_as_member(
+    circuit: Circuit, loc: FaultLocation, sig: MeasurementSignature, res: PauliOperator, ledger: PerfectOpLedger
+) -> bool:
+    """The one membership rule of classes, ledgers and depth counts.
+
+    A fault the ledger covers, or one on a flag-qubit leg (gadget-internal:
+    the condition-1 audit covers it), is no member. Any other fault is one
+    when it flips a readout or leaves an observable residual. Flag bits
+    count only for the flag CNOTs' own wire legs, the overhead the gadget
+    must account for; for the labeled gates a flag false-positive alone is
+    not a result (the block is rejected, no error is delivered).
+    """
+    if circuit.layout.is_flag_leg(loc.label, loc.side) or ledger_covers(ledger, loc):
+        return False
+    flipped = (
+        any(map(any, sig.z_syn)) or any(map(any, sig.x_syn)) or any(sig.meas)
+        or (loc.label.startswith("CN") and any(sig.flags))
+    )
+    return flipped or canonical_residual(circuit, res) != (0, 0)
 
 
 def classify_collisions(table: DecodingTable, ledger: PerfectOpLedger = frozenset()) -> list[CollisionClass]:
     """Group faults by signature and judge whether one correction fits all.
 
-    Ledger members and result-neutral faults are removed before
-    classification. Within one signature class all read-out flips coincide
-    by construction, so members can only disagree on the unread data qubit;
-    ``benign`` means they do not.
+    Only members (:func:`counts_as_member` under ``ledger``) are classified.
+    Within one signature class all read-out flips coincide by construction,
+    so members can only disagree on the unread data qubit; ``benign`` means
+    they do not.
     """
     circuit = table.circuit
     clean = trivial_signature(circuit)
@@ -444,9 +442,7 @@ def classify_collisions(table: DecodingTable, ledger: PerfectOpLedger = frozense
     seen_clean = False
     for entry in table.sorted_entries():
         members = [
-            (loc, res)
-            for loc, res in entry.members
-            if loc.ledger_key() not in ledger and counts_as_member(circuit, loc, entry.signature, res)
+            (loc, res) for loc, res in entry.members if counts_as_member(circuit, loc, entry.signature, res, ledger)
         ]
         if not members and entry.signature != clean:
             continue

@@ -52,6 +52,8 @@ def estimate_runtime(
     cnot_time: float = pinned.CNOT_TIME_SECONDS,
 ) -> RuntimeEstimate:
     """Total CNOTs across gate classes times the per-CNOT time bound."""
+    if not cnot_time > 0:  # NaN included
+        raise ValueError(f"cnot_time must be positive, got {cnot_time}")
     total = 0
     for gate_class, count in gate_counts.items():
         if count < 0:
@@ -83,6 +85,8 @@ def check_permitted_depth(block: BlockDepth, k: int, x: int, limit: int = pinned
     """Flag any qubit whose per-period operation count exceeds the limit."""
     if limit <= 0:
         raise ValueError("limit must be positive")
+    if x < 1:
+        raise ValueError(f"x must be >= 1, got {x}")
     depth = period_depth(block, k, x)
     max_k = 0
     while period_depth(block, max_k + 1, x) <= limit:

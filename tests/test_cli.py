@@ -194,8 +194,13 @@ def test_flags_on_a_file_uses_its_own_ledgers(tmp_path, capsys):
     ("threshold", "--gate", "t", "--k", "2", "--r", "0", "--curves", "-"),
     ("verify", "--faults", "-3"),
     ("verify", "--seed", "-1"),
+    ("resources", "--x", "0"),
+    ("resources", "--x", "-5"),
+    ("resources", "--gate", "t", "--cnot-time", "-1"),
+    ("resources", "--gate", "t", "--cnot-time", "0"),
 ], ids=["missing-file", "resources-k0", "threshold-k0", "curves-k0", "threshold-r-negative", "curves-r0",
-        "verify-faults-negative", "verify-seed-negative"])
+        "verify-faults-negative", "verify-seed-negative", "resources-x0", "resources-x-negative",
+        "resources-cnot-time-negative", "resources-cnot-time-zero"])
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert main(list(argv)) == 2

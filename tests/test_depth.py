@@ -15,10 +15,9 @@ from steanesim.depth import (
     effective_R,
 )
 from steanesim.faults import (
+    canonical_residual,
     enumerable_locations,
-    has_nonflag_effect,
     inject_and_propagate,
-    is_neutral,
     ledger_from_names,
 )
 
@@ -83,10 +82,12 @@ def test_counts_agree_with_enumeration_location_by_location():
         if qubit >= 7 or side == "single":
             continue
         sig, res = inject_and_propagate(circuit, label, side, "X")
-        if label.split(".")[0].startswith("CN"):
-            effective = not is_neutral(circuit, sig, res)
-        else:
-            effective = has_nonflag_effect(circuit, sig, res)
+        # The rule, stated here on its own: a flag CNOT's wire leg counts on
+        # any flipped readout, a labeled gate's leg on a flipped syndrome or
+        # terminal readout; either counts on an observable residual.
+        flags = sig.flags if label.startswith("CN") else ()
+        flipped = any(any(bits) for bits in (*sig.z_syn, *sig.x_syn, sig.meas, flags))
+        effective = flipped or canonical_residual(circuit, res) != (0, 0)
         if effective and (label.split(".")[0], side, "X") not in x_ledger:
             recount[qubit] += 1
     assert tuple(recount) == profile.r_x

@@ -24,6 +24,7 @@ from steanesim.faults import (
     fault_frames,
     fault_map,
     inject_and_propagate,
+    ledger_covers,
     ledger_from_names,
     ledger_names,
     location_from_name,
@@ -107,7 +108,8 @@ def test_spec_anchor_propagations(data_flags_off):
 
     # a result-neutral location: X after the last fan-in on its wire
     sig, res = inject_and_propagate(data_flags_off, "C28", "control", "X")
-    assert sig.is_trivial and canonical_residual(data_flags_off, res) == (0, 0)
+    assert not any(any(bits) for bits in (*sig.z_syn, *sig.x_syn, sig.meas, sig.flags))  # no readout flipped
+    assert canonical_residual(data_flags_off, res) == (0, 0)
 
 
 def test_x_fault_groups_under_nonzero_syndrome(data_flags_off):
@@ -209,6 +211,31 @@ def test_cn11_target_fault_matches_reference_claim(data_flags_on):
     assert any(sig.flags)
 
 
+def test_ledger_covers_a_fault_by_its_own_leg_and_components():
+    x_key, z_key, y_key = (location_from_name(f"{p}3^C") for p in "XZY")
+    other_leg = frozenset({location_from_name("X3^T"), location_from_name("Z3^T")})
+    x, y, z = (FaultLocation("C3", "control", p) for p in "XYZ")
+    assert ledger_covers(frozenset({x_key}), y)
+    assert ledger_covers(frozenset({z_key}), y)
+    assert not ledger_covers(other_leg, y)
+    assert ledger_covers(frozenset({x_key}), x) and not ledger_covers(frozenset({z_key, y_key}), x)
+    assert ledger_covers(frozenset({z_key}), z) and not ledger_covers(frozenset({x_key, y_key}), z)
+    # Every syndrome-round copy shares its gate's key.
+    assert ledger_covers(frozenset({location_from_name("X22^C")}), FaultLocation("C22.2", "control", "Y"))
+
+
+def test_y_view_honours_the_union_ledger(data_flags_on):
+    x_ledger = derive_perfect_assumptions(view_table(data_flags_on, "X"))
+    z_ledger = derive_perfect_assumptions(view_table(data_flags_on, "Z"))
+    covered_legs = {(label, side) for label, side, _ in x_ledger | z_ledger}
+    table = view_table(data_flags_on, "Y")
+    unfiltered = {loc for cls in classify_collisions(table) for loc, _ in cls.members}
+    filtered = {loc for cls in classify_collisions(table, x_ledger | z_ledger) for loc, _ in cls.members}
+    dropped = {loc for loc in unfiltered if loc.ledger_key()[:2] in covered_legs}
+    assert dropped  # Y faults on legs the X or Z ledger assumes perfect
+    assert filtered == unfiltered - dropped
+
+
 def test_location_name_parsing_round_trips():
     for name in ("X22^C", "Z13^T", "ZH1", "XCN13^T"):
         label, side, pauli = location_from_name(name)
@@ -242,7 +269,9 @@ GOLDEN_CONFIGS = Path(__file__).with_name("golden_configs.json")
 def analysis_record(circuit: Circuit) -> dict:
     """Ledger names, depth profile, flag verdicts and one SHA-256 over every
     X/Y/Z class (signature, verdict, member names), in JSON form. The Y view
-    is classified without a ledger: ledger keys carry the Pauli letter."""
+    is hashed without a ledger, the form ``propagate`` prints; its classes
+    under the union ledger are checked against the depth profile by
+    ``test_depth_tallies_the_members_of_each_view``."""
     x_ledger = derive_perfect_assumptions(view_table(circuit, "X"))
     z_ledger = derive_perfect_assumptions(view_table(circuit, "Z"))
     profile = count_fault_locations(circuit, x_ledger, z_ledger)
@@ -305,6 +334,27 @@ def test_fault_map_matches_single_fault_propagation(kwargs):
         for pauli in ("X", "Y", "Z"):
             expected = inject_and_propagate(circuit, label, side, pauli)
             assert faults[FaultLocation(label, side, pauli)] == expected, (label, side, pauli)
+
+
+@pytest.mark.parametrize("kwargs", BUILD_CONFIGS.values(), ids=BUILD_CONFIGS.keys())
+def test_depth_tallies_the_members_of_each_view(kwargs):
+    # r_t[q] counts the location-sides on qubit q with a member in the
+    # classes of view t under ledger t (an aux block reports r_y = r_x and
+    # no Z-type depth).
+    circuit = build_full_ec_circuit(**kwargs)
+    x_ledger = derive_perfect_assumptions(view_table(circuit, "X"))
+    z_ledger = derive_perfect_assumptions(view_table(circuit, "Z"))
+    profile = count_fault_locations(circuit, x_ledger, z_ledger)
+    qubit = {(label, side): q for _, label, side, q in enumerable_locations(circuit)}
+    tallies = {}
+    for view, ledger in (("X", x_ledger), ("Y", x_ledger | z_ledger), ("Z", z_ledger)):
+        legs = {(loc.label, loc.side) for cls in classify_collisions(view_table(circuit, view), ledger)
+                for loc, _ in cls.members}
+        tallies[view] = tuple(sum(qubit[leg] == q for leg in legs) for q in range(7))
+    if circuit.layout.block == "aux":
+        assert (profile.r_x, profile.r_y, profile.r_z) == (tallies["X"], tallies["X"], (0,) * 7)
+    else:
+        assert (profile.r_x, profile.r_y, profile.r_z) == (tallies["X"], tallies["Y"], tallies["Z"])
 
 
 SWEEP_WIRES = 4
@@ -428,7 +478,7 @@ def test_flag_legs_follow_the_layout_not_the_numbering():
 @pytest.mark.parametrize("x_first", [True, False])
 def test_half_gadget_is_rejected_by_builder_and_parser(block, x_first):
     # With one syndrome round the anchor C22.2 of CN7 does not exist.
-    with pytest.raises(ValueError, match="flag gadget 4: CN7 missing"):
+    with pytest.raises(ValueError, match=r"flag gadget 4: anchor C22\.2 is not built with syndrome_reps=1$"):
         build_full_ec_circuit(block_kind=block, syndrome_reps=1, x_rounds_first=x_first)
     text = serialize(build_full_ec_circuit(block_kind=block, x_rounds_first=x_first))
     without_cn7 = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("CN7 "))
@@ -437,7 +487,7 @@ def test_half_gadget_is_rejected_by_builder_and_parser(block, x_first):
 
 
 def test_gadget_without_anchors_is_rejected():
-    with pytest.raises(ValueError, match="flag gadget 1: CN1 missing"):
+    with pytest.raises(ValueError, match="flag gadget 1: anchor C99 is not built with syndrome_reps=2$"):
         build_full_ec_circuit(gadget_overrides={1: ("X", 2, ("CN1", "CN2"), ("C99", "C98"))})
 
 
