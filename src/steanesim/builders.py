@@ -24,12 +24,21 @@ Z-measured; Z-type gadgets couple flag->wire and are X-measured.
 The auxiliary-block variant (verified logical-zero preparation) drops C1,
 C2, C35, C36 and the Z-type gadgets CN9-CN16, and measures all seven
 qubits (qubit 1 in the Z basis).
+
+Each gate sequence is spelled once, by three part generators that yield
+``(kind, qubits, label)`` rows: the encoder, one copy of one stabilizer
+round, and the decoder. ``build_full_ec_circuit`` emits them between its
+flag CNs; ``build_encoder``, ``build_decoder`` and the round segments (what
+the dense oracle simulates) wrap the same rows; and the ancilla macros
+``PREP0L`` (the aux block's encoder) and ``PREPSTEANE`` (plus transversal
+H) expand to the rows of :func:`ancilla_prep`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .circuits import Circuit, Gate, derive_layout
+from .circuits import MEASURE_KINDS, Circuit, Gate, copy_label, derive_layout
 
 N = 7
 
@@ -41,7 +50,7 @@ ENCODER_CNOTS = {
     9: (4, 5), 10: (4, 6), 11: (4, 7),
 }
 # Decoder mirrors the encoder in reverse order: C(37-i) undoes Ci.
-DECODER_CNOTS = {37 - i: ct for i, ct in ENCODER_CNOTS.items()}
+DECODER_CNOTS = {37 - i: ENCODER_CNOTS[i] for i in reversed(ENCODER_CNOTS)}
 ENCODE_H = {1: 2, 2: 3, 3: 4}   # H1..H3 -> qubit
 DECODE_H = {4: 2, 5: 3, 6: 4}   # H4..H6 -> qubit
 
@@ -59,33 +68,90 @@ FLAG_GADGETS = {
 }
 AUX_OMITTED_CNOTS = (1, 2, 35, 36)
 AUX_GADGETS = (1, 2, 3, 4)
+_ROUND_PREP = {"X": "PREP0L", "Z": "PREPSTEANE"}  # the ancilla block each round type consumes
 
 
-def _round_label(number: int, rep: int) -> str:
-    return f"C{number}" if rep == 1 else f"C{number}.{rep}"
+# ---------------------------------------------------------------------------
+# The cycle's parts, as (kind, qubits, label) rows
+# ---------------------------------------------------------------------------
+
+def _encoder(omitted=()):
+    """H1-H3, then the fan-out CNOTs C1-C11 not in ``omitted``."""
+    for i, q in ENCODE_H.items():
+        yield "H", (q - 1,), f"H{i}"
+    for i, (ctl, tgt) in ENCODER_CNOTS.items():
+        if i not in omitted:
+            yield "CNOT", (ctl - 1, tgt - 1), f"C{i}"
+
+
+def _round(kind: str, anc: tuple[int, ...], copy: int):
+    """Copy ``copy`` of one stabilizer round on ancilla wires ``anc``: the
+    X couplings C12-C18 take the ancilla as control, the Z couplings C19-C25
+    as target; then the ancilla readouts in the round's basis."""
+    first = 12 if kind == "X" else 19
+    for i, a in enumerate(anc):
+        yield "CNOT", (a, i) if kind == "X" else (i, a), copy_label(first + i, copy)
+    for a in anc:
+        yield _readout(kind, a)
+
+
+def _decoder(omitted=()):
+    """The CNOTs C26-C36 not in ``omitted``, then H4-H6."""
+    for i, (ctl, tgt) in DECODER_CNOTS.items():
+        if i not in omitted:
+            yield "CNOT", (ctl - 1, tgt - 1), f"C{i}"
+    for i, q in DECODE_H.items():
+        yield "H", (q - 1,), f"H{i}"
+
+
+def _readout(basis: str, qubit: int) -> tuple:
+    return f"M{basis}", (qubit,), f"M{qubit + 1}:{basis}"
+
+
+def ancilla_prep(macro: str):
+    """Rows that prepare a seven-wire ancilla block on wires 0-6: ``PREP0L``
+    (logical zero) is the aux block's encoder, ``PREPSTEANE`` (uniform
+    codeword state) adds a transversal H."""
+    yield from _encoder(AUX_OMITTED_CNOTS)
+    if macro == "PREPSTEANE":
+        for q in range(N):
+            yield "H", (q,), f"G{q + 1}"
+
+
+def _circuit(n_qubits: int, name: str, rows) -> Circuit:
+    c = Circuit(n_qubits, [Gate(*row) for row in rows], name=name)
+    c.validate()
+    return c
 
 
 def build_encoder() -> Circuit:
     """Seven-qubit encoder: 3 Hadamards and the 11 fan-out CNOTs C1-C11."""
-    c = Circuit(N, name="encoder")
-    for i, q in ENCODE_H.items():
-        c.add("H", (q - 1,), f"H{i}")
-    for i, (ctl, tgt) in ENCODER_CNOTS.items():
-        c.add("CNOT", (ctl - 1, tgt - 1), f"C{i}")
-    c.validate()
-    return c
+    return _circuit(N, "encoder", _encoder())
 
 
 def build_decoder() -> Circuit:
     """Inverse of the encoder: C26-C36 then H4-H6 (no measurements)."""
-    c = Circuit(N, name="decoder")
-    for i in range(26, 37):
-        ctl, tgt = DECODER_CNOTS[i]
-        c.add("CNOT", (ctl - 1, tgt - 1), f"C{i}")
-    for i, q in DECODE_H.items():
-        c.add("H", (q - 1,), f"H{i}")
-    c.validate()
-    return c
+    return _circuit(N, "decoder", _decoder())
+
+
+def _round_segment(kind: str) -> Circuit:
+    anc = tuple(range(N, 2 * N))
+    return _circuit(2 * N, f"{kind.lower()}-round", [(_ROUND_PREP[kind], anc, f"P{kind}1"), *_round(kind, anc, 1)])
+
+
+def build_x_round_segment() -> Circuit:
+    """One X-stabilizer syndrome round on data 1-7 with its ancilla block."""
+    return _round_segment("X")
+
+
+def build_z_round_segment() -> Circuit:
+    """One Z-stabilizer syndrome round on data 1-7 with its ancilla block."""
+    return _round_segment("Z")
+
+
+def build_steane_state_circuit() -> Circuit:
+    """Uniform-codeword state: logical-zero fan-outs then transversal H."""
+    return _circuit(N, "steane-state", ancilla_prep("PREPSTEANE"))
 
 
 def build_full_ec_circuit(
@@ -105,11 +171,9 @@ def build_full_ec_circuit(
     if block_kind not in ("data", "aux"):
         raise ValueError(f"unknown block kind {block_kind!r}")
     aux = block_kind == "aux"
-    gadget_table = dict(FLAG_GADGETS)
-    if gadget_overrides:
-        gadget_table.update(gadget_overrides)
+    gadget_table = {**FLAG_GADGETS, **(gadget_overrides or {})}
     gadget_ids = (AUX_GADGETS if aux else tuple(gadget_table)) if include_flags else ()
-    omitted = set(AUX_OMITTED_CNOTS) if aux else set()
+    omitted = AUX_OMITTED_CNOTS if aux else ()
 
     gates: list[Gate] = []
     next_q = N
@@ -117,18 +181,16 @@ def build_full_ec_circuit(
     flag_qubits: dict[int, tuple[int, int]] = {}
 
     # Ancilla blocks and flag pairs are prepared before any labeled gate.
-    preps: list[Gate] = []
-    for kind, macro in (("X", "PREP0L"), ("Z", "PREPSTEANE")):
+    for kind, macro in _ROUND_PREP.items():
         for rep in range(1, syndrome_reps + 1):
             anc = tuple(range(next_q, next_q + N))
             next_q += N
-            preps.append(Gate(macro, anc, f"P{kind}{rep}"))
+            gates.append(Gate(macro, anc, f"P{kind}{rep}"))
             ancillas[kind].append(anc)
     for gid in gadget_ids:
         flag_qubits[gid] = (next_q, next_q + 1)
         next_q += 2
-        preps.append(Gate("CAT2", flag_qubits[gid], f"CAT{gid}"))
-    gates.extend(preps)
+        gates.append(Gate("CAT2", flag_qubits[gid], f"CAT{gid}"))
 
     # A gadget's first CN precedes its first anchor, its second CN follows
     # the second; each anchor is popped when its gate is emitted.
@@ -149,38 +211,18 @@ def build_full_ec_circuit(
         for gid in anchored[1].pop(label, ()):
             emit_cn(gid, 1)
 
-    # Encoder.
-    for i, q in ENCODE_H.items():
-        emit("H", (q - 1,), f"H{i}")
-    for i, (ctl, tgt) in ENCODER_CNOTS.items():
-        if i not in omitted:
-            emit("CNOT", (ctl - 1, tgt - 1), f"C{i}")
-
-    # Syndrome rounds: X-stabilizer couplings C12-C18 (ancilla controls),
-    # Z-stabilizer couplings C19-C25 (ancilla targets).
-    for kind in ("X", "Z") if x_rounds_first else ("Z", "X"):
-        for rep, anc in enumerate(ancillas[kind], start=1):
-            for i in range(N):
-                if kind == "X":
-                    emit("CNOT", (anc[i], i), _round_label(12 + i, rep))
-                else:
-                    emit("CNOT", (i, anc[i]), _round_label(19 + i, rep))
-            for i in range(N):
-                emit(f"M{kind}", (anc[i],), f"M{anc[i] + 1}:{kind}")
-
-    # Decoder and terminal readout.
-    for i in range(26, 37):
-        if i not in omitted:
-            ctl, tgt = DECODER_CNOTS[i]
-            emit("CNOT", (ctl - 1, tgt - 1), f"C{i}")
-    for i, q in DECODE_H.items():
-        emit("H", (q - 1,), f"H{i}")
-    for q in range(N) if aux else range(1, N):
-        emit("MZ", (q,), f"M{q + 1}:Z")
+    rounds = [
+        _round(kind, anc, copy)
+        for kind in (("X", "Z") if x_rounds_first else ("Z", "X"))
+        for copy, anc in enumerate(ancillas[kind], start=1)
+    ]
+    for row in chain(_encoder(omitted), *rounds, _decoder(omitted)):
+        emit(*row)
+    for q in range(N) if aux else range(1, N):  # terminal readout
+        emit(*_readout("Z", q))
     for gid, flags in flag_qubits.items():
-        kind = "MZ" if gadget_table[gid][0] == "X" else "MX"
         for flag in flags:
-            emit(kind, (flag,), f"M{flag + 1}:{kind[1]}")
+            emit(*_readout("Z" if gadget_table[gid][0] == "X" else "X", flag))
     for gid in gadget_ids:  # an anchor still pending is one this cycle never emitted
         for which, anchor in enumerate(gadget_table[gid][3]):
             if anchor in anchored[which]:
@@ -204,67 +246,54 @@ class GadgetSpec:
     repetitions: int = 2
 
 
+def _numbered(dest: Circuit, prefix: str, rows) -> Circuit:
+    """Append ``(kind, qubits)`` rows: a readout gets its ``M<q>:<basis>``
+    label, every other gate the next ``<prefix>G<n>``, from ``G1``."""
+    n = 1
+    for kind, qubits in rows:
+        if kind in MEASURE_KINDS:
+            dest.add(*_readout(kind[1], qubits[0]))
+        else:
+            dest.add(kind, qubits, f"{prefix}G{n}")
+            n += 1
+    return dest
+
+
+def _on(part: Circuit, wires: tuple[int, ...]) -> list[tuple[str, tuple[int, ...]]]:
+    """``part``'s gates as ``(kind, qubits)`` rows, its qubit j on ``wires[j]``."""
+    return [(g.kind, tuple(wires[q] for q in g.qubits)) for g in part.gates]
+
+
 def build_cz_decomposition() -> Circuit:
     """Controlled-Z on (control, target) as H(t), CNOT, H(t)."""
-    c = Circuit(2, name="cz")
-    c.add("H", (1,), "G1")
-    c.add("CNOT", (0, 1), "G2")
-    c.add("H", (1,), "G3")
-    return c
+    return _numbered(Circuit(2, name="cz"), "", [("H", (1,)), ("CNOT", (0, 1)), ("H", (1,))])
 
 
 def build_cs_decomposition() -> Circuit:
     """Controlled-S on (control, target): T(t), CNOT, Tdg(t), CNOT, T(c)."""
-    c = Circuit(2, name="cs")
-    c.add("T", (1,), "G1")
-    c.add("CNOT", (0, 1), "G2")
-    c.add("TDG", (1,), "G3")
-    c.add("CNOT", (0, 1), "G4")
-    c.add("T", (0,), "G5")
-    return c
+    rows = [("T", (1,)), ("CNOT", (0, 1)), ("TDG", (1,)), ("CNOT", (0, 1)), ("T", (0,))]
+    return _numbered(Circuit(2, name="cs"), "", rows)
 
 
 def build_toffoli_decomposition() -> Circuit:
     """Toffoli on (a, b, target) from {7 T-family, 6 CNOT, 2 H, 1 S}."""
     a, b, t = 0, 1, 2
-    c = Circuit(3, name="toffoli-decomp")
-    seq = [
+    rows = [
         ("H", (t,)), ("CNOT", (b, t)), ("TDG", (t,)), ("CNOT", (a, t)), ("T", (t,)),
         ("CNOT", (b, t)), ("TDG", (t,)), ("CNOT", (a, t)), ("T", (t,)), ("H", (t,)),
         ("TDG", (b,)), ("CNOT", (a, b)), ("TDG", (b,)), ("CNOT", (a, b)), ("T", (a,)), ("S", (b,)),
     ]
-    for i, (kind, qubits) in enumerate(seq, start=1):
-        c.add(kind, qubits, f"G{i}")
-    return c
+    return _numbered(Circuit(3, name="toffoli-decomp"), "", rows)
 
 
 def build_cat_state(verification_reps: int = 2) -> Circuit:
     """Seven-qubit GHZ preparation (chain) plus repeated two-CNOT parity verification."""
     c = Circuit(N + verification_reps, name=f"cat{N}")
     c.add("H", (0,), "G0")
-    k = 1
-    for i in range(N - 1):
-        c.add("CNOT", (i, i + 1), f"G{k}")
-        k += 1
-    for r in range(verification_reps):
-        anc = N + r
-        c.add("CNOT", (0, anc), f"G{k}"); k += 1
-        c.add("CNOT", (N - 1, anc), f"G{k}"); k += 1
-        c.add("MZ", (anc,), f"M{anc + 1}:Z")
-    return c
-
-
-def build_steane_state_circuit() -> Circuit:
-    """Uniform-codeword state: logical-zero fan-outs then transversal H."""
-    c = Circuit(N, name="steane-state")
-    for i, q in ENCODE_H.items():
-        c.add("H", (q - 1,), f"H{i}")
-    for i in range(3, 12):
-        ctl, tgt = ENCODER_CNOTS[i]
-        c.add("CNOT", (ctl - 1, tgt - 1), f"C{i}")
-    for q in range(N):
-        c.add("H", (q,), f"G{q + 1}")
-    return c
+    rows = [("CNOT", (i, i + 1)) for i in range(N - 1)]
+    for anc in range(N, N + verification_reps):
+        rows += [("CNOT", (0, anc)), ("CNOT", (N - 1, anc)), ("MZ", (anc,))]
+    return _numbered(c, "", rows)
 
 
 def _append_block(dest: Circuit, block: Circuit, prefix: str) -> tuple[int, ...]:
@@ -283,23 +312,11 @@ def _theta_measurement_rep(dest: Circuit, cat: tuple[int, ...], blk: tuple[int, 
     repetition once CZ/CS are decomposed), transversal T on the cat, then an
     X-basis cat readout.
     """
-    k = 0
-    def add(kind, qubits):
-        nonlocal k
-        k += 1
-        dest.add(kind, qubits, f"{prefix}-G{k}")
-
-    for i in range(N):
-        add("CNOT", (cat[i], blk[i]))
-    for i in range(N):  # controlled-Z, decomposed
-        add("H", (blk[i],)); add("CNOT", (cat[i], blk[i])); add("H", (blk[i],))
-    for i in range(N):  # controlled-S, decomposed
-        add("T", (blk[i],)); add("CNOT", (cat[i], blk[i])); add("TDG", (blk[i],))
-        add("CNOT", (cat[i], blk[i])); add("T", (cat[i],))
-    for i in range(N):
-        add("T", (cat[i],))
-    for i in range(N):
-        dest.add("MX", (cat[i],), f"M{cat[i] + 1}:X")
+    rows = [("CNOT", (cat[i], blk[i])) for i in range(N)]
+    for part in (build_cz_decomposition(), build_cs_decomposition()):
+        rows += [row for i in range(N) for row in _on(part, (cat[i], blk[i]))]
+    rows += [("T", (q,)) for q in cat] + [("MX", (q,)) for q in cat]
+    _numbered(dest, f"{prefix}-", rows)
 
 
 def build_t_gadget(repetitions: int = 2) -> Circuit:
@@ -317,10 +334,8 @@ def build_t_gadget(repetitions: int = 2) -> Circuit:
         cat = _append_block(c, build_cat_state(), f"CAT{r}")[:N]
         _theta_measurement_rep(c, cat, blk[:N], f"TH{r}")
     data = _append_block(c, Circuit(N, name="data"), "D")
-    for i in range(N):  # transversal coupling onto the incoming data block
-        c.add("CNOT", (blk[i], data[i]), f"TC-G{i + 1}")
-    for i in range(N):
-        c.add("MZ", (data[i],), f"M{data[i] + 1}:Z")
+    # transversal coupling onto the incoming data block
+    _numbered(c, "TC-", [("CNOT", (blk[i], data[i])) for i in range(N)] + [("MZ", (q,)) for q in data])
     _append_block(c, build_full_ec_circuit(True, "aux"), "AUX")
     return c
 
@@ -330,64 +345,22 @@ def build_toffoli_gadget(repetitions: int = 2) -> Circuit:
     c = Circuit(0, name="toffoli-gadget")
     xyz = [_append_block(c, build_full_ec_circuit(True, "data"), f"B{j}")[:N] for j in range(1, 4)]
     anc = [_append_block(c, build_full_ec_circuit(True, "aux"), f"AUX{j}")[:N] for j in range(1, 4)]
-    toff = build_toffoli_decomposition()
+    cz, toff = build_cz_decomposition(), build_toffoli_decomposition()
     for r in range(1, repetitions + 1):
         cat = _append_block(c, build_cat_state(), f"CAT{r}")[:N]
-        k = 0
-        def add(kind, qubits):
-            nonlocal k
-            k += 1
-            c.add(kind, qubits, f"AP{r}-G{k}")
-        for i in range(N):
-            add("H", (anc[0][i],)); add("H", (anc[1][i],)); add("H", (anc[2][i],))
-        for i in range(N):  # CZ from the third block to the cat
-            add("H", (cat[i],)); add("CNOT", (anc[2][i], cat[i])); add("H", (cat[i],))
-        for i in range(N):  # transversal Toffoli(anc1, anc2; cat)
-            for g in toff.gates:
-                add(g.kind, tuple((anc[0][i], anc[1][i], cat[i])[q] for q in g.qubits))
-        for i in range(N):
-            c.add("MZ", (cat[i],), f"M{cat[i] + 1}:Z")
-    k = 0
-    def add(kind, qubits):
-        nonlocal k
-        k += 1
-        c.add(kind, qubits, f"TG-G{k}")
+        rows = [("H", (blk[i],)) for i in range(N) for blk in anc]
+        # CZ from the third block to the cat, then transversal Toffoli(anc1, anc2; cat)
+        rows += [row for i in range(N) for row in _on(cz, (anc[2][i], cat[i]))]
+        rows += [row for i in range(N) for row in _on(toff, (anc[0][i], anc[1][i], cat[i]))]
+        _numbered(c, f"AP{r}-", rows + [("MZ", (q,)) for q in cat])
+    rows = []
     for i in range(N):  # teleportation couplings
-        add("CNOT", (anc[0][i], xyz[0][i]))
-        add("CNOT", (anc[1][i], xyz[1][i]))
-        add("CNOT", (xyz[2][i], anc[2][i]))
+        rows += [("CNOT", (anc[0][i], xyz[0][i])), ("CNOT", (anc[1][i], xyz[1][i])), ("CNOT", (xyz[2][i], anc[2][i]))]
     for i in range(N):  # conditional logical-CNOT corrections
-        add("CNOT", (anc[1][i], anc[2][i]))
-        add("CNOT", (anc[0][i], anc[2][i]))
-        add("CNOT", (anc[0][i], anc[1][i]))
+        rows += [("CNOT", (anc[1][i], anc[2][i])), ("CNOT", (anc[0][i], anc[2][i])), ("CNOT", (anc[0][i], anc[1][i]))]
     for i in range(N):
-        c.add("MZ", (xyz[0][i],), f"M{xyz[0][i] + 1}:Z")
-        c.add("MZ", (xyz[1][i],), f"M{xyz[1][i] + 1}:Z")
-        c.add("MX", (xyz[2][i],), f"M{xyz[2][i] + 1}:X")
-    return c
-
-
-def build_x_round_segment() -> Circuit:
-    """One X-stabilizer syndrome round on data 1-7 with its ancilla block."""
-    c = Circuit(2 * N, name="x-round")
-    anc = tuple(range(N, 2 * N))
-    c.add("PREP0L", anc, "PX1")
-    for i in range(N):
-        c.add("CNOT", (anc[i], i), f"C{12 + i}")
-    for i in range(N):
-        c.add("MX", (anc[i],), f"M{anc[i] + 1}:X")
-    return c
-
-
-def build_z_round_segment() -> Circuit:
-    """One Z-stabilizer syndrome round on data 1-7 with its ancilla block."""
-    c = Circuit(2 * N, name="z-round")
-    anc = tuple(range(N, 2 * N))
-    c.add("PREPSTEANE", anc, "PZ1")
-    for i in range(N):
-        c.add("CNOT", (i, anc[i]), f"C{19 + i}")
-    for i in range(N):
-        c.add("MZ", (anc[i],), f"M{anc[i] + 1}:Z")
+        rows += [("MZ", (xyz[0][i],)), ("MZ", (xyz[1][i],)), ("MX", (xyz[2][i],))]
+    _numbered(c, "TG-", rows)
     return c
 
 
@@ -396,60 +369,35 @@ def build_z_round_segment() -> Circuit:
 
 def build_t_gadget_trivial() -> Circuit:
     """T by teleportation: qubit 0 data, qubit 1 ancilla prepared as T|+>."""
-    c = Circuit(2, name="t-gadget-trivial")
-    c.add("H", (1,), "G1")
-    c.add("T", (1,), "G2")
-    c.add("CNOT", (1, 0), "G3")
-    c.add("MZ", (0,), "M1:Z")
-    return c
+    rows = [("H", (1,)), ("T", (1,)), ("CNOT", (1, 0)), ("MZ", (0,))]
+    return _numbered(Circuit(2, name="t-gadget-trivial"), "", rows)
 
 
 def build_theta_prep_trivial() -> Circuit:
     """Ancilla-state preparation on the trivial code: qubit 0 cat, 1 block."""
-    c = Circuit(2, name="theta-prep-trivial")
-    c.add("H", (0,), "G1")
-    c.add("CNOT", (0, 1), "G2")
-    c.add("T", (1,), "G3")  # controlled-S, decomposed
-    c.add("CNOT", (0, 1), "G4")
-    c.add("TDG", (1,), "G5")
-    c.add("CNOT", (0, 1), "G6")
-    c.add("T", (0,), "G7")
-    c.add("TDG", (0,), "G8")  # transversal T on a 1-qubit cat
-    c.add("H", (0,), "G9")
-    c.add("MZ", (0,), "M1:Z")
-    return c
+    rows = [("H", (0,)), ("CNOT", (0, 1)), *_on(build_cs_decomposition(), (0, 1))]
+    rows += [("TDG", (0,)), ("H", (0,)), ("MZ", (0,))]  # transversal T on a 1-qubit cat, X readout
+    return _numbered(Circuit(2, name="theta-prep-trivial"), "", rows)
 
 
 def build_a_prep_trivial() -> Circuit:
     """Toffoli ancilla-state preparation on the trivial code (cat + 3 blocks)."""
-    c = Circuit(4, name="a-prep-trivial")
     cat, b1, b2, b3 = 0, 1, 2, 3
-    c.add("H", (cat,), "G1")
-    for i, q in enumerate((b1, b2, b3), start=2):
-        c.add("H", (q,), f"G{i}")
-    c.add("H", (cat,), "G5")  # CZ from block 3 to the cat
-    c.add("CNOT", (b3, cat), "G6")
-    c.add("H", (cat,), "G7")
-    c.add("H", (cat,), "G8")
-    c.add("CCX", (b1, b2, cat), "G9")
-    c.add("MZ", (cat,), "M1:Z")
-    return c
+    rows = [("H", (q,)) for q in (cat, b1, b2, b3)]
+    rows += _on(build_cz_decomposition(), (b3, cat))  # CZ from block 3 to the cat
+    rows += [("H", (cat,)), ("CCX", (b1, b2, cat)), ("MZ", (cat,))]
+    return _numbered(Circuit(4, name="a-prep-trivial"), "", rows)
 
 
 def build_toffoli_gadget_trivial() -> Circuit:
     """Toffoli by teleportation on the trivial code: data (x,y,z) + |A> ancilla."""
-    c = Circuit(6, name="toffoli-gadget-trivial")
     x, y, z, a1, a2, a3 = range(6)
-    c.add("H", (a1,), "G1")
-    c.add("H", (a2,), "G2")
-    c.add("CCX", (a1, a2, a3), "G3")
-    c.add("CNOT", (a1, x), "G4")
-    c.add("CNOT", (a2, y), "G5")
-    c.add("CNOT", (z, a3), "G6")
-    c.add("MZ", (x,), "M1:Z")
-    c.add("MZ", (y,), "M2:Z")
-    c.add("MX", (z,), "M3:X")
-    return c
+    rows = [
+        ("H", (a1,)), ("H", (a2,)), ("CCX", (a1, a2, a3)),
+        ("CNOT", (a1, x)), ("CNOT", (a2, y)), ("CNOT", (z, a3)),
+        ("MZ", (x,)), ("MZ", (y,)), ("MX", (z,)),
+    ]
+    return _numbered(Circuit(6, name="toffoli-gadget-trivial"), "", rows)
 
 
 _GADGET_BUILDERS = {

@@ -103,7 +103,6 @@ class FlagPlan:
     kind: str                 # "X" or "Z"
     wire: int                 # 0-indexed data qubit
     cn_labels: tuple[str, str]
-    flag_qubits: tuple[int, int]
     meas_labels: tuple[str, str]
 
     @property
@@ -165,7 +164,7 @@ def derive_layout(gates: list[Gate]) -> CycleLayout:
         for copy in copies:
             row = []
             for i in range(len(DATA_QUBITS)):
-                label = f"C{first + i}" + ("" if copy == 1 else f".{copy}")
+                label = copy_label(first + i, copy)
                 row.append(read(gate(label).qubits[anc_side], basis, label))
             out.append(tuple(row))
         return tuple(out)
@@ -185,10 +184,9 @@ def derive_layout(gates: list[Gate]) -> CycleLayout:
             for g in (a, b)
         ):
             raise ValueError(f"flag gadget {gid}: {'/'.join(cn_labels)} must couple one data wire to flag qubits")
-        flags = (a.qubits[1 - wire_side], b.qubits[1 - wire_side])
         basis = "Z" if kind == "X" else "X"
-        meas = tuple(read(q, basis, label) for q, label in zip(flags, cn_labels))
-        gadgets.append(FlagPlan(gid, kind, wire, cn_labels, flags, meas))
+        meas = tuple(read(g.qubits[1 - wire_side], basis, label) for g, label in zip((a, b), cn_labels))
+        gadgets.append(FlagPlan(gid, kind, wire, cn_labels, meas))
 
     block = "data" if "C1" in labels else "aux"
     decode_h = tuple(gate(f"H{i}").qubits[0] for i in (4, 5, 6))
@@ -203,6 +201,11 @@ def derive_layout(gates: list[Gate]) -> CycleLayout:
         decode_h_qubits=decode_h,
         gadgets=tuple(gadgets),
     )
+
+
+def copy_label(number: int, copy: int) -> str:
+    """Label of copy ``copy`` of syndrome-round gate ``C<number>``: C12, C12.2, ..."""
+    return f"C{number}" if copy == 1 else f"C{number}.{copy}"
 
 
 def base_label(label: str) -> str:

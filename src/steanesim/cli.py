@@ -63,20 +63,17 @@ def _write(text: str, out: str | None) -> None:
 # propagate
 # ---------------------------------------------------------------------------
 
-def _sig_convention_b(sig, view: str, block: str) -> str:
+def _sig_convention_b(sig, view: str, layout) -> str:
     """Reference-style rendering: one syndrome triple plus the offset-indexed
-    redundant-qubit bits (Meas_j names qubit j+1)."""
+    redundant-qubit bits (Meas_j names qubit j+1) of the Z-read qubits 5-7
+    (X view) or the X-read qubits 2-4 (Z view)."""
     if view == "X":
-        syn = sig.agreed_z()
-        picks = (3, 4, 5) if block == "data" else (4, 5, 6)  # qubits 5,6,7 in meas order
-        names = "Meas5,Meas6,Meas7"
+        syn, wanted, names = sig.agreed_z(), (4, 5, 6), "Meas5,Meas6,Meas7"
     else:
-        syn = sig.agreed_x()
-        picks = (0, 1, 2) if block == "data" else (1, 2, 3)
-        names = "Meas1,Meas2,Meas3"
+        syn, wanted, names = sig.agreed_x(), (1, 2, 3), "Meas1,Meas2,Meas3"
     if syn is None:
         return "rounds-disagree"
-    bits = "".join(str(sig.meas[i]) for i in picks)
+    bits = "".join(str(sig.meas[i]) for i, (q, _, _) in enumerate(layout.terminal_meas) if q in wanted)
     return f"g={''.join(map(str, syn))} {names}={bits}"
 
 
@@ -97,7 +94,7 @@ def cmd_propagate(args) -> int:
         rows.append(
             {
                 "signature": str(cls.signature),
-                "signature_b": _sig_convention_b(cls.signature, args.types, circuit.layout.block),
+                "signature_b": _sig_convention_b(cls.signature, args.types, circuit.layout),
                 "locations": members,
                 "residual": residuals,
                 "verdict": cls.verdict,

@@ -59,7 +59,10 @@ def estimate_runtime(
         if count < 0:
             raise ValueError("gate counts must be nonnegative")
         total += count * cnot_count(gate_class, k)
-    return RuntimeEstimate(total, cnot_time, total * cnot_time)
+    try:
+        return RuntimeEstimate(total, cnot_time, total * cnot_time)
+    except OverflowError:
+        raise ValueError(f"k={k} gives more CNOTs than a float can time") from None
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from math import sqrt
 
 import numpy as np
 
+from .builders import ancilla_prep
 from .circuits import MACRO_KINDS, PREP_KINDS, Circuit, Gate
 from .paulis import PauliOperator
 
@@ -113,30 +114,18 @@ def project(state: np.ndarray, qubit: int, outcome: int, n: int) -> np.ndarray:
     return flat / norm
 
 
-def _expand_macro(gate: Gate) -> list[Gate]:
-    """Unroll logical-ancilla preparations into elementary gates."""
-    from .builders import ENCODER_CNOTS, ENCODE_H  # local import avoids a cycle
-
-    q = gate.qubits
-    seq: list[Gate] = []
-    for i, w in ENCODE_H.items():
-        seq.append(Gate("H", (q[w - 1],), f"{gate.label}.h{i}"))
-    for i in range(3, 12):
-        ctl, tgt = ENCODER_CNOTS[i]
-        seq.append(Gate("CNOT", (q[ctl - 1], q[tgt - 1]), f"{gate.label}.c{i}"))
-    if gate.kind == "PREPSTEANE":
-        for i in range(7):
-            seq.append(Gate("H", (q[i],), f"{gate.label}.th{i}"))
-    return seq
-
-
 def expand_macros(circuit: Circuit) -> list[Gate]:
+    """Elementary gates only: an ancilla-block macro becomes the builders'
+    preparation rows on its seven wires, labeled ``<macro label>.<row label>``."""
     out: list[Gate] = []
     for g in circuit.gates:
         if g.kind not in PREP_KINDS:
             out.append(g)
         elif g.kind in MACRO_KINDS:
-            out.extend(_expand_macro(g))
+            out.extend(
+                Gate(kind, tuple(g.qubits[q] for q in wires), f"{g.label}.{label}")
+                for kind, wires, label in ancilla_prep(g.kind)
+            )
         elif g.kind == "CAT2":
             out.append(Gate("H", (g.qubits[0],), f"{g.label}.h"))
             out.append(Gate("CNOT", g.qubits, f"{g.label}.c"))
@@ -151,7 +140,7 @@ def simulate_statevector(
     input_state: np.ndarray | None = None,
     outcomes: dict[str, int] | None = None,
     fork: tuple[str, PauliOperator] | None = None,
-) -> tuple[np.ndarray, dict[str, int]]:
+) -> np.ndarray:
     """Exact dense state after the circuit; measurements need chosen outcomes.
 
     ``outcomes`` maps measurement labels to the selected branch (0/1).
@@ -159,7 +148,7 @@ def simulate_statevector(
     clean state and a copy with ``pauli`` applied run on as the two rows of
     one (2, 2^n) array, which is returned. This is how the propagation
     oracle places a deterministic fault without simulating the shared prefix
-    twice. Returns the final state and the realized outcome per measurement label.
+    twice.
     """
     n = circuit.n_qubits
     if n > MAX_QUBITS:
@@ -168,7 +157,6 @@ def simulate_statevector(
     if state.shape != (1 << n,):
         raise ValueError("input state has wrong dimension")
     outcomes = outcomes or {}
-    recorded: dict[str, int] = {}
 
     for g in expand_macros(circuit):
         if g.kind == "CNOT":
@@ -181,16 +169,14 @@ def simulate_statevector(
             q = g.qubits[0]
             if g.kind == "MX":
                 state = apply_1q(state, _MATRICES["H"], q, n)
-            outcome = outcomes.get(g.label, 0)
-            state = project(state, q, outcome, n)
-            recorded[g.label] = outcome
+            state = project(state, q, outcomes.get(g.label, 0), n)
         else:
             raise ValueError(f"dense oracle cannot apply {g.kind}")
         if fork is not None and g.label == fork[0]:
             state = np.stack((state, apply_pauli(state, fork[1], n)))
     if fork is not None and state.ndim == 1:
         raise ValueError(f"fork label {fork[0]!r} names no gate")
-    return state, recorded
+    return state
 
 
 def apply_pauli(state: np.ndarray, p: PauliOperator, n: int) -> np.ndarray:

@@ -23,6 +23,7 @@ R_PRIME = {"t": 20, "toffoli1": 19, "toffoli2": 17, "toffoli3": 8}
 GATE_CLASSES = ("transversal",) + tuple(R_PRIME)
 DEFAULT_X_MAX = 200
 MAX_LITERAL_LEVEL = 8
+MAX_LEVEL = 1023  # the largest k whose root exponent 1/(2^k - 1) a float can hold
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,8 @@ def evaluate_p_th(query: ThresholdQuery, c: float) -> float:
     """p_th = (r*x/r0)^(1/(2^k - 1)) / c."""
     if c <= 0:
         raise ZeroDivisionError("coefficient c must be positive")
+    if query.k > MAX_LEVEL:
+        raise ValueError(f"k must be <= {MAX_LEVEL}, got {query.k}")
     return query.depth_ratio() ** (1.0 / (2 ** query.k - 1)) / c
 
 

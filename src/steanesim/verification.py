@@ -46,9 +46,9 @@ A_STATE_WORDS = ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1))
 def check_encoder_codewords(tol: float = 1e-12) -> tuple[bool, str]:
     """Encoder output on |0..0> and on the X-flipped data qubit."""
     enc = build_encoder()
-    out0, _ = simulate_statevector(enc)
+    out0 = simulate_statevector(enc)
     flipped = apply_1q(zero_state(7), _MATRICES["X"], 0, 7)
-    out1, _ = simulate_statevector(enc, input_state=flipped)
+    out1 = simulate_statevector(enc, input_state=flipped)
     err0 = np.max(np.abs(out0 - logical_zero_state()))
     err1 = np.max(np.abs(out1 - logical_one_state()))
     ok = err0 < tol and err1 < tol
@@ -61,7 +61,7 @@ def check_steane_state(tol: float = 1e-12) -> tuple[bool, str]:
     for q in range(7):
         state = apply_1q(state, _MATRICES["H"], q, 7)
     err = float(np.max(np.abs(state - steane_state())))
-    circ_state, _ = simulate_statevector(build_steane_state_circuit())
+    circ_state = simulate_statevector(build_steane_state_circuit())
     err2 = float(np.max(np.abs(circ_state - steane_state())))
     ok = err < tol and err2 < tol
     return ok, f"max amplitude error {max(err, err2):.2e}"
@@ -73,8 +73,8 @@ def check_decoder_inverts_encoder(n_states: int = 20, seed: int = 7, tol: float 
     worst = 0.0
     for _ in range(n_states):
         psi = random_product_state(7, rng)
-        mid, _ = simulate_statevector(enc, input_state=psi)
-        out, _ = simulate_statevector(dec, input_state=mid)
+        mid = simulate_statevector(enc, input_state=psi)
+        out = simulate_statevector(dec, input_state=mid)
         worst = max(worst, float(np.max(np.abs(out - psi))))
     return worst < tol, f"worst round-trip error {worst:.2e} over {n_states} product states"
 
@@ -88,7 +88,7 @@ def check_t_gadget(tol: float = 1e-10, seed: int = 11) -> tuple[bool, str]:
         psi = random_state(1, rng)
         inp = np.kron(np.array([1.0, 0.0], dtype=complex), psi)  # anc |0>, data low bit
         for outcome in (0, 1):
-            out, _ = simulate_statevector(circuit, input_state=inp, outcomes={"M1:Z": outcome})
+            out = simulate_statevector(circuit, input_state=inp, outcomes={"M1:Z": outcome})
             anc = out.reshape(2, 2)[:, outcome]  # data qubit collapsed to the outcome
             if outcome == 1:  # correction: X then S
                 anc = _MATRICES["S"] @ (_MATRICES["X"] @ anc)
@@ -101,7 +101,7 @@ def check_theta_prep(tol: float = 1e-10) -> tuple[bool, str]:
     circuit = build_theta_prep_trivial()
     ok = True
     for outcome in (0, 1):
-        out, _ = simulate_statevector(circuit, outcomes={"M1:Z": outcome})
+        out = simulate_statevector(circuit, outcomes={"M1:Z": outcome})
         blk = out.reshape(2, 2)[:, outcome]
         if outcome == 1:
             blk = _MATRICES["Z"] @ blk
@@ -111,7 +111,7 @@ def check_theta_prep(tol: float = 1e-10) -> tuple[bool, str]:
 
 def check_a_prep(tol: float = 1e-10) -> tuple[bool, str]:
     circuit = build_a_prep_trivial()
-    out, _ = simulate_statevector(circuit, outcomes={"M1:Z": 0})
+    out = simulate_statevector(circuit, outcomes={"M1:Z": 0})
     expected = np.zeros(16, dtype=complex)
     for b1, b2, b3 in A_STATE_WORDS:
         expected[(b1 << 1) | (b2 << 2) | (b3 << 3)] = 0.5
@@ -126,7 +126,7 @@ def check_toffoli_gadget(tol: float = 1e-10, seed: int = 13) -> tuple[bool, str]
     for _ in range(5):
         psi = random_state(3, rng)
         inp = np.kron(np.eye(8, dtype=complex)[0], psi)  # anc |000>, psi on low bits
-        out, _ = simulate_statevector(circuit, input_state=inp, outcomes=outcomes)
+        out = simulate_statevector(circuit, input_state=inp, outcomes=outcomes)
         # data qubits collapsed to |000>; the ancilla block carries Toffoli(psi)
         anc = out.reshape(8, 8)[:, 0]
         expected = psi.copy()
@@ -176,7 +176,7 @@ def check_propagation_oracle(n_faults: int = 200, seed: int = 20240817, tol: flo
         name, start, label, qubit, pauli = pool[int(idx)]
         circ, n = segments[name], segments[name].n_qubits
         fault = PauliOperator.single(n, qubit + 1, pauli)
-        (clean, faulted), _ = simulate_statevector(circ, _segment_inputs(name, rng), fork=(label, fault))
+        clean, faulted = simulate_statevector(circ, _segment_inputs(name, rng), fork=(label, fault))
         x, z, _ = propagate_fault(circ, start, qubit, pauli)
         predicted = apply_pauli(clean, PauliOperator(n, x, z), n)
         if not states_equal(faulted, predicted, tol):

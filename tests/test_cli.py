@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -198,9 +199,13 @@ def test_flags_on_a_file_uses_its_own_ledgers(tmp_path, capsys):
     ("resources", "--x", "-5"),
     ("resources", "--gate", "t", "--cnot-time", "-1"),
     ("resources", "--gate", "t", "--cnot-time", "0"),
+    ("threshold", "--k", "1024"),
+    ("threshold", "--curves", "-", "--k", "1024"),
+    ("resources", "--gate", "t", "--k", "400"),
 ], ids=["missing-file", "resources-k0", "threshold-k0", "curves-k0", "threshold-r-negative", "curves-r0",
         "verify-faults-negative", "verify-seed-negative", "resources-x0", "resources-x-negative",
-        "resources-cnot-time-negative", "resources-cnot-time-zero"])
+        "resources-cnot-time-negative", "resources-cnot-time-zero", "threshold-k-overflow", "curves-k-overflow",
+        "resources-runtime-k-overflow"])
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert main(list(argv)) == 2
@@ -208,6 +213,8 @@ def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
     assert captured.out == "" and captured.err.count("\n") == 1
     if argv[0] == "verify":
         assert f"{argv[1]} must be >= 0" in captured.err
+    if argv[-2:] in (("--k", "1024"), ("--k", "400")):  # too large for a float: the message names k
+        assert re.search(rf"\bk\b.*{argv[-1]}", captured.err)
 
 
 @pytest.mark.parametrize("argv", [

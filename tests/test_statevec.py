@@ -25,7 +25,7 @@ from steanesim.statevec import (
 
 
 def test_encoder_amplitudes_are_uniform_over_even_codewords():
-    out, _ = simulate_statevector(build_encoder())
+    out = simulate_statevector(build_encoder())
     nonzero = np.flatnonzero(np.abs(out) > 1e-12)
     assert len(nonzero) == 8
     assert np.allclose(out[nonzero], 1 / np.sqrt(8), atol=1e-12)
@@ -42,7 +42,7 @@ def test_steane_state_is_uniform_sixteen():
 def test_empty_circuit_returns_input():
     psi = np.zeros(4, dtype=complex)
     psi[2] = 1.0
-    out, _ = simulate_statevector(Circuit(2), input_state=psi)
+    out = simulate_statevector(Circuit(2), input_state=psi)
     assert np.array_equal(out, psi)
 
 
@@ -56,7 +56,7 @@ def test_unitary_norm_preserved():
     c = build_gadget(GadgetSpec("csDecomp"))
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi /= np.linalg.norm(psi)
-    out, _ = simulate_statevector(c, input_state=psi)
+    out = simulate_statevector(c, input_state=psi)
     assert abs(np.linalg.norm(out) - 1) < 1e-12
 
 
@@ -74,7 +74,7 @@ def test_cz_and_cs_decompositions_match_matrices():
         for basis in range(4):
             e = np.zeros(4, dtype=complex)
             e[basis] = 1.0
-            out, _ = simulate_statevector(c, input_state=e)
+            out = simulate_statevector(c, input_state=e)
             cols.append(out)
         got = np.column_stack(cols)
         # control = qubit 0 (low bit); the phase sits on the index with both bits set
@@ -88,7 +88,7 @@ def test_toffoli_decomposition_equals_ccx():
     for _ in range(6):
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
         psi /= np.linalg.norm(psi)
-        got, _ = simulate_statevector(c, input_state=psi)
+        got = simulate_statevector(c, input_state=psi)
         want = apply_ccx(psi, 0, 1, 2, 3)
         assert states_equal(got, want, 1e-12)
 
@@ -166,8 +166,8 @@ def test_fork_clean_row_equals_unforked_run():
     segment, psi = _round_segment_and_input()
     label = next(g.label for g in segment.gates if g.kind == "CNOT")
     fault = PauliOperator.single(segment.n_qubits, 3, "Y")
-    (clean, faulted), _ = simulate_statevector(segment, psi, fork=(label, fault))
-    unforked, _ = simulate_statevector(segment, psi)
+    clean, faulted = simulate_statevector(segment, psi, fork=(label, fault))
+    unforked = simulate_statevector(segment, psi)
     assert clean.tobytes() == unforked.tobytes()
     assert not states_equal(faulted, clean)
 
