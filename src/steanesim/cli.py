@@ -64,9 +64,9 @@ def _write(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _sig_convention_b(sig, view: str, layout) -> str:
-    """Reference-style rendering: one syndrome triple plus the offset-indexed
-    redundant-qubit bits (Meas_j names qubit j+1) of the Z-read qubits 5-7
-    (X view) or the X-read qubits 2-4 (Z view)."""
+    """Reference-style rendering: one syndrome triple plus the terminal
+    readout bits of qubits 5-7 (X view, Meas5-Meas7) or of the X-read qubits
+    2-4 (Z view, offset-indexed: Meas_j names qubit j+1)."""
     if view == "X":
         syn, wanted, names = sig.agreed_z(), (4, 5, 6), "Meas5,Meas6,Meas7"
     else:

@@ -133,8 +133,6 @@ def evaluate_p_th(query: ThresholdQuery, c: float) -> float:
     """p_th = (r*x/r0)^(1/(2^k - 1)) / c."""
     if c <= 0:
         raise ZeroDivisionError("coefficient c must be positive")
-    if query.k > MAX_LEVEL:
-        raise ValueError(f"k must be <= {MAX_LEVEL}, got {query.k}")
     return query.depth_ratio() ** (1.0 / (2 ** query.k - 1)) / c
 
 
@@ -142,8 +140,10 @@ def p_th(block: BlockDepth, k: int, x: int, r: int | None = None, gate_class: st
     return evaluate_p_th(ThresholdQuery(k, r, gate_class, x), coefficient_c(block, k, x))
 
 
-def _check_scan(r: int | None, gate_class: str, x_max: int) -> None:
+def _check_scan(k: int, r: int | None, gate_class: str, x_max: int) -> None:
     """The argument checks shared by the x scans."""
+    if k > MAX_LEVEL:
+        raise ValueError(f"k must be <= {MAX_LEVEL}, got {k}")
     if gate_class not in GATE_CLASSES:
         raise ValueError(f"unknown gate class {gate_class!r}")
     if x_max < 1:
@@ -160,7 +160,7 @@ def optimize_x(
     x_max: int = DEFAULT_X_MAX,
 ) -> ThresholdResult:
     """Scan x = 1..x_max; ties resolve to the smallest x (first maximum)."""
-    _check_scan(r, gate_class, x_max)
+    _check_scan(k, r, gate_class, x_max)
     best_x, best_c, best_p = 1, 0.0, float("-inf")
     for x in range(1, x_max + 1):
         c = coefficient_c(block, k, x)
@@ -173,7 +173,7 @@ def optimize_x(
 def curve(block: BlockDepth, k: int, x_max: int = DEFAULT_X_MAX, r: int | None = None,
           gate_class: str = "transversal") -> list[tuple[int, int, float]]:
     """(k, x, p_th) rows for a fixed level."""
-    _check_scan(r, gate_class, x_max)
+    _check_scan(k, r, gate_class, x_max)
     rows = []
     for x in range(1, x_max + 1):
         c = coefficient_c(block, k, x)

@@ -4,8 +4,9 @@ Each check pits the bit-vector machinery against exact linear algebra:
 encoder output amplitudes, the transversal-H identity on the logical zero
 state, decoder inversion, teleportation-gadget algebra on the trivial code,
 and frame propagation against dense simulation on encode, decode and
-syndrome-round segments (at most 14 qubits per segment), one dense run per
-fault forked into a clean and a faulted row at the fault.
+syndrome-round segments (at most 14 qubits per segment, built from the same
+parts as the full cycle), one dense run per fault forked into a clean and a
+faulted row at the fault.
 """
 from __future__ import annotations
 
