@@ -131,6 +131,15 @@ class CycleLayout:
         """True for the flag-qubit leg of a gadget's CN gate."""
         return (label, side) in self.flag_legs
 
+    @cached_property
+    def residual_masks(self) -> tuple[int, int]:
+        """X and Z masks of the observable part of a data-block residual: the
+        full Pauli on unread qubits, the readout-flipping component on read ones."""
+        measured = {q: basis for q, basis, _ in self.terminal_meas}
+        x_mask = sum(1 << q for q in DATA_QUBITS if measured.get(q) != "X")
+        z_mask = sum(1 << q for q in DATA_QUBITS if measured.get(q) != "Z")
+        return x_mask, z_mask
+
 
 def derive_layout(gates: list[Gate]) -> CycleLayout:
     """Read the cycle structure off the label scheme.

@@ -28,7 +28,7 @@ from .faults import (
     reconstruct_meta,
     view_table,
 )
-from .resources import check_permitted_depth, cnot_count, derived_cnot_counts, estimate_runtime
+from .resources import MAX_PRINTED_LEVEL, check_permitted_depth, cnot_count, derived_cnot_counts, estimate_runtime
 from .threshold import (
     DEFAULT_X_MAX,
     curve,
@@ -248,6 +248,8 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_resources(args) -> int:
+    if args.k > MAX_PRINTED_LEVEL:
+        raise ValueError(f"--k must be <= {MAX_PRINTED_LEVEL}, got {args.k}: larger CNOT counts exceed 4300 digits")
     derived = derived_cnot_counts()
     payload = {
         "per_period_k1": dict(pinned.CNOTS_PER_PERIOD),

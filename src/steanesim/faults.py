@@ -334,18 +334,7 @@ def reconstruct_meta(circuit: Circuit) -> Circuit:
 def canonical_residual(circuit: Circuit, residual: PauliOperator) -> tuple[int, int]:
     """Observable part of a residual: full Pauli on unread qubits, the
     measurement-flipping component on read-out qubits."""
-    measured = {q: basis for q, basis, _ in circuit.layout.terminal_meas}
-    x_mask = z_mask = 0
-    for q in DATA_QUBITS:
-        bit = 1 << q
-        basis = measured.get(q)
-        if basis is None:
-            x_mask |= bit
-            z_mask |= bit
-        elif basis == "Z":
-            x_mask |= bit
-        else:
-            z_mask |= bit
+    x_mask, z_mask = circuit.layout.residual_masks
     return (residual.x_bits & x_mask, residual.z_bits & z_mask)
 
 

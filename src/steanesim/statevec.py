@@ -6,16 +6,23 @@ code, and Pauli-frame propagation on syndrome-round segments. Mid-circuit
 measurements are handled by explicit branch selection (project on a chosen
 outcome and renormalize), never by sampling. Every kernel also takes stacked
 states, any array whose last axis has length 2^n, and acts on each row; a
-forked run carries a clean and a faulted row this way.
+forked run carries its clean and faulted rows this way.
+
+An ancilla-block macro (``PREP0L``, ``PREPSTEANE``) is not simulated gate
+by gate: its seven-wire block state is prepared once per kind from
+:func:`builders.ancilla_prep` and tensored into the macro's wires, which
+must hold exactly |0...0>. A Pauli frame is applied as an exact signed
+permutation of the amplitudes.
 """
 from __future__ import annotations
 
+from functools import cache
 from math import sqrt
 
 import numpy as np
 
 from .builders import ancilla_prep
-from .circuits import MACRO_KINDS, PREP_KINDS, Circuit, Gate
+from .circuits import MACRO_KINDS, Circuit, Gate
 from .paulis import PauliOperator
 
 MAX_QUBITS = 20
@@ -114,51 +121,55 @@ def project(state: np.ndarray, qubit: int, outcome: int, n: int) -> np.ndarray:
     return flat / norm
 
 
-def expand_macros(circuit: Circuit) -> list[Gate]:
-    """Elementary gates only: an ancilla-block macro becomes the builders'
-    preparation rows on its seven wires, labeled ``<macro label>.<row label>``."""
-    out: list[Gate] = []
-    for g in circuit.gates:
-        if g.kind not in PREP_KINDS:
-            out.append(g)
-        elif g.kind in MACRO_KINDS:
-            out.extend(
-                Gate(kind, tuple(g.qubits[q] for q in wires), f"{g.label}.{label}")
-                for kind, wires, label in ancilla_prep(g.kind)
-            )
-        elif g.kind == "CAT2":
-            out.append(Gate("H", (g.qubits[0],), f"{g.label}.h"))
-            out.append(Gate("CNOT", g.qubits, f"{g.label}.c"))
-        elif g.kind == "PREPP":
-            out.append(Gate("H", g.qubits, f"{g.label}.h"))
-        # PREP0 adds no gate: its wire is taken to start in |0>.
-    return out
+@cache
+def _ancilla_block(kind: str) -> np.ndarray:
+    """State of the seven wires a ``kind`` macro prepares from |0...0>."""
+    block = simulate_statevector(Circuit(7, [Gate(*row) for row in ancilla_prep(kind)]))
+    block.flags.writeable = False
+    return block
+
+
+def _place_block(state: np.ndarray, g: Gate, n: int) -> np.ndarray:
+    """Tensor the cached block of macro ``g`` into its wires (wire ``g.qubits[j]``
+    takes block qubit ``j``); every amplitude with one of them set must be 0."""
+    k = len(g.qubits)
+    wires = [-1 - q for q in reversed(g.qubits)]  # axis of each wire, block qubit k-1 first
+    psi = np.moveaxis(state.reshape(state.shape[:-1] + (2,) * n), wires, range(-k, 0))
+    rows = psi.reshape(-1, 1 << k)
+    if rows[:, 1:].any():
+        raise ValueError(f"macro {g.label} ({g.kind}) needs its wires in |0>")
+    placed = (rows[:, :1] * _ancilla_block(g.kind)).reshape(psi.shape)
+    return np.moveaxis(placed, range(-k, 0), wires).reshape(state.shape)
 
 
 def simulate_statevector(
     circuit: Circuit,
     input_state: np.ndarray | None = None,
     outcomes: dict[str, int] | None = None,
-    fork: tuple[str, PauliOperator] | None = None,
+    fork: tuple[str, list[PauliOperator]] | None = None,
 ) -> np.ndarray:
     """Exact dense state after the circuit; measurements need chosen outcomes.
 
+    ``input_state`` is one state or a stack of them (shape (..., 2^n)).
     ``outcomes`` maps measurement labels to the selected branch (0/1).
-    ``fork=(label, pauli)`` splits the run right after gate ``label``: the
-    clean state and a copy with ``pauli`` applied run on as the two rows of
-    one (2, 2^n) array, which is returned. This is how the propagation
-    oracle places a deterministic fault without simulating the shared prefix
-    twice.
+    ``fork=(label, paulis)`` splits the run right after gate ``label``: the
+    clean state and a copy with ``paulis[r]`` applied to input row ``r``
+    run on together, and the pair is returned with shape (2, ...input).
+    This is how the propagation oracle places deterministic faults without
+    simulating the shared prefix twice.
     """
     n = circuit.n_qubits
     if n > MAX_QUBITS:
         raise ValueError(f"qubit budget exceeded: {n} > {MAX_QUBITS}")
     state = zero_state(n) if input_state is None else np.asarray(input_state, dtype=complex)
-    if state.shape != (1 << n,):
+    if state.shape[-1:] != (1 << n,):
         raise ValueError("input state has wrong dimension")
+    if fork is not None and len(fork[1]) != state.size >> n:
+        raise ValueError("fork needs one Pauli per input row")
     outcomes = outcomes or {}
+    forked = False
 
-    for g in expand_macros(circuit):
+    for g in circuit.gates:
         if g.kind == "CNOT":
             state = apply_cnot(state, g.qubits[0], g.qubits[1], n)
         elif g.kind == "CCX":
@@ -170,22 +181,40 @@ def simulate_statevector(
             if g.kind == "MX":
                 state = apply_1q(state, _MATRICES["H"], q, n)
             state = project(state, q, outcomes.get(g.label, 0), n)
-        else:
+        elif g.kind in MACRO_KINDS:
+            state = _place_block(state, g, n)
+        elif g.kind == "CAT2":
+            state = apply_cnot(apply_1q(state, _MATRICES["H"], g.qubits[0], n), *g.qubits, n)
+        elif g.kind == "PREPP":
+            state = apply_1q(state, _MATRICES["H"], g.qubits[0], n)
+        elif g.kind != "PREP0":  # PREP0 adds no gate: its wire is taken to start in |0>
             raise ValueError(f"dense oracle cannot apply {g.kind}")
         if fork is not None and g.label == fork[0]:
-            state = np.stack((state, apply_pauli(state, fork[1], n)))
-    if fork is not None and state.ndim == 1:
+            rows = state.reshape(-1, 1 << n)
+            faulted = np.stack([apply_pauli(row, p, n) for row, p in zip(rows, fork[1])])
+            state, forked = np.stack((state, faulted.reshape(state.shape))), True
+    if fork is not None and not forked:
         raise ValueError(f"fork label {fork[0]!r} names no gate")
     return state
 
 
 def apply_pauli(state: np.ndarray, p: PauliOperator, n: int) -> np.ndarray:
+    """``p`` on every row as an exact signed permutation, equal bit for bit to
+    the product of its 2x2 matrices: per qubit, X swaps the bit's 0- and
+    1-halves, Z negates the 1-half, Y swaps them and multiplies by -i and i."""
     if p.n != n:
         raise ValueError("Pauli size mismatch")
+    state = np.array(state, dtype=complex)
     for q in range(n):
         kind = p.kind_on(q + 1)
-        if kind != "I":
-            state = apply_1q(state, _MATRICES[kind], q, n)
+        psi = state.reshape(-1, 2, 1 << q)
+        if kind in ("X", "Y"):
+            psi[:] = psi[:, ::-1]
+        if kind == "Z":
+            psi[:, 1] *= -1
+        elif kind == "Y":
+            psi[:, 0] *= -1j
+            psi[:, 1] *= 1j
     return state
 
 

@@ -5,8 +5,9 @@ encoder output amplitudes, the transversal-H identity on the logical zero
 state, decoder inversion, teleportation-gadget algebra on the trivial code,
 and frame propagation against dense simulation on encode, decode and
 syndrome-round segments (at most 14 qubits per segment, built from the same
-parts as the full cycle), one dense run per fault forked into a clean and a
-faulted row at the fault.
+parts as the full cycle). The oracle's faults that fork one segment at the
+same gate run as one stacked dense run, a clean and a faulted row per fault,
+with no stack larger than one forked run of the widest segment.
 """
 from __future__ import annotations
 
@@ -141,24 +142,19 @@ def _strip_measurements(circuit: Circuit) -> Circuit:
     return Circuit(circuit.n_qubits, gates, name=circuit.name + "-unitary")
 
 
-def _segment_inputs(name: str, rng: np.random.Generator) -> np.ndarray:
-    if name in ("encoder", "decoder"):
-        return random_state(7, rng)
-    # syndrome segments: random block state on the data wires, ancilla |0...0>
-    state = np.zeros(1 << 14, dtype=complex)
-    state[:128] = random_state(7, rng)
-    return state
-
-
 def check_propagation_oracle(n_faults: int = 200, seed: int = 20240817, tol: float = 1e-10) -> tuple[bool, str]:
     """Forward frame loop (``propagate_fault``, behind ``inject_and_propagate``
     and the reference the backward sweep of ``fault_map`` is tested against)
     vs dense simulation on <=14-qubit circuit segments.
 
-    Each fault is one ``simulate_statevector`` run forked at the faulty gate:
-    the gates before it are simulated once, the rest on the clean and the
-    faulted row together. The frame, applied to the clean row, must give the
-    faulted row up to global phase."""
+    Each fault gets a random state on the data wires 1-7 (the round
+    segments' ancilla wires start in |0...0>). The faults that fork one
+    segment at the same gate run as stacked ``simulate_statevector`` runs:
+    the gates before the fork are simulated once per input row, the rest on
+    the clean and the faulted rows together. A stack holds at most as many
+    amplitudes as one forked run of the widest segment, so round-segment
+    faults run one at a time. The frame, applied to a clean row, must give
+    its faulted row up to global phase."""
     rng = np.random.default_rng(seed)
     segments = {
         "encoder": build_encoder(),
@@ -172,16 +168,25 @@ def check_propagation_oracle(n_faults: int = 200, seed: int = 20240817, tol: flo
             for pauli in ("X", "Y", "Z"):
                 pool.append((name, start, label, qubit, pauli))
     picks = rng.choice(len(pool), size=n_faults, replace=True)
-    disagreements = 0
+    forks: dict[tuple[str, str], list] = {}  # (segment, fork label) -> its faults, in draw order
     for idx in picks:
         name, start, label, qubit, pauli = pool[int(idx)]
+        forks.setdefault((name, label), []).append((start, qubit, pauli, random_state(7, rng)))
+    widest = max(c.n_qubits for c in segments.values())
+    disagreements = 0
+    for (name, label), faults in forks.items():
         circ, n = segments[name], segments[name].n_qubits
-        fault = PauliOperator.single(n, qubit + 1, pauli)
-        clean, faulted = simulate_statevector(circ, _segment_inputs(name, rng), fork=(label, fault))
-        x, z, _ = propagate_fault(circ, start, qubit, pauli)
-        predicted = apply_pauli(clean, PauliOperator(n, x, z), n)
-        if not states_equal(faulted, predicted, tol):
-            disagreements += 1
+        per_run = 1 << (widest - n)
+        for first in range(0, len(faults), per_run):
+            run = faults[first:first + per_run]
+            inputs = np.zeros((len(run), 1 << n), dtype=complex)
+            inputs[:, :128] = [psi for *_, psi in run]  # data wires 1-7 are the low bits
+            paulis = [PauliOperator.single(n, qubit + 1, pauli) for _, qubit, pauli, _ in run]
+            clean, faulted = simulate_statevector(circ, inputs, fork=(label, paulis))
+            for (start, qubit, pauli, _), c, f in zip(run, clean, faulted):
+                x, z, _ = propagate_fault(circ, start, qubit, pauli)
+                if not states_equal(f, apply_pauli(c, PauliOperator(n, x, z), n), tol):
+                    disagreements += 1
     return disagreements == 0, f"{n_faults} random faults, {disagreements} disagreements"
 
 

@@ -12,6 +12,7 @@ from steanesim.circuits import serialize
 from steanesim.cli import main
 from steanesim.depth import block_analysis
 from steanesim.faults import check_flag_conditions, derive_perfect_assumptions, view_table
+from steanesim.resources import MAX_PRINTED_LEVEL, cnot_count
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -85,6 +86,13 @@ def test_resources_text(capsys):
     assert code == 0
     assert "'transversal': 52" in out and "'t': 175" in out and "'toffoli': 436" in out
     assert "4.987500000000000e-02" in out
+
+
+def test_resources_prints_counts_up_to_the_largest_printable_k(capsys):
+    toffoli = str(cnot_count("toffoli", MAX_PRINTED_LEVEL))
+    for fmt in ("text", "json"):
+        code, out = run(capsys, "resources", "--k", str(MAX_PRINTED_LEVEL), "--format", fmt)
+        assert code == 0 and toffoli in out
 
 
 def test_circuit_serialization_cli(capsys):
@@ -202,10 +210,12 @@ def test_flags_on_a_file_uses_its_own_ledgers(tmp_path, capsys):
     ("threshold", "--k", "1024"),
     ("threshold", "--curves", "-", "--k", "1024"),
     ("resources", "--gate", "t", "--k", "400"),
+    ("resources", "--k", "5087"),
+    ("resources", "--k", "6000", "--format", "json"),
 ], ids=["missing-file", "resources-k0", "threshold-k0", "curves-k0", "threshold-r-negative", "curves-r0",
         "verify-faults-negative", "verify-seed-negative", "resources-x0", "resources-x-negative",
         "resources-cnot-time-negative", "resources-cnot-time-zero", "threshold-k-overflow", "curves-k-overflow",
-        "resources-runtime-k-overflow"])
+        "resources-runtime-k-overflow", "resources-k-unprintable", "resources-k-unprintable-json"])
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert main(list(argv)) == 2
@@ -215,6 +225,8 @@ def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
         assert f"{argv[1]} must be >= 0" in captured.err
     if argv[-2:] in (("--k", "1024"), ("--k", "400")):  # too large for a float: the message names k
         assert re.search(rf"\bk\b.*{argv[-1]}", captured.err)
+    if argv[:2] == ("resources", "--k") and int(argv[2]) > MAX_PRINTED_LEVEL:  # counts too long to print
+        assert f"--k must be <= {MAX_PRINTED_LEVEL}, got {argv[2]}" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,8 +5,18 @@ import numpy as np
 import pytest
 
 from steanesim import verification
-from steanesim.builders import build_encoder, build_gadget, build_toffoli_decomposition, GadgetSpec
-from steanesim.circuits import Circuit
+from steanesim.builders import (
+    GadgetSpec,
+    ancilla_prep,
+    build_decoder,
+    build_encoder,
+    build_gadget,
+    build_toffoli_decomposition,
+    build_x_round_segment,
+    build_z_round_segment,
+)
+from steanesim.circuits import MACRO_KINDS, Circuit, Gate
+from steanesim.faults import enumerable_locations
 from steanesim.paulis import PauliOperator
 from steanesim.statevec import (
     LOGICAL_ZERO_WORDS,
@@ -14,6 +24,7 @@ from steanesim.statevec import (
     apply_1q,
     apply_ccx,
     apply_cnot,
+    apply_pauli,
     logical_zero_state,
     project,
     random_state,
@@ -157,16 +168,53 @@ def test_kernels_act_on_each_row_of_a_stack():
                     assert np.allclose(row, want, rtol=0, atol=1e-15)
 
 
+def _padded(data: np.ndarray, n: int) -> np.ndarray:
+    """Data states (rows) on wires 1-7, every other wire of ``n`` in |0>."""
+    state = np.zeros(data.shape[:-1] + (1 << n,), dtype=complex)
+    state[..., :128] = data
+    return state
+
+
 def _round_segment_and_input():
-    segment = verification._strip_measurements(verification.build_x_round_segment())
-    return segment, verification._segment_inputs("x-round", np.random.default_rng(23))
+    segment = verification._strip_measurements(build_x_round_segment())
+    return segment, _padded(random_state(7, np.random.default_rng(23)), 14)
+
+
+def _gate_by_gate(segment: Circuit) -> Circuit:
+    """The segment with each macro replaced by its ``ancilla_prep`` rows on the macro's wires."""
+    gates = []
+    for g in segment.gates:
+        if g.kind in MACRO_KINDS:
+            gates += [Gate(k, tuple(g.qubits[q] for q in qs), f"{g.label}.{lbl}") for k, qs, lbl in ancilla_prep(g.kind)]
+        else:
+            gates.append(g)
+    return Circuit(segment.n_qubits, gates)
+
+
+@pytest.mark.parametrize("build", [build_x_round_segment, build_z_round_segment])
+def test_placed_block_equals_gate_by_gate_preparation(build):
+    segment = verification._strip_measurements(build())
+    reference = _gate_by_gate(segment)
+    rng = np.random.default_rng(29)
+    single = _padded(random_state(7, rng), 14)
+    stacked = _padded(np.stack([random_state(7, rng) for _ in range(3)]), 14)
+    for psi in (single, stacked):
+        got = simulate_statevector(segment, psi)
+        assert got.shape == psi.shape
+        assert np.max(np.abs(got - simulate_statevector(reference, psi))) <= 1e-15
+
+
+def test_macro_on_wires_not_in_zero_raises():
+    segment, _ = _round_segment_and_input()
+    with pytest.raises(ValueError, match="macro PX1 .*\\|0>"):
+        simulate_statevector(segment, random_state(14, np.random.default_rng(31)))
 
 
 def test_fork_clean_row_equals_unforked_run():
     segment, psi = _round_segment_and_input()
     label = next(g.label for g in segment.gates if g.kind == "CNOT")
     fault = PauliOperator.single(segment.n_qubits, 3, "Y")
-    clean, faulted = simulate_statevector(segment, psi, fork=(label, fault))
+    clean, faulted = simulate_statevector(segment, psi, fork=(label, [fault]))
     unforked = simulate_statevector(segment, psi)
     assert clean.tobytes() == unforked.tobytes()
     assert not states_equal(faulted, clean)
@@ -174,18 +222,75 @@ def test_fork_clean_row_equals_unforked_run():
 
 def test_fork_on_a_missing_label_raises():
     segment, psi = _round_segment_and_input()
-    with pytest.raises(ValueError, match="names no gate"):
-        simulate_statevector(segment, psi, fork=("nope", PauliOperator.single(segment.n_qubits, 1, "X")))
+    fault = [PauliOperator.single(segment.n_qubits, 1, "X")]
+    # a label inside a macro is no gate either: the block is placed whole
+    for label in ("nope", "PX1.C3", "C3"):
+        with pytest.raises(ValueError, match="names no gate"):
+            simulate_statevector(segment, psi, fork=(label, fault))
+
+
+def test_fork_needs_one_pauli_per_row():
+    encoder = build_encoder()
+    rng = np.random.default_rng(37)
+    stack = np.stack([random_state(7, rng) for _ in range(3)])
+    faults = [PauliOperator.single(7, q, "Z") for q in (1, 2, 3)]
+    clean, faulted = simulate_statevector(encoder, stack, fork=("C5", faults))
+    for row, psi, fault in zip(faulted, stack, faults):
+        assert row.tobytes() == simulate_statevector(encoder, psi, fork=("C5", [fault]))[1].tobytes()
+    with pytest.raises(ValueError, match="one Pauli per input row"):
+        simulate_statevector(encoder, stack, fork=("C5", faults[:2]))
+
+
+def test_apply_pauli_matches_matrix_product_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for n in [*range(1, 8), 14]:
+        for _ in range(6):
+            p = PauliOperator(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)))
+            for psi in (random_state(n, rng), np.stack((random_state(n, rng), random_state(n, rng)))):
+                want = psi
+                for q in range(n):
+                    if p.kind_on(q + 1) != "I":
+                        want = apply_1q(want, _MATRICES[p.kind_on(q + 1)], q, n)
+                assert apply_pauli(psi, p, n).tobytes() == want.tobytes(), (n, str(p))
 
 
 def test_oracle_catches_a_wrong_propagation(monkeypatch):
     true_propagation = verification.propagate_fault
+    # The Z word dropped on every segment; on the 14-qubit round segments only
+    # (one fault per run); on the 7-qubit encoder and decoder only (stacked runs).
+    for wrong_widths in ((7, 14), (14,), (7,)):
 
-    def x_word_only(circuit, start, qubit, pauli):
-        x, _, rest = true_propagation(circuit, start, qubit, pauli)
-        return x, 0, rest
+        def x_word_only(circuit, start, qubit, pauli, wrong_widths=wrong_widths):
+            x, z, rest = true_propagation(circuit, start, qubit, pauli)
+            return x, 0 if circuit.n_qubits in wrong_widths else z, rest
 
-    monkeypatch.setattr(verification, "propagate_fault", x_word_only)
-    ok, detail = verification.check_propagation_oracle(n_faults=40, seed=99)
-    assert not ok
-    assert int(detail.split(", ")[1].split()[0]) > 0
+        monkeypatch.setattr(verification, "propagate_fault", x_word_only)
+        ok, detail = verification.check_propagation_oracle(n_faults=40, seed=99)
+        assert not ok, wrong_widths
+        assert int(detail.split(", ")[1].split()[0]) > 0
+
+
+def test_oracle_runs_each_drawn_fault_on_its_own_input(monkeypatch):
+    runs = []
+    simulate = verification.simulate_statevector
+
+    def spy(circuit, inputs, fork):
+        runs.append((circuit.n_qubits, fork[0], [str(p) for p in fork[1]], inputs.copy()))
+        return simulate(circuit, inputs, fork=fork)
+
+    monkeypatch.setattr(verification, "simulate_statevector", spy)
+    assert verification.check_propagation_oracle(n_faults=40, seed=99)[0]
+    got = sorted((label, p, row.tobytes()) for _, label, paulis, rows in runs for p, row in zip(paulis, rows))
+    # The draws of one dense run per fault: all picks, then a data state per pick.
+    rng = np.random.default_rng(99)
+    strip = verification._strip_measurements
+    segments = (build_encoder(), build_decoder(), strip(build_x_round_segment()), strip(build_z_round_segment()))
+    pool = [(c.n_qubits, label, qubit, p) for c in segments for _, label, _, qubit in enumerable_locations(c) for p in "XYZ"]
+    want = []
+    for idx in rng.choice(len(pool), size=40, replace=True):
+        n, label, qubit, p = pool[int(idx)]
+        want.append((label, str(PauliOperator.single(n, qubit + 1, p)), _padded(random_state(7, rng), n).tobytes()))
+    assert got == sorted(want)
+    # Encoder and decoder faults at one gate share a run; no run holds more than 2^14 input amplitudes.
+    assert max(len(paulis) for n, _, paulis, _ in runs if n == 7) > 1
+    assert all(rows.size <= 1 << 14 for *_, rows in runs)
