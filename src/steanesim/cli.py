@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -28,7 +29,7 @@ from .faults import (
     reconstruct_meta,
     view_table,
 )
-from .resources import MAX_PRINTED_LEVEL, check_permitted_depth, cnot_count, derived_cnot_counts, estimate_runtime
+from .resources import LEVEL_GROWTH_FACTOR, check_permitted_depth, cnot_count, derived_cnot_counts, estimate_runtime
 from .threshold import (
     DEFAULT_X_MAX,
     curve,
@@ -248,8 +249,12 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_resources(args) -> int:
-    if args.k > MAX_PRINTED_LEVEL:
-        raise ValueError(f"--k must be <= {MAX_PRINTED_LEVEL}, got {args.k}: larger CNOT counts exceed 4300 digits")
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: ints of any length print
+    # every count is at least 7^(k-1): the log test turns a huge k away before any big-integer work
+    if digits and ((args.k - 1) * math.log10(LEVEL_GROWTH_FACTOR) > digits + 1
+                   or max(cnot_count(g, args.k) for g in pinned.CNOTS_PER_PERIOD) >= 10 ** digits):
+        raise ValueError(f"--k {args.k} gives CNOT counts of more than {digits} digits, "
+                         "the interpreter's limit for printing an int")
     derived = derived_cnot_counts()
     payload = {
         "per_period_k1": dict(pinned.CNOTS_PER_PERIOD),

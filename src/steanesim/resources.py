@@ -16,10 +16,6 @@ from .builders import build_full_ec_circuit, build_t_gadget, build_toffoli_gadge
 from .depth import BlockDepth
 
 LEVEL_GROWTH_FACTOR = 7
-# The largest k whose counts print in decimal under Python's default limit of
-# 4300 digits per int-to-str conversion: 436 * 7^(k-1), the Toffoli count,
-# has 4300 digits at k = 5086.
-MAX_PRINTED_LEVEL = 5086
 
 
 @dataclass(frozen=True)

@@ -191,6 +191,7 @@ def simulate_statevector(
             raise ValueError(f"dense oracle cannot apply {g.kind}")
         if fork is not None and g.label == fork[0]:
             rows = state.reshape(-1, 1 << n)
+            # row by row: the rows of a stacked oracle run carry different faults
             faulted = np.stack([apply_pauli(row, p, n) for row, p in zip(rows, fork[1])])
             state, forked = np.stack((state, faulted.reshape(state.shape))), True
     if fork is not None and not forked:

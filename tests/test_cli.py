@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from steanesim.circuits import serialize
 from steanesim.cli import main
 from steanesim.depth import block_analysis
 from steanesim.faults import check_flag_conditions, derive_perfect_assumptions, view_table
-from steanesim.resources import MAX_PRINTED_LEVEL, cnot_count
+from steanesim.resources import cnot_count
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -88,11 +89,24 @@ def test_resources_text(capsys):
     assert "4.987500000000000e-02" in out
 
 
-def test_resources_prints_counts_up_to_the_largest_printable_k(capsys):
-    toffoli = str(cnot_count("toffoli", MAX_PRINTED_LEVEL))
+@pytest.fixture
+def int_max_str_digits():
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+def test_resources_prints_every_count_the_interpreter_can_print(capsys, int_max_str_digits):
+    int_max_str_digits(4300)  # Python's default: the Toffoli count 436 * 7^(k-1) has 4300 digits at k = 5086
+    toffoli = str(cnot_count("toffoli", 5086))
     for fmt in ("text", "json"):
-        code, out = run(capsys, "resources", "--k", str(MAX_PRINTED_LEVEL), "--format", fmt)
+        code, out = run(capsys, "resources", "--k", "5086", "--format", fmt)
         assert code == 0 and toffoli in out
+        assert main(["resources", "--k", "5087", "--format", fmt]) == 2
+        assert "--k 5087 gives CNOT counts of more than 4300 digits" in capsys.readouterr().err
+    int_max_str_digits(0)  # no limit: every k prints
+    code, out = run(capsys, "resources", "--k", "6000")
+    assert code == 0 and str(cnot_count("toffoli", 6000)) in out
 
 
 def test_circuit_serialization_cli(capsys):
@@ -225,8 +239,8 @@ def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
         assert f"{argv[1]} must be >= 0" in captured.err
     if argv[-2:] in (("--k", "1024"), ("--k", "400")):  # too large for a float: the message names k
         assert re.search(rf"\bk\b.*{argv[-1]}", captured.err)
-    if argv[:2] == ("resources", "--k") and int(argv[2]) > MAX_PRINTED_LEVEL:  # counts too long to print
-        assert f"--k must be <= {MAX_PRINTED_LEVEL}, got {argv[2]}" in captured.err
+    if argv[:2] == ("resources", "--k") and int(argv[2]) > 5086:  # counts past the default 4300 printable digits
+        assert f"--k {argv[2]} gives CNOT counts of more than 4300 digits" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

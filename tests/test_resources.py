@@ -6,7 +6,6 @@ import pytest
 from steanesim import pinned
 from steanesim.depth import aux_block_depth, data_block_depth
 from steanesim.resources import (
-    MAX_PRINTED_LEVEL,
     check_permitted_depth,
     cnot_count,
     derived_cnot_counts,
@@ -30,14 +29,6 @@ def test_cnot_count_levels():
         cnot_count("swap", 1)
     with pytest.raises(ValueError):
         cnot_count("t", 0)
-
-
-def test_max_printed_level_is_the_last_k_whose_counts_print():
-    def largest(k):
-        return max(cnot_count(g, k) for g in pinned.CNOTS_PER_PERIOD)
-
-    assert len(str(largest(MAX_PRINTED_LEVEL))) == 4300  # Python's default int-to-str limit
-    assert largest(MAX_PRINTED_LEVEL + 1) >= 10 ** 4300
 
 
 def test_runtime_estimates():

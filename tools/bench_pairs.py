@@ -1,10 +1,10 @@
 """Benchmark a parent revision against the working tree in alternating pairs.
 
-    python3 tools/bench_pairs.py --parent HEAD --out BENCH_10.json \\
-        --pairs 10 --seeds 1 --workloads reproduce variant-sweep threshold-sweep
+    python3 tools/bench_pairs.py --parent HEAD --out BENCH_10.json --seeds 1 7
 
 Run from the root of a steanesim checkout. The parent revision is exported
-with ``git archive`` into a temporary directory; each run is
+with ``git archive`` into a temporary directory. Every workload of
+``BENCHMARK.json`` runs in 10 pairs per seed; each run is
 
     python3 perfbench/run.py --workload W --seed S --seconds 36 --trace 0
 
@@ -34,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SECONDS = 36  # the run length BENCHMARK.json fixes
+PAIRS = 10  # the fewest pairs that can back a claimed gain
 
 
 def git(*args: str) -> bytes:
@@ -91,13 +92,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", required=True, help="git revision to compare the working tree against")
     parser.add_argument("--out", required=True, type=Path, help="JSON file to write, e.g. BENCH_10.json")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
-    parser.add_argument("--workloads", nargs="+", default=["reproduce", "variant-sweep", "threshold-sweep"])
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be >= 2 for quartiles")
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = benchmark["end_to_end"]
 
     report = {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds 36 --trace 0",
@@ -111,16 +109,16 @@ def main(argv: list[str] | None = None) -> int:
         parent = Path(tmp)
         export(args.parent, parent)
         report["parent"]["source_sha256"] = source_sha256(parent)
-        for workload in args.workloads:
+        for workload in (w["name"] for w in benchmark["workloads"]):
             for seed in args.seeds:
                 pairs = []
-                for i in range(args.pairs):
+                for i in range(PAIRS):
                     order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                     pair = {"first": order[0]}
                     for side in order:
                         pair[side] = run_once(parent if side == "parent" else ROOT, workload, seed)
                     pairs.append(pair)
-                    print(f"{workload} seed={seed} pair {i + 1}/{args.pairs}: "
+                    print(f"{workload} seed={seed} pair {i + 1}/{PAIRS}: "
                           f"parent {pair['parent'].get('op_p90_ms')} ms, change {pair['change'].get('op_p90_ms')} ms "
                           f"(op_p90_ms)", flush=True)
                 report["runs"][f"{workload}/seed{seed}"] = {
