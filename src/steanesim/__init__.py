@@ -17,7 +17,6 @@ from .faults import (
     classify_collisions,
     derive_perfect_assumptions,
     fault_map,
-    inject_and_propagate,
     view_table,
 )
 from .depth import BlockDepth, DepthProfile, count_fault_locations, effective_R

@@ -8,12 +8,10 @@ redundant-qubit readout, and one parity bit per flag gadget.
 
 One fault map per circuit (:func:`fault_map`) feeds the views, ledgers,
 depth counts and flag audit. Propagation is linear over GF(2), so one
-backward sweep over the gates (:func:`fault_frames`) gives the X and Z
-frames of every location-side at once, and Y is their sum. The map is
-memoized by circuit content, so the analyses of one circuit share it.
-:func:`propagate_fault` walks one fault forward gate by gate; it is the
-reference the sweep is tested against, and :func:`inject_and_propagate`
-uses it to propagate one fault by gate label.
+backward sweep over the gates (:func:`fault_frames`) gives the X, Y and Z
+frames of every location-side at once; it is the package's one propagation
+engine. The map is memoized by circuit content, so the analyses of one
+circuit share it.
 
 Enumerated locations are the data-block legs of the labeled CNOTs C1-C36
 (ancilla legs of the syndrome couplings belong to the ancilla block's own
@@ -120,12 +118,13 @@ class DecodingTable:
         self.entries.setdefault(sig, TableEntry(sig)).members.append((loc, residual))
 
     def sorted_entries(self) -> list[TableEntry]:
-        out = []
-        for entry in self.entries.values():
-            entry.members.sort(key=lambda m: m[0].sort_key())
-            out.append(entry)
-        out.sort(key=lambda e: (e.signature.z_syn, e.signature.x_syn, e.signature.meas, e.signature.flags))
-        return out
+        """Entries in signature order. Members keep the order they were
+        added in, which for a view is :meth:`FaultLocation.sort_key` order
+        (the order of :func:`fault_map`)."""
+        return sorted(
+            self.entries.values(),
+            key=lambda e: (e.signature.z_syn, e.signature.x_syn, e.signature.meas, e.signature.flags),
+        )
 
 
 def enumerable_locations(circuit: Circuit) -> list[tuple[int, str, str, int]]:
@@ -146,31 +145,6 @@ def enumerable_locations(circuit: Circuit) -> list[tuple[int, str, str, int]]:
         elif g.kind == "H" and g.label.startswith("H"):
             out.append((idx, g.label, "single", g.qubits[0]))
     return out
-
-
-def propagate_fault(circuit: Circuit, start: int, qubit: int, pauli: str) -> tuple[int, int, int]:
-    """Frame of one fault at circuit end, and the flip of every readout.
-
-    The fault is ``pauli`` on wire ``qubit`` right after gate ``start``.
-    Returns the frame as X and Z bit words over all wires, and a flip word
-    whose bit ``i`` is set when the readout at gate index ``i`` flips.
-    Preparations after the fault are skipped: they precede every labeled
-    gate. A Z readout flips on an X component of the frame, an X readout on
-    a Z component.
-    """
-    if pauli not in ("X", "Y", "Z"):
-        raise ValueError(f"unknown Pauli kind {pauli!r}")
-    x = 1 << qubit if pauli != "Z" else 0
-    z = 1 << qubit if pauli != "X" else 0
-    flips = 0
-    for i, g in enumerate(circuit.gates[start + 1:], start + 1):
-        if g.kind == "MZ":
-            flips |= ((x >> g.qubits[0]) & 1) << i
-        elif g.kind == "MX":
-            flips |= ((z >> g.qubits[0]) & 1) << i
-        elif g.kind not in PREP_KINDS:
-            x, z = conjugate_bits(g.kind, g.qubits, x, z)
-    return x, z, flips
 
 
 def _readout_masks(circuit: Circuit):
@@ -207,46 +181,35 @@ def _outcome(circuit: Circuit, masks, x: int, z: int, flips: int) -> tuple[Measu
     return sig, PauliOperator(len(DATA_QUBITS), x & mask, z & mask)
 
 
-def inject_and_propagate(
-    circuit: Circuit, label: str, side: str, pauli: str
-) -> tuple[MeasurementSignature, PauliOperator]:
-    """Deterministic frame propagation of one fault to all readouts.
+def fault_frames(circuit: Circuit, locations) -> list[tuple[tuple[int, int, int], ...]]:
+    """Frames of an X, a Y and a Z fault at each ``(gate index, label, side,
+    qubit)`` location; the fault acts on wire ``qubit`` right after the gate.
 
-    Returns the measurement signature and the residual Pauli on the block
-    qubits at circuit end (before any correction). Raises KeyError when no
-    gate carries ``label``.
-    """
-    for start, gate in enumerate(circuit.gates):
-        if gate.label == label:
-            break
-    else:
-        raise KeyError(f"no gate labeled {label!r}")
-    qubit = gate.qubits[1] if side == "target" else gate.qubits[0]
-    return _outcome(circuit, _readout_masks(circuit), *propagate_fault(circuit, start, qubit, pauli))
+    A frame is ``(x, z, flips)``: the fault's X and Z bit words over the
+    wires at circuit end, and a flip word whose bit ``i`` is set when the
+    readout at gate index ``i`` flips (a Z readout flips on an X component,
+    an X readout on a Z component).
 
-
-def fault_frames(circuit: Circuit, locations) -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:
-    """Frames of an X and of a Z fault at each ``(gate index, label, side,
-    qubit)`` location, in the ``(x, z, flips)`` form of :func:`propagate_fault`.
-
-    One backward sweep over the gates keeps, for every wire, the end-of-
-    circuit effect of an X and of a Z injected at the current point, packed
-    into one int (X word, Z word, then the flip word). Stepping back over a
-    gate maps each of its qubits' X and Z through :func:`conjugate_bits` and
-    sums the effects of the image; an ``MZ``/``MX`` adds its readout bit to
-    the X/Z effect of its wire; preparations are skipped, as in
-    :func:`propagate_fault`. A location reads its wire's pair when the sweep
-    reaches its gate index, and the sweep stops at the first location, so a
-    gate the frame rule rejects (``T``) raises only where the forward loop
-    would meet it.
+    One backward sweep over the gates keeps, for every wire a gate or a
+    location uses, the end-of-circuit effect of an X and of a Z injected at
+    the current point, packed into one int (X word, Z word, then the flip
+    word). Stepping back over a gate maps each of its qubits' X and Z
+    through :func:`conjugate_bits` and sums the effects of the image; an
+    ``MZ``/``MX`` adds its readout bit to the X/Z effect of its wire;
+    preparations are skipped, since they precede every labeled gate. A
+    location reads its wire's pair when the sweep reaches its gate index,
+    and Y is their sum. The sweep stops at the first location, so a gate the
+    frame rule rejects (``T``) raises only when it follows a location.
     """
     if not locations:
         return []
     gates = circuit.gates
-    width = circuit.n_qubits
+    # Wires no gate or location uses get no effect and widen no word.
+    used = {q for g in gates for q in g.qubits} | {loc[3] for loc in locations}
+    width = max(used) + 1
     wires = (1 << width) - 1
-    x_eff = [1 << w for w in range(width)]
-    z_eff = [1 << (width + w) for w in range(width)]
+    x_eff = {w: 1 << w for w in used}
+    z_eff = {w: 1 << (width + w) for w in used}
     at: dict[int, list[int]] = {}
     for pos, (start, *_) in enumerate(locations):
         at.setdefault(start, []).append(pos)
@@ -255,7 +218,8 @@ def fault_frames(circuit: Circuit, locations) -> list[tuple[tuple[int, int, int]
     for i in range(len(gates) - 1, first - 1, -1):
         for pos in at.get(i, ()):
             q = locations[pos][3]
-            out[pos] = tuple((v & wires, (v >> width) & wires, v >> 2 * width) for v in (x_eff[q], z_eff[q]))
+            vx, vz = x_eff[q], z_eff[q]
+            out[pos] = tuple((v & wires, (v >> width) & wires, v >> 2 * width) for v in (vx, vx ^ vz, vz))
         if i == first:
             break
         g = gates[i]
@@ -275,7 +239,7 @@ def fault_frames(circuit: Circuit, locations) -> list[tuple[tuple[int, int, int]
     return out
 
 
-def _effect(frame: tuple[int, int], qubits: tuple[int, ...], x_eff: list[int], z_eff: list[int]) -> int:
+def _effect(frame: tuple[int, int], qubits: tuple[int, ...], x_eff: dict[int, int], z_eff: dict[int, int]) -> int:
     """Summed packed effect of a Pauli ``frame`` supported on ``qubits``."""
     x, z = frame
     v = 0
@@ -294,11 +258,12 @@ def fault_map(circuit: Circuit) -> FaultMap:
     """Signature and residual of X, Y and Z faults on every enumerable
     location-side, flag legs included, as a read-only mapping.
 
-    The X and Z frames come from one backward sweep (:func:`fault_frames`);
-    the Y entry is built from the XOR of their frames and flip words. The
-    map is memoized by circuit content (wire count, gates and layout), so
-    the analyses of one circuit share one map, and a circuit changed after
-    a call gets the map of its new content.
+    The frames come from one backward sweep (:func:`fault_frames`). The
+    map iterates in :meth:`FaultLocation.sort_key` order, so a view's
+    members are added already sorted. It is memoized by circuit content
+    (wire count, gates and layout), so the analyses of one circuit share
+    one map, and a circuit changed after a call gets the map of its new
+    content.
     """
     return _fault_map(circuit.n_qubits, tuple(circuit.gates), circuit.layout)
 
@@ -309,11 +274,21 @@ def _fault_map(n_qubits: int, gates: tuple[Gate, ...], layout: CycleLayout | Non
     locations = enumerable_locations(circuit)
     masks = _readout_masks(circuit) if locations else ()  # a circuit without faults needs no layout
     out = {}
-    for (_, label, side, _), (x_frame, z_frame) in zip(locations, fault_frames(circuit, locations)):
-        y_frame = tuple(a ^ b for a, b in zip(x_frame, z_frame))
-        for pauli, frame in (("X", x_frame), ("Y", y_frame), ("Z", z_frame)):
+    for (_, label, side, _), frames in zip(locations, fault_frames(circuit, locations)):
+        for pauli, frame in zip("XYZ", frames):
             out[FaultLocation(label, side, pauli)] = _outcome(circuit, masks, *frame)
-    return MappingProxyType(out)
+    return MappingProxyType(dict(sorted(out.items(), key=lambda item: item[0].sort_key())))
+
+
+def inject_and_propagate(
+    circuit: Circuit, label: str, side: str, pauli: str
+) -> tuple[MeasurementSignature, PauliOperator]:
+    """Signature and block residual of one fault, read from :func:`fault_map`.
+
+    Raises KeyError when the map holds no such fault: no gate carries
+    ``label``, or the leg is not an enumerable one.
+    """
+    return fault_map(circuit)[FaultLocation(label, side, pauli)]
 
 
 def trivial_signature(circuit: Circuit) -> MeasurementSignature:

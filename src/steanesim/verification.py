@@ -3,11 +3,9 @@
 Each check pits the bit-vector machinery against exact linear algebra:
 encoder output amplitudes, the transversal-H identity on the logical zero
 state, decoder inversion, teleportation-gadget algebra on the trivial code,
-and frame propagation against dense simulation on encode, decode and
-syndrome-round segments (at most 14 qubits per segment, built from the same
-parts as the full cycle). The oracle's faults that fork one segment at the
-same gate run as one stacked dense run, a clean and a faulted row per fault,
-with no stack larger than one forked run of the widest segment.
+and the backward frame sweep of the fault map against dense simulation on
+encode, decode and syndrome-round segments (at most 14 qubits per segment,
+built from the same parts as the full cycle).
 """
 from __future__ import annotations
 
@@ -25,7 +23,7 @@ from .builders import (
     build_z_round_segment,
 )
 from .circuits import Circuit
-from .faults import enumerable_locations, propagate_fault
+from .faults import enumerable_locations, fault_frames
 from .paulis import PauliOperator
 from .statevec import (
     apply_1q,
@@ -70,14 +68,11 @@ def check_steane_state(tol: float = 1e-12) -> tuple[bool, str]:
 
 
 def check_decoder_inverts_encoder(n_states: int = 20, seed: int = 7, tol: float = 1e-10) -> tuple[bool, str]:
+    """Encoder then decoder on random product states, run as one stack."""
     rng = np.random.default_rng(seed)
-    enc, dec = build_encoder(), build_decoder()
-    worst = 0.0
-    for _ in range(n_states):
-        psi = random_product_state(7, rng)
-        mid = simulate_statevector(enc, input_state=psi)
-        out = simulate_statevector(dec, input_state=mid)
-        worst = max(worst, float(np.max(np.abs(out - psi))))
+    psi = np.stack([random_product_state(7, rng) for _ in range(n_states)])
+    out = simulate_statevector(build_decoder(), input_state=simulate_statevector(build_encoder(), input_state=psi))
+    worst = float(np.max(np.abs(out - psi)))
     return worst < tol, f"worst round-trip error {worst:.2e} over {n_states} product states"
 
 
@@ -143,9 +138,8 @@ def _strip_measurements(circuit: Circuit) -> Circuit:
 
 
 def check_propagation_oracle(n_faults: int = 200, seed: int = 20240817, tol: float = 1e-10) -> tuple[bool, str]:
-    """Forward frame loop (``propagate_fault``, behind ``inject_and_propagate``
-    and the reference the backward sweep of ``fault_map`` is tested against)
-    vs dense simulation on <=14-qubit circuit segments.
+    """The backward frame sweep behind ``fault_map`` (``fault_frames``, one
+    sweep per segment) vs dense simulation on <=14-qubit circuit segments.
 
     Each fault gets a random state on the data wires 1-7 (the round
     segments' ancilla wires start in |0...0>). The faults that fork one
@@ -164,14 +158,15 @@ def check_propagation_oracle(n_faults: int = 200, seed: int = 20240817, tol: flo
     }
     pool = []
     for name, circ in segments.items():
-        for start, label, _, qubit in enumerable_locations(circ):
-            for pauli in ("X", "Y", "Z"):
-                pool.append((name, start, label, qubit, pauli))
+        locations = enumerable_locations(circ)
+        for (_, label, _, qubit), frames in zip(locations, fault_frames(circ, locations)):
+            for pauli, frame in zip("XYZ", frames):
+                pool.append((name, label, qubit, pauli, frame))
     picks = rng.choice(len(pool), size=n_faults, replace=True)
     forks: dict[tuple[str, str], list] = {}  # (segment, fork label) -> its faults, in draw order
     for idx in picks:
-        name, start, label, qubit, pauli = pool[int(idx)]
-        forks.setdefault((name, label), []).append((start, qubit, pauli, random_state(7, rng)))
+        name, label, qubit, pauli, frame = pool[int(idx)]
+        forks.setdefault((name, label), []).append((qubit, pauli, frame, random_state(7, rng)))
     widest = max(c.n_qubits for c in segments.values())
     disagreements = 0
     for (name, label), faults in forks.items():
@@ -181,10 +176,9 @@ def check_propagation_oracle(n_faults: int = 200, seed: int = 20240817, tol: flo
             run = faults[first:first + per_run]
             inputs = np.zeros((len(run), 1 << n), dtype=complex)
             inputs[:, :128] = [psi for *_, psi in run]  # data wires 1-7 are the low bits
-            paulis = [PauliOperator.single(n, qubit + 1, pauli) for _, qubit, pauli, _ in run]
+            paulis = [PauliOperator.single(n, qubit + 1, pauli) for qubit, pauli, _, _ in run]
             clean, faulted = simulate_statevector(circ, inputs, fork=(label, paulis))
-            for (start, qubit, pauli, _), c, f in zip(run, clean, faulted):
-                x, z, _ = propagate_fault(circ, start, qubit, pauli)
+            for (_, _, (x, z, _), _), c, f in zip(run, clean, faulted):
                 if not states_equal(f, apply_pauli(c, PauliOperator(n, x, z), n), tol):
                     disagreements += 1
     return disagreements == 0, f"{n_faults} random faults, {disagreements} disagreements"

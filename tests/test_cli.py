@@ -4,12 +4,14 @@ from __future__ import annotations
 import json
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from steanesim import faults
 from steanesim.builders import build_full_ec_circuit
-from steanesim.circuits import serialize
+from steanesim.circuits import parse, serialize
 from steanesim.cli import main
 from steanesim.depth import block_analysis
 from steanesim.faults import check_flag_conditions, derive_perfect_assumptions, view_table
@@ -160,6 +162,29 @@ def test_propagate_accepts_serialized_circuit(tmp_path, capsys):
     assert code == 0
     code, built = run(capsys, "propagate", "--types", "X", "--no-flags")
     assert from_file == built
+
+
+def test_unused_wires_in_a_file_cost_nothing(tmp_path, capsys):
+    # A header that declares far more wires than the gates use changes
+    # neither the table nor the memory the fault map takes.
+    _, text = run(capsys, "circuit")
+    assert "# qubits 51\n" in text
+    tables, peaks = [], []
+    for n in (51, 20000):
+        body = text.replace("# qubits 51\n", f"# qubits {n}\n")
+        path = tmp_path / f"ec{n}.txt"
+        path.write_text(body)
+        tables.append(run(capsys, "propagate", "--circuit", str(path)))
+        circuit = faults.reconstruct_meta(parse(body))
+        faults._fault_map.cache_clear()
+        tracemalloc.start()
+        try:
+            faults.fault_map(circuit)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert tables[0][0] == 0 and tables[0] == tables[1]
+    assert peaks[1] < 2 * peaks[0]  # a sweep over every declared wire peaks near 300x
 
 
 @pytest.mark.parametrize(

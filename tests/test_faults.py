@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from forward_reference import propagate_fault
 from golden_tables import X_PERFECT, X_TABLE, Z_PERFECT, Z_TABLE
 from steanesim import faults as faults_module
 from steanesim.builders import AUX_GADGETS, FLAG_GADGETS, build_full_ec_circuit
@@ -28,7 +29,6 @@ from steanesim.faults import (
     ledger_from_names,
     ledger_names,
     location_from_name,
-    propagate_fault,
     reconstruct_meta,
     view_table,
 )
@@ -127,6 +127,14 @@ def test_enumeration_is_deterministic(data_flags_off):
             for view in ("X", "Y", "Z") for e in view_table(circuit, view).sorted_entries()
         ]
     assert dump(data_flags_off) == dump(data_flags_off)
+
+
+def test_view_members_come_in_location_order(data_flags_on):
+    # The map iterates in sort_key order, so no table re-sorts its members.
+    for view in ("X", "Y", "Z"):
+        for entry in view_table(data_flags_on, view).sorted_entries():
+            locs = [loc for loc, _ in entry.members]
+            assert locs == sorted(locs, key=FaultLocation.sort_key)
 
 
 def test_y_faults_propagate_as_x_and_z(data_flags_off):
@@ -325,14 +333,16 @@ def test_reconstructed_meta_matches_built_analysis(name):
 
 @pytest.mark.parametrize("kwargs", BUILD_CONFIGS.values(), ids=BUILD_CONFIGS.keys())
 def test_fault_map_matches_single_fault_propagation(kwargs):
-    # Y entries are X xor Z in the map and propagated directly here.
+    # Y entries are X xor Z in the map and propagated directly here, by the
+    # forward walk, and decoded the map's way.
     circuit = build_full_ec_circuit(**kwargs)
     faults = fault_map(circuit)
     locations = enumerable_locations(circuit)
+    masks = faults_module._readout_masks(circuit)
     assert len(faults) == 3 * len(locations)
-    for _, label, side, _ in locations:
+    for start, label, side, qubit in locations:
         for pauli in ("X", "Y", "Z"):
-            expected = inject_and_propagate(circuit, label, side, pauli)
+            expected = faults_module._outcome(circuit, masks, *propagate_fault(circuit, start, qubit, pauli))
             assert faults[FaultLocation(label, side, pauli)] == expected, (label, side, pauli)
 
 
@@ -377,11 +387,10 @@ def test_backward_sweep_matches_forward_propagation(gates, data):
     pairs = st.tuples(st.integers(0, len(gates) - 1), st.integers(0, SWEEP_WIRES - 1))
     locations = [(start, f"G{start}", "single", qubit) for start, qubit in data.draw(st.lists(pairs, min_size=1))]
     frames = fault_frames(circuit, locations)
-    for (start, _, _, qubit), (x_frame, z_frame) in zip(locations, frames):
+    for (start, _, _, qubit), (x_frame, y_frame, z_frame) in zip(locations, frames):
         assert x_frame == propagate_fault(circuit, start, qubit, "X")
-        assert z_frame == propagate_fault(circuit, start, qubit, "Z")
-        y_frame = tuple(a ^ b for a, b in zip(x_frame, z_frame))
         assert y_frame == propagate_fault(circuit, start, qubit, "Y")
+        assert z_frame == propagate_fault(circuit, start, qubit, "Z")
 
 
 def test_backward_sweep_rejects_t_after_the_first_location():
@@ -391,8 +400,9 @@ def test_backward_sweep_rejects_t_after_the_first_location():
     with pytest.raises(ValueError):
         fault_frames(circuit, [(0, "G0", "single", 0)])
     # A T before every location is never stepped over, forward or backward.
-    [(x_frame, z_frame)] = fault_frames(circuit, [(1, "G1", "single", 0)])
+    [(x_frame, y_frame, z_frame)] = fault_frames(circuit, [(1, "G1", "single", 0)])
     assert x_frame == propagate_fault(circuit, 1, 0, "X")
+    assert y_frame == propagate_fault(circuit, 1, 0, "Y")
     assert z_frame == propagate_fault(circuit, 1, 0, "Z")
 
 

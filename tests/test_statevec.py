@@ -27,6 +27,7 @@ from steanesim.statevec import (
     apply_pauli,
     logical_zero_state,
     project,
+    random_product_state,
     random_state,
     simulate_statevector,
     states_equal,
@@ -241,6 +242,17 @@ def test_fork_needs_one_pauli_per_row():
         simulate_statevector(encoder, stack, fork=("C5", faults[:2]))
 
 
+def test_stacked_round_trip_equals_one_run_per_state():
+    # The decoder check runs its product states as one stack: each row must
+    # be bit-identical to running that state alone.
+    rng = np.random.default_rng(7)
+    states = [random_product_state(7, rng) for _ in range(20)]
+    encoder, decoder = build_encoder(), build_decoder()
+    stacked = simulate_statevector(decoder, simulate_statevector(encoder, np.stack(states)))
+    for row, psi in zip(stacked, states):
+        assert row.tobytes() == simulate_statevector(decoder, simulate_statevector(encoder, psi)).tobytes()
+
+
 def test_apply_pauli_matches_matrix_product_bit_for_bit():
     rng = np.random.default_rng(41)
     for n in [*range(1, 8), 14]:
@@ -255,16 +267,18 @@ def test_apply_pauli_matches_matrix_product_bit_for_bit():
 
 
 def test_oracle_catches_a_wrong_propagation(monkeypatch):
-    true_propagation = verification.propagate_fault
+    true_sweep = verification.fault_frames
     # The Z word dropped on every segment; on the 14-qubit round segments only
     # (one fault per run); on the 7-qubit encoder and decoder only (stacked runs).
     for wrong_widths in ((7, 14), (14,), (7,)):
 
-        def x_word_only(circuit, start, qubit, pauli, wrong_widths=wrong_widths):
-            x, z, rest = true_propagation(circuit, start, qubit, pauli)
-            return x, 0 if circuit.n_qubits in wrong_widths else z, rest
+        def x_word_only(circuit, locations, wrong_widths=wrong_widths):
+            frames = true_sweep(circuit, locations)
+            if circuit.n_qubits not in wrong_widths:
+                return frames
+            return [tuple((x, 0, flips) for x, _, flips in paulis) for paulis in frames]
 
-        monkeypatch.setattr(verification, "propagate_fault", x_word_only)
+        monkeypatch.setattr(verification, "fault_frames", x_word_only)
         ok, detail = verification.check_propagation_oracle(n_faults=40, seed=99)
         assert not ok, wrong_widths
         assert int(detail.split(", ")[1].split()[0]) > 0
