@@ -5,6 +5,9 @@ Exit codes: 0 success, 1 validation failure (a regenerated value disagrees
 with its pinned reference, or a verification suite fails), 2 usage error or
 bad input (an unreadable or malformed circuit file, an out-of-range number),
 reported as one line on stderr.
+Each subcommand builds its output once, in every form it offers, and one
+writer sends the form ``--format`` selects to stdout or to ``--out``, so a
+file receives exactly what stdout would.
 Numbers print in scientific notation with 15 decimal digits so table
 entries can be compared digit by digit.
 """
@@ -46,18 +49,27 @@ def _fmt(v: float) -> str:
 
 
 def _write(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     path = Path(out)
-    if not path.is_absolute():
-        base = os.environ.get("STEANESIM_OUTDIR")
-        if base:
-            path = Path(base) / path
+    if not path.is_absolute() and os.environ.get("STEANESIM_OUTDIR"):
+        path = Path(os.environ["STEANESIM_OUTDIR"]) / path
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
+
+
+def _emit(args, forms: dict, out: str | None = None) -> None:
+    """Write the form ``--format`` selects from ``forms`` (``"json"`` maps to
+    a payload, any other form to lines) to ``out``, by default ``--out``."""
+    form = forms[args.format]
+    text = json.dumps(form, indent=2, sort_keys=True) if args.format == "json" else "\n".join(form)
+    _write(text, args.out if out is None else out)
+
+
+def _r(r: int | None) -> str:
+    return "inf" if r is None else str(r)
 
 
 # ---------------------------------------------------------------------------
@@ -101,15 +113,11 @@ def cmd_propagate(args) -> int:
                 "verdict": cls.verdict,
             }
         )
-    if args.format == "json":
-        _write(json.dumps(rows, indent=2, sort_keys=True), args.out)
-    else:
-        header = "signature,convention-b signature,locations,residual,verdict"
-        lines = [header] + [
-            f"\"{r['signature']}\",\"{r['signature_b']}\",\"{r['locations']}\",\"{r['residual']}\",{r['verdict']}"
-            for r in rows
-        ]
-        _write("\n".join(lines), args.out)
+    lines = ["signature,convention-b signature,locations,residual,verdict"] + [
+        f"\"{r['signature']}\",\"{r['signature_b']}\",\"{r['locations']}\",\"{r['residual']}\",{r['verdict']}"
+        for r in rows
+    ]
+    _emit(args, {"text": lines, "json": rows})
     return 0
 
 
@@ -129,18 +137,13 @@ def cmd_flags(args) -> int:
         }
         for r in reports
     ]
-    if args.format == "json":
-        _write(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    else:
-        lines = []
-        for r in reports:
-            status = "pass" if r.all_pass else "FAIL"
-            lines.append(
-                f"gadget {r.gadget_id} ({r.kind}-type {r.cn_labels[0]}/{r.cn_labels[1]}): "
-                f"cond1={'ok' if r.condition1 else 'FAIL'} cond2={'ok' if r.condition2 else 'FAIL'} "
-                f"cond3={'ok' if r.condition3 else 'FAIL'} -> {status}"
-            )
-        _write("\n".join(lines), args.out)
+    lines = [
+        f"gadget {r.gadget_id} ({r.kind}-type {r.cn_labels[0]}/{r.cn_labels[1]}): "
+        f"cond1={'ok' if r.condition1 else 'FAIL'} cond2={'ok' if r.condition2 else 'FAIL'} "
+        f"cond3={'ok' if r.condition3 else 'FAIL'} -> {'pass' if r.all_pass else 'FAIL'}"
+        for r in reports
+    ]
+    _emit(args, {"text": lines, "json": payload})
     return 0 if all(r.all_pass for r in reports) else 1
 
 
@@ -161,58 +164,44 @@ def cmd_depth(args) -> int:
         for name, vals in rows.items():
             lines.append(f"  {name:<3} " + " ".join(f"{v:3d}" for v in vals))
             csv_rows.append(f"{block},{name}," + ",".join(map(str, vals)))
-    if args.format == "json":
-        _write(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    elif args.format == "csv":
-        _write("\n".join(csv_rows), args.out)
-    else:
-        _write("\n".join(lines), args.out)
+    _emit(args, {"text": lines, "csv": csv_rows, "json": payload})
     return 0
 
 
-def _table_rows(name: str):
-    if name in ("1a", "1b"):
-        block = "data" if name == "1a" else "aux"
-        depth = block_analysis(block)[4]
+# name -> (block, gate class, pinned map); tables 1a/1b scan the transversal
+# class and pin (x_star, max_p_th) per k, tables 2a/2b pin max_p_th per (k, r).
+TABLES = {
+    "1a": ("data", None, pinned.TABLE_1A_DATA),
+    "1b": ("aux", None, pinned.TABLE_1B_AUX),
+    "2a": ("aux", "t", pinned.TABLE_2A_T_GATE),
+    "2b": ("aux", "toffoli3", pinned.TABLE_2B_TOFFOLI_TARGET),
+}
+
+
+def _table(name: str) -> tuple[list[str], bool]:
+    """A table's CSV lines, and whether every entry matches its pinned value."""
+    block, gate, pinned_map = TABLES[name]
+    depth = block_analysis(block)[4]
+    if gate is None:
         results = generate_table_1(depth)
-        header = "k,x,p_th"
-        rows = [f"{r.k},{r.x_star},{_fmt(r.max_p_th)}" for r in results]
-        pinned_map = pinned.TABLE_1A_DATA if name == "1a" else pinned.TABLE_1B_AUX
-        ok = all(
-            r.x_star == pinned_map[r.k][0]
-            and abs(r.max_p_th - pinned_map[r.k][1]) <= 1e-9 * pinned_map[r.k][1]
-            for r in results
-        )
-        return header, rows, ok
-    gate_class = "t" if name == "2a" else "toffoli3"
-    depth = block_analysis("aux")[4]
-    results = generate_table_2(depth, gate_class)
-    header = "k,r,x_star,max_p_th"
-    rows = [
-        f"{r.k},{'inf' if r.r is None else r.r},{r.x_star},{_fmt(r.max_p_th)}"
-        for r in results
-    ]
-    pinned_map = pinned.TABLE_2A_T_GATE if name == "2a" else pinned.TABLE_2B_TOFFOLI_TARGET
-    ok = all(
-        abs(r.max_p_th - pinned_map[(r.k, r.r)]) <= 1e-9 * pinned_map[(r.k, r.r)]
-        for r in results
-    )
-    return header, rows, ok
+        lines = ["k,x,p_th"] + [f"{r.k},{r.x_star},{_fmt(r.max_p_th)}" for r in results]
+    else:
+        results = generate_table_2(depth, gate)
+        lines = ["k,r,x_star,max_p_th"] + [f"{r.k},{_r(r.r)},{r.x_star},{_fmt(r.max_p_th)}" for r in results]
+    pins = [pinned_map[r.k] if gate is None else (r.x_star, pinned_map[(r.k, r.r)]) for r in results]
+    return lines, all(r.x_star == x and abs(r.max_p_th - p) <= 1e-9 * p for r, (x, p) in zip(results, pins))
 
 
 def cmd_tables(args) -> int:
-    names = [args.table] if args.table else ["1a", "1b", "2a", "2b"]
-    failed = False
-    for name in names:
-        header, rows, ok = _table_rows(name)
-        text = "\n".join([header] + rows)
-        out = args.out
-        if out is None and args.out_dir:
-            out = str(Path(args.out_dir) / f"table{name}.csv")
-        _write(text, out)
-        if args.check and not ok:
-            sys.stderr.write(f"table {name}: regenerated values disagree with pinned reference\n")
-            failed = True
+    tables = {name: _table(name) for name in ([args.table] if args.table else TABLES)}
+    if args.out is None and args.out_dir:
+        for name, (lines, _) in tables.items():
+            _write("\n".join(lines), str(Path(args.out_dir) / f"table{name}.csv"))
+    else:
+        _emit(args, {"text": [line for lines, _ in tables.values() for line in lines]})
+    failed = [name for name, (_, ok) in tables.items() if args.check and not ok]
+    for name in failed:
+        sys.stderr.write(f"table {name}: regenerated values disagree with pinned reference\n")
     return 1 if failed else 0
 
 
@@ -221,30 +210,20 @@ def cmd_threshold(args) -> int:
     if args.curves:
         ks = list(range(1, 7)) if args.k is None else [args.k]
         points = [pt for k in ks for pt in curve(block_depth, k, args.x_max, args.r, args.gate)]
-        if args.format == "json":
-            text = json.dumps([{"k": k, "x": x, "p_th": p} for k, x, p in points], indent=2, sort_keys=True)
-        else:
-            text = "\n".join(["k,x,p_th"] + [f"{k},{x},{_fmt(p)}" for k, x, p in points])
-        _write(text, args.curves)
+        _emit(args, {"text": ["k,x,p_th"] + [f"{k},{x},{_fmt(p)}" for k, x, p in points],
+                     "json": [{"k": k, "x": x, "p_th": p} for k, x, p in points]}, args.curves)
         return 0
     ks = list(range(1, 11)) if args.k is None else [args.k]
-    rows = []
-    for k in ks:
-        res = optimize_x(block_depth, k, args.r, args.gate, args.x_max)
-        rows.append(res)
-    if args.format == "json":
-        payload = [
-            {"k": r.k, "r": r.r, "gate": r.gate_class, "x_star": r.x_star,
-             "c": r.c_at_x_star, "max_p_th": r.max_p_th}
+    rows = [optimize_x(block_depth, k, args.r, args.gate, args.x_max) for k in ks]
+    _emit(args, {
+        "text": ["k,r,gate,x_star,c,max_p_th"] + [
+            f"{r.k},{_r(r.r)},{r.gate_class},{r.x_star},{r.c_at_x_star!r},{_fmt(r.max_p_th)}" for r in rows
+        ],
+        "json": [
+            {"k": r.k, "r": r.r, "gate": r.gate_class, "x_star": r.x_star, "c": r.c_at_x_star, "max_p_th": r.max_p_th}
             for r in rows
-        ]
-        _write(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    else:
-        lines = ["k,r,gate,x_star,c,max_p_th"] + [
-            f"{r.k},{'inf' if r.r is None else r.r},{r.gate_class},{r.x_star},{r.c_at_x_star!r},{_fmt(r.max_p_th)}"
-            for r in rows
-        ]
-        _write("\n".join(lines), args.out)
+        ],
+    })
     return 0
 
 
@@ -256,40 +235,28 @@ def cmd_resources(args) -> int:
         raise ValueError(f"--k {args.k} gives CNOT counts of more than {digits} digits, "
                          "the interpreter's limit for printing an int")
     derived = derived_cnot_counts()
-    payload = {
-        "per_period_k1": dict(pinned.CNOTS_PER_PERIOD),
-        "derived_from_circuits": derived,
-        "k": args.k,
-        "cnots_at_k": {g: cnot_count(g, args.k) for g in pinned.CNOTS_PER_PERIOD},
-    }
     consistent = all(derived[g] == pinned.CNOTS_PER_PERIOD[g] for g in derived)
-    payload["consistent"] = consistent
+    at_k = {g: cnot_count(g, args.k) for g in pinned.CNOTS_PER_PERIOD}
+    payload = {"per_period_k1": dict(pinned.CNOTS_PER_PERIOD), "derived_from_circuits": derived,
+               "k": args.k, "cnots_at_k": at_k, "consistent": consistent}
+    lines = [f"CNOTs per period (k=1): {pinned.CNOTS_PER_PERIOD}",
+             f"derived from circuits:  {derived}  consistent={consistent}", f"at k={args.k}: {at_k}"]
     if args.gate:
         est = estimate_runtime({args.gate: args.count}, args.k, args.cnot_time)
         payload["runtime"] = {
             "gate": args.gate, "count": args.count,
             "total_cnots": est.total_cnots, "seconds": est.seconds,
         }
+        lines.append(f"runtime: {args.count} x {args.gate} -> {est.total_cnots} CNOTs, {_fmt(est.seconds)} s")
     depth = block_analysis(args.block)[4]
     chk = check_permitted_depth(depth, args.k, args.x, args.depth_limit)
     payload["permitted_depth"] = {
         "per_qubit_depth": chk.per_qubit_depth, "limit": chk.limit,
         "passed": chk.passed, "max_admissible_k": chk.max_admissible_k,
     }
-    if args.format == "json":
-        _write(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    else:
-        lines = [f"CNOTs per period (k=1): {pinned.CNOTS_PER_PERIOD}"]
-        lines.append(f"derived from circuits:  {derived}  consistent={consistent}")
-        lines.append(f"at k={args.k}: {payload['cnots_at_k']}")
-        if args.gate:
-            rt = payload["runtime"]
-            lines.append(f"runtime: {rt['count']} x {rt['gate']} -> {rt['total_cnots']} CNOTs, "
-                         f"{_fmt(rt['seconds'])} s")
-        pd = payload["permitted_depth"]
-        lines.append(f"permitted depth: {pd['per_qubit_depth']} <= {pd['limit']}: "
-                     f"{'pass' if pd['passed'] else 'FAIL'} (max k = {pd['max_admissible_k']})")
-        _write("\n".join(lines), args.out)
+    lines.append(f"permitted depth: {chk.per_qubit_depth} <= {chk.limit}: "
+                 f"{'pass' if chk.passed else 'FAIL'} (max k = {chk.max_admissible_k})")
+    _emit(args, {"text": lines, "json": payload})
     return 0 if consistent else 1
 
 
@@ -300,18 +267,13 @@ def cmd_verify(args) -> int:
     from . import verification
 
     results = verification.run_all(n_oracle_faults=args.faults, seed=args.seed)
-    lines = []
-    ok = True
-    for name, passed, detail in results:
-        lines.append(f"{'PASS' if passed else 'FAIL'}  {name}  {detail}")
-        ok = ok and passed
-    _write("\n".join(lines), args.out)
-    return 0 if ok else 1
+    _emit(args, {"text": [f"{'PASS' if passed else 'FAIL'}  {name}  {detail}" for name, passed, detail in results]})
+    return 0 if all(passed for _, passed, _ in results) else 1
 
 
 def cmd_circuit(args) -> int:
     circuit = build_full_ec_circuit(include_flags=args.flags, block_kind=args.block)
-    _write(serialize(circuit), args.out)
+    _emit(args, {"text": [serialize(circuit)]})
     return 0
 
 
@@ -323,6 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
         """``--out``, and ``--format`` over the formats the subcommand writes."""
         if formats:
             sp.add_argument("--format", choices=("text", *formats), default="text")
+        else:
+            sp.set_defaults(format="text")
         sp.add_argument("--out", default=None, help="output path (default stdout; "
                         "relative paths resolve under $STEANESIM_OUTDIR)")
 

@@ -273,11 +273,14 @@ def _fault_map(n_qubits: int, gates: tuple[Gate, ...], layout: CycleLayout | Non
     circuit = Circuit(n_qubits, list(gates), layout=layout)
     locations = enumerable_locations(circuit)
     masks = _readout_masks(circuit) if locations else ()  # a circuit without faults needs no layout
-    out = {}
-    for (_, label, side, _), frames in zip(locations, fault_frames(circuit, locations)):
-        for pauli, frame in zip("XYZ", frames):
-            out[FaultLocation(label, side, pauli)] = _outcome(circuit, masks, *frame)
-    return MappingProxyType(dict(sorted(out.items(), key=lambda item: item[0].sort_key())))
+    # Sorting the location-sides once gives FaultLocation.sort_key order, as X < Y < Z.
+    located = sorted(zip(locations, fault_frames(circuit, locations)),
+                     key=lambda item: (*_split_label(item[0][1]), item[0][2]))
+    return MappingProxyType({
+        FaultLocation(label, side, pauli): _outcome(circuit, masks, *frame)
+        for (_, label, side, _), frames in located
+        for pauli, frame in zip("XYZ", frames)
+    })
 
 
 def inject_and_propagate(

@@ -8,6 +8,7 @@ CNOT is replaced transversally, so counts grow by a factor of 7 per level
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,8 +53,8 @@ def estimate_runtime(
     cnot_time: float = pinned.CNOT_TIME_SECONDS,
 ) -> RuntimeEstimate:
     """Total CNOTs across gate classes times the per-CNOT time bound."""
-    if not cnot_time > 0:  # NaN included
-        raise ValueError(f"cnot_time must be positive, got {cnot_time}")
+    if not 0 < cnot_time < math.inf:  # NaN included
+        raise ValueError(f"cnot_time must be positive and finite, got {cnot_time}")
     total = 0
     for gate_class, count in gate_counts.items():
         if count < 0:
@@ -62,7 +63,7 @@ def estimate_runtime(
     try:
         return RuntimeEstimate(total, cnot_time, total * cnot_time)
     except OverflowError:
-        raise ValueError(f"k={k} gives more CNOTs than a float can time") from None
+        raise ValueError(f"gate counts {gate_counts} at k={k} give more CNOTs than a float can time") from None
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, determinism, exit codes."""
 from __future__ import annotations
 
+import importlib.util
 import json
 import re
 import sys
@@ -16,6 +17,9 @@ from steanesim.cli import main
 from steanesim.depth import block_analysis
 from steanesim.faults import check_flag_conditions, derive_perfect_assumptions, view_table
 from steanesim.resources import cnot_count
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -140,11 +144,52 @@ def test_file_output(tmp_path, capsys, monkeypatch):
     assert text.splitlines()[1] == "1,2,4.235493434985176e-04"
 
 
-def test_verify_stdout_matches_the_benchmark_golden(capsys):
-    golden = Path(__file__).resolve().parents[1] / "perfbench" / "goldens" / "verify.txt"
-    code, out = run(capsys, "verify")
-    assert code == 0
-    assert out == golden.read_text(encoding="utf-8")
+def test_verify_stdout_matches_the_benchmark_golden(capsys, monkeypatch):
+    # verify's golden, and those of the other eight commands the benchmark replays.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    assert "verify" in dict(workloads.REPRODUCE_COMMANDS)
+    differ = []
+    for key, argv in workloads.REPRODUCE_COMMANDS:
+        code, out = run(capsys, *argv)
+        if code != 0 or out.encode("utf-8") != (ROOT / "perfbench" / "goldens" / f"{key}.txt").read_bytes():
+            differ.append(key)
+    assert differ == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("propagate", "--types", "Z"),
+    ("propagate", "--types", "Y", "--block", "aux", "--format", "json"),
+    ("flags",),
+    ("flags", "--block", "aux", "--format", "json"),
+    ("depth",),
+    ("depth", "--format", "csv"),
+    ("depth", "--format", "json"),
+    ("threshold", "--k", "2"),
+    ("threshold", "--block", "aux", "--gate", "t", "--format", "json"),
+    ("resources", "--gate", "toffoli", "--count", "1000000"),
+    ("resources", "--gate", "t", "--k", "3", "--format", "json"),
+    ("verify", "--faults", "10"),
+    ("tables",),
+    ("tables", "--table", "2b", "--check"),
+    ("circuit", "--block", "aux"),
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_out_file_receives_exactly_stdout(tmp_path, capsys, argv):
+    code, out = run(capsys, *argv)
+    path = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(path)) == (code, "")
+    assert path.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_curves_file_receives_exactly_what_curves_dash_prints(tmp_path, capsys, fmt):
+    argv = ["threshold", "--k", "2", "--x-max", "5", "--format", fmt]
+    code, out = run(capsys, *argv, "--curves", "-")
+    path = tmp_path / "curves"
+    assert run(capsys, *argv, "--curves", str(path)) == (code, "")
+    assert code == 0 and path.read_text(encoding="utf-8") == out
 
 
 def test_verify_subcommand_fast(capsys):
@@ -246,6 +291,8 @@ def test_flags_on_a_file_uses_its_own_ledgers(tmp_path, capsys):
     ("resources", "--x", "-5"),
     ("resources", "--gate", "t", "--cnot-time", "-1"),
     ("resources", "--gate", "t", "--cnot-time", "0"),
+    ("resources", "--gate", "t", "--cnot-time", "inf"),
+    ("resources", "--gate", "t", "--count", "1" + "0" * 400),
     ("threshold", "--k", "1024"),
     ("threshold", "--curves", "-", "--k", "1024"),
     ("resources", "--gate", "t", "--k", "400"),
@@ -253,7 +300,8 @@ def test_flags_on_a_file_uses_its_own_ledgers(tmp_path, capsys):
     ("resources", "--k", "6000", "--format", "json"),
 ], ids=["missing-file", "resources-k0", "threshold-k0", "curves-k0", "threshold-r-negative", "curves-r0",
         "verify-faults-negative", "verify-seed-negative", "resources-x0", "resources-x-negative",
-        "resources-cnot-time-negative", "resources-cnot-time-zero", "threshold-k-overflow", "curves-k-overflow",
+        "resources-cnot-time-negative", "resources-cnot-time-zero", "resources-cnot-time-inf",
+        "resources-runtime-count-overflow", "threshold-k-overflow", "curves-k-overflow",
         "resources-runtime-k-overflow", "resources-k-unprintable", "resources-k-unprintable-json"])
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -264,6 +312,10 @@ def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
         assert f"{argv[1]} must be >= 0" in captured.err
     if argv[-2:] in (("--k", "1024"), ("--k", "400")):  # too large for a float: the message names k
         assert re.search(rf"\bk\b.*{argv[-1]}", captured.err)
+    if argv[-2] == "--count":  # ... and for a runtime, the gate counts too
+        assert f"gate counts {{'t': {argv[-1]}}} at k=1" in captured.err
+    if argv[-2] == "--cnot-time":
+        assert "cnot_time must be positive and finite" in captured.err
     if argv[:2] == ("resources", "--k") and int(argv[2]) > 5086:  # counts past the default 4300 printable digits
         assert f"--k {argv[2]} gives CNOT counts of more than 4300 digits" in captured.err
 

@@ -15,7 +15,10 @@ one workload and seed run back to back. The output file holds, per workload
 and seed, every run's five end-to-end metrics and ``correct`` flag, each
 side's median and quartiles per metric, and the number of pairs in which
 the change reads better (ties count for neither side), with the direction
-taken from ``BENCHMARK.json``.
+taken from ``BENCHMARK.json``. It also holds each metric's relative change of
+the change median against the parent median, and whether that change stays
+within the metric's ``BENCHMARK.json`` bound; every metric outside its bound
+is printed per workload and seed.
 """
 from __future__ import annotations
 
@@ -79,13 +82,25 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         both = [p for p in pairs if name in p["parent"] and name in p["change"]]
         if len(both) < 2:
             continue
+        parent, change = spread([p["parent"][name] for p in both]), spread([p["change"][name] for p in both])
+        relative = (change["median"] - parent["median"]) / parent["median"]
         out[name] = {
-            "parent": spread([p["parent"][name] for p in both]),
-            "change": spread([p["change"][name] for p in both]),
+            "parent": parent,
+            "change": change,
             "change_wins": sum(sign * (p["parent"][name] - p["change"][name]) > 0 for p in both),
             "pairs": len(both),
+            "relative_change": relative,
+            "bound": metric["bound"],
+            "within_bound": sign * relative <= metric["bound"],  # worse by at most the bound
         }
     return out
+
+
+def outside_bounds(summary: dict) -> list[str]:
+    """One line per metric of ``summarize`` whose median got worse by more than its bound."""
+    return [f"{name} {s['relative_change']:+.1%} is outside its bound of {s['bound']:.0%} (parent median "
+            f"{s['parent']['median']:.4g}, change median {s['change']['median']:.4g})"
+            for name, s in summary.items() if not s["within_bound"]]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -121,9 +136,12 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{workload} seed={seed} pair {i + 1}/{PAIRS}: "
                           f"parent {pair['parent'].get('op_p90_ms')} ms, change {pair['change'].get('op_p90_ms')} ms "
                           f"(op_p90_ms)", flush=True)
+                summary = summarize(pairs, metrics)
                 report["runs"][f"{workload}/seed{seed}"] = {
-                    "workload": workload, "seed": seed, "pairs": pairs, "summary": summarize(pairs, metrics),
+                    "workload": workload, "seed": seed, "pairs": pairs, "summary": summary,
                 }
+                for line in outside_bounds(summary) or ["every metric within its bound"]:
+                    print(f"{workload} seed={seed}: {line}", flush=True)
                 args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0
 
