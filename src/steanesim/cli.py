@@ -193,8 +193,10 @@ def _table(name: str) -> tuple[list[str], bool]:
 
 
 def cmd_tables(args) -> int:
+    if args.out is not None and args.out_dir:
+        raise ValueError("--out and --out-dir cannot be combined")
     tables = {name: _table(name) for name in ([args.table] if args.table else TABLES)}
-    if args.out is None and args.out_dir:
+    if args.out_dir:
         for name, (lines, _) in tables.items():
             _write("\n".join(lines), str(Path(args.out_dir) / f"table{name}.csv"))
     else:
@@ -206,6 +208,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_threshold(args) -> int:
+    if args.curves and args.out is not None:
+        raise ValueError("--curves and --out cannot be combined: --curves names the output file")
     block_depth = block_analysis(args.block)[4]
     if args.curves:
         ks = list(range(1, 7)) if args.k is None else [args.k]
@@ -228,6 +232,8 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_resources(args) -> int:
+    if args.gate is None and (args.count is not None or args.cnot_time is not None):
+        raise ValueError("--count and --cnot-time need --gate")
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: ints of any length print
     # every count is at least 7^(k-1): the log test turns a huge k away before any big-integer work
     if digits and ((args.k - 1) * math.log10(LEVEL_GROWTH_FACTOR) > digits + 1
@@ -242,12 +248,14 @@ def cmd_resources(args) -> int:
     lines = [f"CNOTs per period (k=1): {pinned.CNOTS_PER_PERIOD}",
              f"derived from circuits:  {derived}  consistent={consistent}", f"at k={args.k}: {at_k}"]
     if args.gate:
-        est = estimate_runtime({args.gate: args.count}, args.k, args.cnot_time)
+        count = 1 if args.count is None else args.count
+        cnot_time = pinned.CNOT_TIME_SECONDS if args.cnot_time is None else args.cnot_time
+        est = estimate_runtime({args.gate: count}, args.k, cnot_time)
         payload["runtime"] = {
-            "gate": args.gate, "count": args.count,
+            "gate": args.gate, "count": count,
             "total_cnots": est.total_cnots, "seconds": est.seconds,
         }
-        lines.append(f"runtime: {args.count} x {args.gate} -> {est.total_cnots} CNOTs, {_fmt(est.seconds)} s")
+        lines.append(f"runtime: {count} x {args.gate} -> {est.total_cnots} CNOTs, {_fmt(est.seconds)} s")
     depth = block_analysis(args.block)[4]
     chk = check_permitted_depth(depth, args.k, args.x, args.depth_limit)
     payload["permitted_depth"] = {
@@ -292,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("propagate", help="emit the single-fault decoding table")
     sp.add_argument("--types", choices=("X", "Y", "Z"), default="X")
-    sp.add_argument("--flags", dest="flags", action="store_true", default=True)
-    sp.add_argument("--no-flags", dest="flags", action="store_false")
+    sp.add_argument("--flags", action=argparse.BooleanOptionalAction, default=True)
     sp.add_argument("--block", choices=("data", "aux"), default="data")
     sp.add_argument("--circuit", default=None, help="analyze a serialized circuit file instead")
     common(sp, "json")
@@ -323,11 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("resources", help="CNOT counts, runtime and depth limits")
     sp.add_argument("--gate", choices=("transversal", "t", "toffoli"), default=None)
-    sp.add_argument("--count", type=int, default=1)
+    sp.add_argument("--count", type=int, default=None, help="gates of --gate to time (default 1)")
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--x", type=int, default=1)
     sp.add_argument("--block", choices=("data", "aux"), default="data")
-    sp.add_argument("--cnot-time", type=float, default=pinned.CNOT_TIME_SECONDS)
+    sp.add_argument("--cnot-time", type=float, default=None,
+                    help=f"seconds per CNOT for --gate (default {pinned.CNOT_TIME_SECONDS})")
     sp.add_argument("--depth-limit", type=int, default=pinned.PERMITTED_DEPTH)
     common(sp, "json")
     sp.set_defaults(func=cmd_resources)
@@ -346,8 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_tables)
 
     sp = sub.add_parser("circuit", help="serialize the encode/decode circuit")
-    sp.add_argument("--flags", dest="flags", action="store_true", default=True)
-    sp.add_argument("--no-flags", dest="flags", action="store_false")
+    sp.add_argument("--flags", action=argparse.BooleanOptionalAction, default=True)
     sp.add_argument("--block", choices=("data", "aux"), default="data")
     common(sp)
     sp.set_defaults(func=cmd_circuit)

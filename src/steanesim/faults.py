@@ -7,11 +7,11 @@ signature combines both repetitions of each syndrome type, the terminal
 redundant-qubit readout, and one parity bit per flag gadget.
 
 One fault map per circuit (:func:`fault_map`) feeds the views, ledgers,
-depth counts and flag audit. Propagation is linear over GF(2), so one
-backward sweep over the gates (:func:`fault_frames`) gives the X, Y and Z
-frames of every location-side at once; it is the package's one propagation
-engine. The map is memoized by circuit content, so the analyses of one
-circuit share it.
+depth counts and flag audit. Propagation and signature bits are linear over
+GF(2), so one backward sweep over the gates (:func:`fault_frames`) gives the
+X, Y and Z frames and packed signature words of every location-side at
+once; it is the package's one propagation engine. The map is memoized by
+circuit content, so the analyses of one circuit share it.
 
 Enumerated locations are the data-block legs of the labeled CNOTs C1-C36
 (ancilla legs of the syndrome couplings belong to the ancilla block's own
@@ -22,11 +22,11 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from types import MappingProxyType
 
-from .circuits import DATA_QUBITS, PREP_KINDS, Circuit, CycleLayout, Gate, base_label, derive_layout
-from .paulis import GENERATOR_SUPPORTS, PauliOperator, conjugate_bits, parity
+from .circuits import DATA_QUBITS, MEASURE_KINDS, PREP_KINDS, Circuit, CycleLayout, Gate, base_label, derive_layout
+from .paulis import GENERATOR_SUPPORTS, PauliOperator, conjugate_bits
 
 _LOC_RE = re.compile(r"^(C|CN|H)(\d+)(?:\.(\d+))?$")
 
@@ -79,12 +79,41 @@ def location_from_name(name: str) -> tuple[str, str, str]:
 
 @dataclass(frozen=True)
 class MeasurementSignature:
-    """Deterministic flip pattern of every readout relative to a clean run."""
+    """Deterministic flip pattern of every readout relative to a clean run.
 
-    z_syn: tuple[tuple[int, int, int], ...]  # one triple per Z-stabilizer round
-    x_syn: tuple[tuple[int, int, int], ...]
-    meas: tuple[int, ...]                    # terminal data readout, qubit order
-    flags: tuple[int, ...]                   # one parity bit per flag gadget
+    The pattern is one packed word, read most significant bit first: a
+    triple per Z-stabilizer round, a triple per X-stabilizer round, the
+    terminal data readout in qubit order, then one parity bit per flag
+    gadget. ``shape`` counts those four parts, so integer order of the
+    word is the order of the ``(z_syn, x_syn, meas, flags)`` tuples, and
+    the clean run is word 0.
+    """
+
+    word: int
+    shape: tuple[int, int, int, int]  # Z rounds, X rounds, terminal readouts, flag gadgets
+
+    def _parts(self) -> tuple[list[str], list[str], str, str]:
+        n_z, n_x, n_meas, n_flags = self.shape
+        syn = 3 * (n_z + n_x)
+        bits = format(self.word, "b").zfill(syn + n_meas + n_flags)
+        rounds = [bits[i:i + 3] for i in range(0, syn, 3)]
+        return rounds[:n_z], rounds[n_z:], bits[syn:syn + n_meas], bits[syn + n_meas:]
+
+    @property
+    def z_syn(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(tuple(map(int, t)) for t in self._parts()[0])
+
+    @property
+    def x_syn(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(tuple(map(int, t)) for t in self._parts()[1])
+
+    @property
+    def meas(self) -> tuple[int, ...]:
+        return tuple(map(int, self._parts()[2]))
+
+    @property
+    def flags(self) -> tuple[int, ...]:
+        return tuple(map(int, self._parts()[3]))
 
     def agreed_z(self) -> tuple[int, int, int] | None:
         return self.z_syn[0] if len(set(self.z_syn)) == 1 else None
@@ -93,12 +122,9 @@ class MeasurementSignature:
         return self.x_syn[0] if len(set(self.x_syn)) == 1 else None
 
     def __str__(self) -> str:
-        zs = "/".join("".join(map(str, t)) for t in self.z_syn)
-        xs = "/".join("".join(map(str, t)) for t in self.x_syn)
-        ms = "".join(map(str, self.meas))
-        fs = "".join(map(str, self.flags))
-        out = f"zSyn={zs} xSyn={xs} meas={ms}"
-        return out + (f" flags={fs}" if self.flags else "")
+        zs, xs, ms, fs = self._parts()
+        out = f"zSyn={'/'.join(zs)} xSyn={'/'.join(xs)} meas={ms}"
+        return out + (f" flags={fs}" if fs else "")
 
 
 @dataclass
@@ -121,85 +147,62 @@ class DecodingTable:
         """Entries in signature order. Members keep the order they were
         added in, which for a view is :meth:`FaultLocation.sort_key` order
         (the order of :func:`fault_map`)."""
-        return sorted(
-            self.entries.values(),
-            key=lambda e: (e.signature.z_syn, e.signature.x_syn, e.signature.meas, e.signature.flags),
-        )
+        return sorted(self.entries.values(), key=lambda e: e.signature.word)
 
 
 def enumerable_locations(circuit: Circuit) -> list[tuple[int, str, str, int]]:
     """(gate index, label, side, qubit) for every fault leg: the data-block
-    legs of the CNOTs and Hadamards, and the flag-qubit leg of each flag
-    CNOT (audited by the gadget condition checks, never classified)."""
+    legs of the CNOTs and Hadamards, and both legs of each flag CNOT (its
+    flag-qubit leg is audited by the gadget condition checks, never
+    classified)."""
     out = []
     for idx, g in enumerate(circuit.gates):
         if g.kind == "CNOT":
-            if g.qubits[0] in DATA_QUBITS:
-                out.append((idx, g.label, "control", g.qubits[0]))
-            if g.qubits[1] in DATA_QUBITS:
-                out.append((idx, g.label, "target", g.qubits[1]))
-            if g.label.startswith("CN"):
-                side = "target" if g.qubits[0] in DATA_QUBITS else "control"
-                flag = g.qubits[1] if side == "target" else g.qubits[0]
-                out.append((idx, g.label, side, flag))
+            out += [(idx, g.label, side, q) for side, q in zip(("control", "target"), g.qubits)
+                    if q in DATA_QUBITS or g.label.startswith("CN")]
         elif g.kind == "H" and g.label.startswith("H"):
             out.append((idx, g.label, "single", g.qubits[0]))
     return out
 
 
-def _readout_masks(circuit: Circuit):
-    """Every signature bit as a mask over the flip word, in the shape of
-    :class:`MeasurementSignature`: the bit is the parity of the flips its
-    mask selects."""
-    flip = {g.label: 1 << i for i, g in enumerate(circuit.gates) if g.is_measurement}
-    layout = circuit.layout
-
-    def syndromes(rounds) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(sum(flip[row[q - 1]] for q in s) for s in GENERATOR_SUPPORTS) for row in rounds)
-
-    return (
-        syndromes(layout.z_rounds),
-        syndromes(layout.x_rounds),
-        tuple(flip[lbl] for _, _, lbl in layout.terminal_meas),
-        tuple(flip[a] | flip[b] for a, b in (plan.meas_labels for plan in layout.gadgets)),
-    )
+def signature_shape(layout: CycleLayout) -> tuple[int, int, int, int]:
+    """The parts of a :class:`MeasurementSignature` word in ``layout``."""
+    return len(layout.z_rounds), len(layout.x_rounds), len(layout.terminal_meas), len(layout.gadgets)
 
 
-def _outcome(circuit: Circuit, masks, x: int, z: int, flips: int) -> tuple[MeasurementSignature, PauliOperator]:
-    """Signature and block residual of a propagated frame."""
-    z_rounds, x_rounds, terminal, flags = masks
-
-    def read(bits: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(parity(flips & m) for m in bits)
-
-    sig = MeasurementSignature(tuple(map(read, z_rounds)), tuple(map(read, x_rounds)), read(terminal), read(flags))
-    # Residuals are reported in the pre-decode-Hadamard frame (an X left
-    # after a decode-side H is the same observable as a Z before it).
-    for q in circuit.layout.decode_h_qubits:
-        x, z = conjugate_bits("H", (q,), x, z)
-    mask = (1 << len(DATA_QUBITS)) - 1
-    return sig, PauliOperator(len(DATA_QUBITS), x & mask, z & mask)
+def _readout_feeds(layout: CycleLayout) -> dict[str, int]:
+    """Per readout label, the mask of the signature bits it feeds: a
+    signature bit is the parity of the readout flips that feed it."""
+    bits = [tuple(row[q - 1] for q in s) for rounds in (layout.z_rounds, layout.x_rounds)
+            for row in rounds for s in GENERATOR_SUPPORTS]
+    bits += [(label,) for _, _, label in layout.terminal_meas]
+    bits += [plan.meas_labels for plan in layout.gadgets]
+    feeds: dict[str, int] = {}
+    for k, labels in enumerate(bits):
+        for label in labels:
+            feeds[label] = feeds.get(label, 0) ^ 1 << (len(bits) - 1 - k)
+    return feeds
 
 
-def fault_frames(circuit: Circuit, locations) -> list[tuple[tuple[int, int, int], ...]]:
+def fault_frames(circuit: Circuit, locations, readouts: Mapping[str, int]):
     """Frames of an X, a Y and a Z fault at each ``(gate index, label, side,
     qubit)`` location; the fault acts on wire ``qubit`` right after the gate.
 
-    A frame is ``(x, z, flips)``: the fault's X and Z bit words over the
-    wires at circuit end, and a flip word whose bit ``i`` is set when the
-    readout at gate index ``i`` flips (a Z readout flips on an X component,
-    an X readout on a Z component).
+    A frame is ``(x, z, word)``: the fault's X and Z bit words over the
+    wires at circuit end, and the sum of ``readouts[label]`` over the
+    readouts it flips (a Z readout flips on an X component, an X readout on
+    a Z component; a readout ``readouts`` lacks adds nothing).
 
     One backward sweep over the gates keeps, for every wire a gate or a
     location uses, the end-of-circuit effect of an X and of a Z injected at
-    the current point, packed into one int (X word, Z word, then the flip
-    word). Stepping back over a gate maps each of its qubits' X and Z
-    through :func:`conjugate_bits` and sums the effects of the image; an
-    ``MZ``/``MX`` adds its readout bit to the X/Z effect of its wire;
-    preparations are skipped, since they precede every labeled gate. A
-    location reads its wire's pair when the sweep reaches its gate index,
-    and Y is their sum. The sweep stops at the first location, so a gate the
-    frame rule rejects (``T``) raises only when it follows a location.
+    the current point, packed into one int (X word, Z word, then the word).
+    Stepping back over a gate sums, for each of its qubits' X and Z, the
+    effects of its image under :func:`conjugate_bits`; an ``MZ``/``MX``
+    adds its readout's word to the X/Z effect of its wire; preparations are
+    skipped, since they precede every labeled gate. A location reads its
+    wire's pair when the sweep reaches its gate index, and Y is their sum.
+    The sweep stops at the first location, so a gate the frame rule rejects
+    (``T``) raises only when it follows a location.
     """
     if not locations:
         return []
@@ -223,32 +226,34 @@ def fault_frames(circuit: Circuit, locations) -> list[tuple[tuple[int, int, int]
         if i == first:
             break
         g = gates[i]
-        if g.kind == "MZ":
-            x_eff[g.qubits[0]] ^= 1 << (2 * width + i)
-        elif g.kind == "MX":
-            z_eff[g.qubits[0]] ^= 1 << (2 * width + i)
+        if g.kind in MEASURE_KINDS:
+            read = readouts.get(g.label, 0) << 2 * width
+            (x_eff if g.kind == "MZ" else z_eff)[g.qubits[0]] ^= read
         elif g.kind not in PREP_KINDS:
             # Before the gate, a Pauli has the effect its image has after it.
-            before = [
-                (_effect(conjugate_bits(g.kind, g.qubits, 1 << q, 0), g.qubits, x_eff, z_eff),
-                 _effect(conjugate_bits(g.kind, g.qubits, 0, 1 << q), g.qubits, x_eff, z_eff))
-                for q in g.qubits
-            ]
-            for q, (vx, vz) in zip(g.qubits, before):
+            after = [v for q in g.qubits for v in (x_eff[q], z_eff[q])]
+            for q, images in zip(g.qubits, _images(g.kind, len(g.qubits))):
+                vx, vz = 0, 0
+                for k in images[0]:
+                    vx ^= after[k]
+                for k in images[1]:
+                    vz ^= after[k]
                 x_eff[q], z_eff[q] = vx, vz
     return out
 
 
-def _effect(frame: tuple[int, int], qubits: tuple[int, ...], x_eff: dict[int, int], z_eff: dict[int, int]) -> int:
-    """Summed packed effect of a Pauli ``frame`` supported on ``qubits``."""
-    x, z = frame
-    v = 0
-    for q in qubits:
-        if (x >> q) & 1:
-            v ^= x_eff[q]
-        if (z >> q) & 1:
-            v ^= z_eff[q]
-    return v
+@lru_cache(maxsize=None)
+def _images(kind: str, arity: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per operand ``j`` of a gate, the images of X_j and Z_j through it
+    (:func:`conjugate_bits`), each as the positions of its factors in
+    ``(X_0, Z_0, X_1, Z_1, ...)``."""
+    operands = tuple(range(arity))
+
+    def factors(x: int, z: int) -> tuple[int, ...]:
+        x, z = conjugate_bits(kind, operands, x, z)
+        return tuple(k for j in operands for k, bits in ((2 * j, x), (2 * j + 1, z)) if bits >> j & 1)
+
+    return tuple((factors(1 << j, 0), factors(0, 1 << j)) for j in operands)
 
 
 FaultMap = Mapping[FaultLocation, tuple[MeasurementSignature, PauliOperator]]
@@ -258,12 +263,13 @@ def fault_map(circuit: Circuit) -> FaultMap:
     """Signature and residual of X, Y and Z faults on every enumerable
     location-side, flag legs included, as a read-only mapping.
 
-    The frames come from one backward sweep (:func:`fault_frames`). The
-    map iterates in :meth:`FaultLocation.sort_key` order, so a view's
-    members are added already sorted. It is memoized by circuit content
-    (wire count, gates and layout), so the analyses of one circuit share
-    one map, and a circuit changed after a call gets the map of its new
-    content.
+    One backward sweep (:func:`fault_frames`) gives the frames; in it each
+    readout adds the signature bits it feeds, so every entry reads its
+    packed signature word with no decode. The map iterates in
+    :meth:`FaultLocation.sort_key` order, so a view's members are added
+    already sorted. It is memoized by circuit content (wire count, gates
+    and layout), so the analyses of one circuit share one map, and a
+    circuit changed after a call gets the map of its new content.
     """
     return _fault_map(circuit.n_qubits, tuple(circuit.gates), circuit.layout)
 
@@ -272,12 +278,27 @@ def fault_map(circuit: Circuit) -> FaultMap:
 def _fault_map(n_qubits: int, gates: tuple[Gate, ...], layout: CycleLayout | None) -> FaultMap:
     circuit = Circuit(n_qubits, list(gates), layout=layout)
     locations = enumerable_locations(circuit)
-    masks = _readout_masks(circuit) if locations else ()  # a circuit without faults needs no layout
+    if not locations:  # a circuit without faults needs no layout
+        return MappingProxyType({})
+    shape = signature_shape(layout)
+    # Residuals are reported in the pre-decode-Hadamard frame (an X left
+    # after a decode-side H is the same observable as a Z before it): one
+    # masked swap of the X and Z bits of those qubits.
+    swap = sum(1 << q for q in layout.decode_h_qubits)
+    block = (1 << len(DATA_QUBITS)) - 1
+    # Entries that share a signature or a residual share one object.
+    signature = cache(lambda word: MeasurementSignature(word, shape))
+    residual = cache(lambda x, z: PauliOperator(len(DATA_QUBITS), x, z))
+
+    def outcome(x: int, z: int, word: int) -> tuple[MeasurementSignature, PauliOperator]:
+        d = (x ^ z) & swap
+        return signature(word), residual((x ^ d) & block, (z ^ d) & block)
+
     # Sorting the location-sides once gives FaultLocation.sort_key order, as X < Y < Z.
-    located = sorted(zip(locations, fault_frames(circuit, locations)),
+    located = sorted(zip(locations, fault_frames(circuit, locations, _readout_feeds(layout))),
                      key=lambda item: (*_split_label(item[0][1]), item[0][2]))
     return MappingProxyType({
-        FaultLocation(label, side, pauli): _outcome(circuit, masks, *frame)
+        FaultLocation(label, side, pauli): outcome(*frame)
         for (_, label, side, _), frames in located
         for pauli, frame in zip("XYZ", frames)
     })
@@ -292,10 +313,6 @@ def inject_and_propagate(
     ``label``, or the leg is not an enumerable one.
     """
     return fault_map(circuit)[FaultLocation(label, side, pauli)]
-
-
-def trivial_signature(circuit: Circuit) -> MeasurementSignature:
-    return _outcome(circuit, _readout_masks(circuit), 0, 0, 0)[0]
 
 
 def reconstruct_meta(circuit: Circuit) -> Circuit:
@@ -388,11 +405,8 @@ def counts_as_member(
     """
     if circuit.layout.is_flag_leg(loc.label, loc.side) or ledger_covers(ledger, loc):
         return False
-    flipped = (
-        any(map(any, sig.z_syn)) or any(map(any, sig.x_syn)) or any(sig.meas)
-        or (loc.label.startswith("CN") and any(sig.flags))
-    )
-    return flipped or canonical_residual(circuit, res) != (0, 0)
+    flipped = sig.word if loc.label.startswith("CN") else sig.word >> sig.shape[3]  # flag bits are lowest
+    return bool(flipped) or canonical_residual(circuit, res) != (0, 0)
 
 
 def classify_collisions(table: DecodingTable, ledger: PerfectOpLedger = frozenset()) -> list[CollisionClass]:
@@ -404,32 +418,25 @@ def classify_collisions(table: DecodingTable, ledger: PerfectOpLedger = frozense
     they do not.
     """
     circuit = table.circuit
-    clean = trivial_signature(circuit)
+    clean = MeasurementSignature(0, signature_shape(circuit.layout))
+    # The no-error outcome always gets a class; one that no fault shares comes last.
+    entries = table.sorted_entries() + ([] if clean in table.entries else [TableEntry(clean)])
     classes: list[CollisionClass] = []
-    seen_clean = False
-    for entry in table.sorted_entries():
+    for entry in entries:
         members = [
             (loc, res) for loc, res in entry.members if counts_as_member(circuit, loc, entry.signature, res, ledger)
         ]
-        if not members and entry.signature != clean:
+        includes_no_error = entry.signature == clean
+        if not members and not includes_no_error:
             continue
-        groups: dict[tuple[int, int], list[FaultLocation]] = {}
+        groups: dict[tuple[int, int], list[FaultLocation]] = {(0, 0): []} if includes_no_error else {}
         for loc, res in members:
             groups.setdefault(canonical_residual(circuit, res), []).append(loc)
-        includes_no_error = entry.signature == clean
-        if includes_no_error:
-            seen_clean = True
-            groups.setdefault((0, 0), [])
-        distinct = len(groups)
-        if distinct <= 1:
-            verdict = "benign" if len(members) + includes_no_error > 1 else "unique"
-        else:
+        if len(groups) > 1:
             verdict = "ambiguous"
-        classes.append(
-            CollisionClass(entry.signature, verdict, members, includes_no_error, sorted(groups.items()))
-        )
-    if not seen_clean:
-        classes.append(CollisionClass(clean, "unique", [], True, [((0, 0), [])]))
+        else:
+            verdict = "benign" if len(members) + includes_no_error > 1 else "unique"
+        classes.append(CollisionClass(entry.signature, verdict, members, includes_no_error, sorted(groups.items())))
     return classes
 
 

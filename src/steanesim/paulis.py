@@ -13,10 +13,6 @@ from dataclasses import dataclass
 GENERATOR_SUPPORTS = ((1, 3, 5, 7), (2, 3, 6, 7), (4, 5, 6, 7))
 
 
-def parity(x: int) -> int:
-    return x.bit_count() & 1
-
-
 @dataclass(frozen=True)
 class PauliOperator:
     """n-qubit Pauli as paired X/Z bit vectors, phase-free."""

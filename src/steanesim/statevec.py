@@ -59,15 +59,10 @@ def zero_state(n: int) -> np.ndarray:
     return state
 
 
-def _index_of(word: str) -> int:
-    """Basis index for a q1..q7 bit string under bit q -> 1 << (q-1)."""
-    return sum(1 << i for i, ch in enumerate(word) if ch == "1")
-
-
 def _words_state(words, n: int = 7) -> np.ndarray:
     state = np.zeros(1 << n, dtype=complex)
     for w in words:
-        state[_index_of(w)] = 1.0
+        state[int(w[::-1], 2)] = 1.0  # bit q of the index is qubit q+1
     return state / np.linalg.norm(state)
 
 

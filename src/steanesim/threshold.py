@@ -112,12 +112,7 @@ def coefficient_c0(block: BlockDepth, k: int, x: int) -> int:
     gx = block.gamma * x
     B, D, E, F = R[1] + gx, R[3] + gx, R[4] + gx, R[5] + gx
     n_lineage = 7 ** (k - 1)
-    total = sum(R)
-    if k == 1:
-        sum_lineage = R[0]
-    else:
-        t_prev = total * (7 ** (k - 1) - 1) // 6  # full-list sum at level k-1
-        sum_lineage = t_prev + n_lineage * R[0]
+    sum_lineage = sum(R) * (n_lineage - 1) // 6 + n_lineage * R[0]  # T_{k-1} + 7^(k-1) * R1
     sum_A = sum_lineage + n_lineage * gx
     rest = _pair_sum_terms(0, B, D, E, F)  # the A-free terms
     linear = 2 * B + D + E + 2 * F

@@ -159,7 +159,7 @@ def check_propagation_oracle(n_faults: int = 200, seed: int = 20240817, tol: flo
     pool = []
     for name, circ in segments.items():
         locations = enumerable_locations(circ)
-        for (_, label, _, qubit), frames in zip(locations, fault_frames(circ, locations)):
+        for (_, label, _, qubit), frames in zip(locations, fault_frames(circ, locations, {})):
             for pauli, frame in zip("XYZ", frames):
                 pool.append((name, label, qubit, pauli, frame))
     picks = rng.choice(len(pool), size=n_faults, replace=True)

@@ -1,4 +1,5 @@
-"""The forward frame walk the tests check the backward sweep against.
+"""The forward frame walk and the bit-by-bit decode the tests check the
+fault map against.
 
 ``faults.fault_frames`` gets every location's frame from one backward
 sweep. This walk propagates one fault forward gate by gate instead. It
@@ -6,11 +7,28 @@ shares the conjugation rule (``paulis.conjugate_bits``) with the sweep, so
 it checks the sweep's bookkeeping (effect sums, readout bits, skipped
 preparations, where a location reads), not the rule itself; the dense
 oracle behind ``verify`` checks the rule.
+
+``faults.fault_map`` packs each signature into one word inside the sweep.
+:func:`decode` reads a walked frame's flip word instead, one parity per
+signature bit, into the nested tuples of :class:`ReferenceSignature`, and
+applies the decode-side Hadamards to the residual gate by gate.
 """
 from __future__ import annotations
 
-from steanesim.circuits import PREP_KINDS, Circuit
-from steanesim.paulis import conjugate_bits
+from dataclasses import dataclass
+
+from steanesim.circuits import DATA_QUBITS, PREP_KINDS, Circuit
+from steanesim.paulis import GENERATOR_SUPPORTS, PauliOperator, conjugate_bits
+
+
+def parity(x: int) -> int:
+    return x.bit_count() & 1
+
+
+def flip_bits(circuit: Circuit) -> dict[str, int]:
+    """Bit ``i`` for the readout at gate index ``i``: as the ``readouts`` of
+    ``fault_frames``, they make its word the flip word of :func:`propagate_fault`."""
+    return {g.label: 1 << i for i, g in enumerate(circuit.gates) if g.is_measurement}
 
 
 def propagate_fault(circuit: Circuit, start: int, qubit: int, pauli: str) -> tuple[int, int, int]:
@@ -36,3 +54,60 @@ def propagate_fault(circuit: Circuit, start: int, qubit: int, pauli: str) -> tup
         elif g.kind not in PREP_KINDS:
             x, z = conjugate_bits(g.kind, g.qubits, x, z)
     return x, z, flips
+
+
+@dataclass(frozen=True)
+class ReferenceSignature:
+    """A signature as nested bit tuples, printed the way the map prints one."""
+
+    z_syn: tuple[tuple[int, int, int], ...]  # one triple per Z-stabilizer round
+    x_syn: tuple[tuple[int, int, int], ...]
+    meas: tuple[int, ...]                    # terminal data readout, qubit order
+    flags: tuple[int, ...]                   # one parity bit per flag gadget
+
+    def agreed_z(self) -> tuple[int, int, int] | None:
+        return self.z_syn[0] if len(set(self.z_syn)) == 1 else None
+
+    def agreed_x(self) -> tuple[int, int, int] | None:
+        return self.x_syn[0] if len(set(self.x_syn)) == 1 else None
+
+    def __str__(self) -> str:
+        zs = "/".join("".join(map(str, t)) for t in self.z_syn)
+        xs = "/".join("".join(map(str, t)) for t in self.x_syn)
+        ms = "".join(map(str, self.meas))
+        fs = "".join(map(str, self.flags))
+        out = f"zSyn={zs} xSyn={xs} meas={ms}"
+        return out + (f" flags={fs}" if self.flags else "")
+
+
+def readout_masks(circuit: Circuit):
+    """Every signature bit as a mask over the flip word, in the shape of
+    :class:`ReferenceSignature`: the bit is the parity of the flips its
+    mask selects."""
+    flip = flip_bits(circuit)
+    layout = circuit.layout
+
+    def syndromes(rounds) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(sum(flip[row[q - 1]] for q in s) for s in GENERATOR_SUPPORTS) for row in rounds)
+
+    return (
+        syndromes(layout.z_rounds),
+        syndromes(layout.x_rounds),
+        tuple(flip[lbl] for _, _, lbl in layout.terminal_meas),
+        tuple(flip[a] | flip[b] for a, b in (plan.meas_labels for plan in layout.gadgets)),
+    )
+
+
+def decode(circuit: Circuit, masks, x: int, z: int, flips: int) -> tuple[ReferenceSignature, PauliOperator]:
+    """Signature and block residual of a walked frame."""
+    z_rounds, x_rounds, terminal, flags = masks
+
+    def read(bits: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(parity(flips & m) for m in bits)
+
+    sig = ReferenceSignature(tuple(map(read, z_rounds)), tuple(map(read, x_rounds)), read(terminal), read(flags))
+    # Residuals are reported in the pre-decode-Hadamard frame.
+    for q in circuit.layout.decode_h_qubits:
+        x, z = conjugate_bits("H", (q,), x, z)
+    mask = (1 << len(DATA_QUBITS)) - 1
+    return sig, PauliOperator(len(DATA_QUBITS), x & mask, z & mask)

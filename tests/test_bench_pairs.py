@@ -17,13 +17,15 @@ def load_bench_pairs():
     return module
 
 
-def pairs(scale: dict[str, float]) -> list[dict]:
-    """Ten pairs around PARENT; the change's values are scaled per metric."""
+def pairs(scale: dict[str, float], ops: tuple[int, int] = (260, 270)) -> list[dict]:
+    """Ten pairs around PARENT; the change's values are scaled per metric.
+    Each run attempts about ``ops`` ops (parent, change), two more in odd pairs."""
     out = []
     for i in range(10):
         jitter = 1 + (i - 4.5) / 1000
         parent = {name: v * jitter for name, v in PARENT.items()}
         change = {name: v * scale.get(name, 1.0) for name, v in parent.items()}
+        parent["attempted"], change["attempted"] = (n + 2 * (i % 2) for n in ops)
         out.append({"parent": parent, "change": change})
     return out
 
@@ -36,14 +38,16 @@ def test_changes_within_their_bounds_pass():
     assert abs(summary["op_p50_ms"]["relative_change"] - 0.05) < 1e-12
     assert abs(summary["ops_per_s"]["relative_change"] - 0.3) < 1e-12
     assert all(s["within_bound"] for s in summary.values())
+    assert all(s["attempted"] == {"parent": 261, "change": 271} for s in summary.values())
     assert bench_pairs.outside_bounds(summary) == []
 
 
 def test_peak_rss_eleven_percent_worse_is_outside_its_bound():
     bench_pairs = load_bench_pairs()
-    summary = bench_pairs.summarize(pairs({"peak_rss_mb": 1.11, "ops_per_s": 0.9}), METRICS)
+    summary = bench_pairs.summarize(pairs({"peak_rss_mb": 1.11, "ops_per_s": 0.9}, ops=(1600, 3040)), METRICS)
     assert summary["peak_rss_mb"]["bound"] == 0.1
     assert not summary["peak_rss_mb"]["within_bound"]
     assert summary["ops_per_s"]["within_bound"]  # 10% fewer ops is inside its 25% bound
     [line] = bench_pairs.outside_bounds(summary)
     assert line.startswith("peak_rss_mb +11.0% is outside its bound of 10%")
+    assert line.endswith("ops attempted: parent median 1601, change median 3041)")

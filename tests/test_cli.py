@@ -298,24 +298,35 @@ def test_flags_on_a_file_uses_its_own_ledgers(tmp_path, capsys):
     ("resources", "--gate", "t", "--k", "400"),
     ("resources", "--k", "5087"),
     ("resources", "--k", "6000", "--format", "json"),
+    ("tables", "--out", "a.csv", "--out-dir", "d"),
+    ("threshold", "--curves", "c.csv", "--out", "t.csv"),
+    ("resources", "--cnot-time", "inf"),
+    ("resources", "--count", "5", "--format", "json"),
 ], ids=["missing-file", "resources-k0", "threshold-k0", "curves-k0", "threshold-r-negative", "curves-r0",
         "verify-faults-negative", "verify-seed-negative", "resources-x0", "resources-x-negative",
         "resources-cnot-time-negative", "resources-cnot-time-zero", "resources-cnot-time-inf",
         "resources-runtime-count-overflow", "threshold-k-overflow", "curves-k-overflow",
-        "resources-runtime-k-overflow", "resources-k-unprintable", "resources-k-unprintable-json"])
+        "resources-runtime-k-overflow", "resources-k-unprintable", "resources-k-unprintable-json",
+        "tables-out-and-out-dir", "curves-and-out", "resources-cnot-time-without-gate",
+        "resources-count-without-gate"])
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert main(list(argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []  # nothing written, not even the files an option names
     if argv[0] == "verify":
         assert f"{argv[1]} must be >= 0" in captured.err
     if argv[-2:] in (("--k", "1024"), ("--k", "400")):  # too large for a float: the message names k
         assert re.search(rf"\bk\b.*{argv[-1]}", captured.err)
-    if argv[-2] == "--count":  # ... and for a runtime, the gate counts too
+    if "--gate" not in argv and argv[0] == "resources" and argv[1] in ("--count", "--cnot-time"):
+        assert "--count and --cnot-time need --gate" in captured.err
+    elif argv[-2] == "--count":  # ... and for a runtime, the gate counts too
         assert f"gate counts {{'t': {argv[-1]}}} at k=1" in captured.err
-    if argv[-2] == "--cnot-time":
+    elif argv[-2] == "--cnot-time":
         assert "cnot_time must be positive and finite" in captured.err
+    if "--out" in argv:  # an option that would be ignored is named
+        assert "cannot be combined" in captured.err
     if argv[:2] == ("resources", "--k") and int(argv[2]) > 5086:  # counts past the default 4300 printable digits
         assert f"--k {argv[2]} gives CNOT counts of more than 4300 digits" in captured.err
 

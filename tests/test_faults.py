@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forward_reference import propagate_fault
+from forward_reference import decode, flip_bits, propagate_fault, readout_masks
 from golden_tables import X_PERFECT, X_TABLE, Z_PERFECT, Z_TABLE
 from steanesim import faults as faults_module
 from steanesim.builders import AUX_GADGETS, FLAG_GADGETS, build_full_ec_circuit
@@ -331,19 +331,40 @@ def test_reconstructed_meta_matches_built_analysis(name):
     assert analysis_record(reparsed) == pinned
 
 
+def reference_map(circuit: Circuit) -> dict:
+    """Every fault of the map, walked forward and decoded bit by bit; Y is
+    propagated directly here, while the map sums X and Z."""
+    masks = readout_masks(circuit)
+    return {
+        FaultLocation(label, side, pauli): decode(circuit, masks, *propagate_fault(circuit, start, qubit, pauli))
+        for start, label, side, qubit in enumerable_locations(circuit)
+        for pauli in ("X", "Y", "Z")
+    }
+
+
 @pytest.mark.parametrize("kwargs", BUILD_CONFIGS.values(), ids=BUILD_CONFIGS.keys())
 def test_fault_map_matches_single_fault_propagation(kwargs):
-    # Y entries are X xor Z in the map and propagated directly here, by the
-    # forward walk, and decoded the map's way.
     circuit = build_full_ec_circuit(**kwargs)
     faults = fault_map(circuit)
-    locations = enumerable_locations(circuit)
-    masks = faults_module._readout_masks(circuit)
-    assert len(faults) == 3 * len(locations)
-    for start, label, side, qubit in locations:
-        for pauli in ("X", "Y", "Z"):
-            expected = faults_module._outcome(circuit, masks, *propagate_fault(circuit, start, qubit, pauli))
-            assert faults[FaultLocation(label, side, pauli)] == expected, (label, side, pauli)
+    reference = reference_map(circuit)
+    assert faults.keys() == reference.keys()
+    for loc, (want, want_res) in reference.items():
+        sig, res = faults[loc]
+        got = (sig.z_syn, sig.x_syn, sig.meas, sig.flags, str(sig), sig.agreed_x(), sig.agreed_z(), res)
+        assert got == (want.z_syn, want.x_syn, want.meas, want.flags, str(want), want.agreed_x(), want.agreed_z(),
+                       want_res), loc
+
+
+@pytest.mark.parametrize("kwargs", BUILD_CONFIGS.values(), ids=BUILD_CONFIGS.keys())
+def test_signature_words_sort_in_tuple_order(kwargs):
+    # sorted_entries sorts by the packed word; the tables' row order is the
+    # order of the (z_syn, x_syn, meas, flags) tuples.
+    circuit = build_full_ec_circuit(**kwargs)
+    faults = fault_map(circuit)
+    reference = {loc: (s.z_syn, s.x_syn, s.meas, s.flags) for loc, (s, _) in reference_map(circuit).items()}
+    assert sorted(faults, key=lambda loc: faults[loc][0].word) == sorted(faults, key=reference.__getitem__)
+    words = {sig.word for sig, _ in faults.values()}
+    assert len(words) == len(set(reference.values()))
 
 
 @pytest.mark.parametrize("kwargs", BUILD_CONFIGS.values(), ids=BUILD_CONFIGS.keys())
@@ -386,7 +407,7 @@ def test_backward_sweep_matches_forward_propagation(gates, data):
     circuit = Circuit(SWEEP_WIRES, [Gate(kind, qubits, f"G{i}") for i, (kind, qubits) in enumerate(gates)])
     pairs = st.tuples(st.integers(0, len(gates) - 1), st.integers(0, SWEEP_WIRES - 1))
     locations = [(start, f"G{start}", "single", qubit) for start, qubit in data.draw(st.lists(pairs, min_size=1))]
-    frames = fault_frames(circuit, locations)
+    frames = fault_frames(circuit, locations, flip_bits(circuit))
     for (start, _, _, qubit), (x_frame, y_frame, z_frame) in zip(locations, frames):
         assert x_frame == propagate_fault(circuit, start, qubit, "X")
         assert y_frame == propagate_fault(circuit, start, qubit, "Y")
@@ -398,9 +419,9 @@ def test_backward_sweep_rejects_t_after_the_first_location():
     with pytest.raises(ValueError):
         propagate_fault(circuit, 0, 0, "X")
     with pytest.raises(ValueError):
-        fault_frames(circuit, [(0, "G0", "single", 0)])
+        fault_frames(circuit, [(0, "G0", "single", 0)], {})
     # A T before every location is never stepped over, forward or backward.
-    [(x_frame, y_frame, z_frame)] = fault_frames(circuit, [(1, "G1", "single", 0)])
+    [(x_frame, y_frame, z_frame)] = fault_frames(circuit, [(1, "G1", "single", 0)], {})
     assert x_frame == propagate_fault(circuit, 1, 0, "X")
     assert y_frame == propagate_fault(circuit, 1, 0, "Y")
     assert z_frame == propagate_fault(circuit, 1, 0, "Z")

