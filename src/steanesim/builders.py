@@ -35,8 +35,8 @@ H) expand to the rows of :func:`ancilla_prep`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .circuits import MEASURE_KINDS, Circuit, Gate, copy_label, derive_layout
 
@@ -238,8 +238,7 @@ def build_full_ec_circuit(
 # Gate gadgets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GadgetSpec:
+class GadgetSpec(NamedTuple):
     """Named gadget request; ``repetitions`` counts verification rounds."""
 
     name: str

@@ -12,8 +12,8 @@ reads it off these labels, for built and parsed circuits alike.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 ONE_QUBIT_KINDS = {"H", "S", "SDG", "T", "TDG", "X", "Z", "Y", "PREP0", "PREPP", "MZ", "MX"}
 TWO_QUBIT_KINDS = {"CNOT", "CAT2"}
@@ -24,43 +24,58 @@ MEASURE_KINDS = {"MZ", "MX"}
 DATA_QUBITS = range(7)  # the code block's wires in every encode/decode cycle
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One labeled gate."""
-
+class _GateFields(NamedTuple):
     kind: str
     qubits: tuple[int, ...]
     label: str
 
-    def __post_init__(self):
-        if self.kind in ONE_QUBIT_KINDS:
+
+class Gate(_GateFields):
+    """One labeled gate."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, qubits: tuple[int, ...], label: str):
+        if kind in ONE_QUBIT_KINDS:
             want = 1
-        elif self.kind in TWO_QUBIT_KINDS:
+        elif kind in TWO_QUBIT_KINDS:
             want = 2
-        elif self.kind in THREE_QUBIT_KINDS:
+        elif kind in THREE_QUBIT_KINDS:
             want = 3
-        elif self.kind in MACRO_KINDS:
+        elif kind in MACRO_KINDS:
             want = 7
         else:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(self.qubits) != want:
-            raise ValueError(f"{self.kind} takes {want} qubit(s), got {self.qubits}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"{self.label}: repeated operand in {self.qubits}")
+            raise ValueError(f"unknown gate kind {kind!r}")
+        if len(qubits) != want:
+            raise ValueError(f"{kind} takes {want} qubit(s), got {qubits}")
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"{label}: repeated operand in {qubits}")
+        return tuple.__new__(cls, (kind, qubits, label))
 
     @property
     def is_measurement(self) -> bool:
         return self.kind in MEASURE_KINDS
 
 
-@dataclass
 class Circuit:
     """Ordered gate list over ``n_qubits`` wires."""
 
-    n_qubits: int
-    gates: list[Gate] = field(default_factory=list)
-    name: str = ""
-    layout: CycleLayout | None = field(default=None, compare=False)
+    def __init__(self, n_qubits: int, gates: list[Gate] | None = None, name: str = "",
+                 layout: CycleLayout | None = None):
+        self.n_qubits = n_qubits
+        self.gates = [] if gates is None else gates
+        self.name = name
+        self.layout = layout
+
+    def __eq__(self, other):
+        """Same wires, gates and name; the layout is derived from the gates."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n_qubits, self.gates, self.name) == (other.n_qubits, other.gates, other.name)
+
+    def __repr__(self) -> str:
+        return (f"Circuit(n_qubits={self.n_qubits!r}, gates={self.gates!r}, name={self.name!r}, "
+                f"layout={self.layout!r})")
 
     def append(self, gate: Gate) -> None:
         self.gates.append(gate)
@@ -91,8 +106,7 @@ class Circuit:
         return len({base_label(g.label) for g in self.gates if g.kind == "CNOT"})
 
 
-@dataclass(frozen=True)
-class FlagPlan:
+class FlagPlan(NamedTuple):
     """One flag gadget: a cat pair of flag qubits bracketing a data wire.
 
     X-type gadgets couple wire->flag and read the flags in the Z basis;
@@ -111,16 +125,18 @@ class FlagPlan:
         return "target" if self.kind == "X" else "control"
 
 
-@dataclass(frozen=True)
-class CycleLayout:
-    """Readout structure of one encode/syndrome/decode cycle."""
-
+class _LayoutFields(NamedTuple):
     block: str                                       # "data" or "aux"
     x_rounds: tuple[tuple[str, ...], ...]            # ancilla readout labels per round, data-qubit order
     z_rounds: tuple[tuple[str, ...], ...]
     terminal_meas: tuple[tuple[int, str, str], ...]  # (data qubit, basis, label)
     decode_h_qubits: tuple[int, ...]
     gadgets: tuple[FlagPlan, ...]
+
+
+class CycleLayout(_LayoutFields):
+    """Readout structure of one encode/syndrome/decode cycle. Instances keep
+    a ``__dict__`` (no ``__slots__``) for the per-layout cached masks."""
 
     @cached_property
     def flag_legs(self) -> frozenset[tuple[str, str]]:

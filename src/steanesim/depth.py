@@ -11,9 +11,9 @@ the Y-type depth equals the X-type depth and the Z-type depth is zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil
+from typing import NamedTuple
 
 from .builders import build_full_ec_circuit
 from .circuits import DATA_QUBITS, Circuit
@@ -29,8 +29,7 @@ from .faults import (
 )
 
 
-@dataclass(frozen=True)
-class DepthProfile:
+class DepthProfile(NamedTuple):
     """Per-qubit effective fault-location counts, qubits 1..7."""
 
     r_x: tuple[int, ...]
@@ -38,16 +37,20 @@ class DepthProfile:
     r_z: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BlockDepth:
+class _BlockDepthFields(NamedTuple):
+    R: tuple[int, ...]
+    gamma: int
+
+
+class BlockDepth(_BlockDepthFields):
     """Period coefficients R_1..R_7 and the syndrome/recovery depth."""
 
-    R: tuple[int, ...]
-    gamma: int = 4  # the paper's syndrome/recovery depth
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.R) != 7:
+    def __new__(cls, R: tuple[int, ...], gamma: int = 4):  # gamma: the paper's syndrome/recovery depth
+        if len(R) != 7:
             raise ValueError("expected seven R coefficients")
+        return tuple.__new__(cls, (R, gamma))
 
 
 def count_fault_locations(

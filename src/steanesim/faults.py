@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .circuits import DATA_QUBITS, MEASURE_KINDS, PREP_KINDS, Circuit, CycleLayout, Gate, base_label, derive_layout
 from .paulis import GENERATOR_SUPPORTS, PauliOperator, conjugate_bits
@@ -31,8 +31,7 @@ from .paulis import GENERATOR_SUPPORTS, PauliOperator, conjugate_bits
 _LOC_RE = re.compile(r"^(C|CN|H)(\d+)(?:\.(\d+))?$")
 
 
-@dataclass(frozen=True)
-class FaultLocation:
+class FaultLocation(NamedTuple):
     """One fault location-side: gate label (with round-copy suffix), leg, Pauli."""
 
     label: str
@@ -77,8 +76,7 @@ def location_from_name(name: str) -> tuple[str, str, str]:
     return (f"{kind}{num}", "control" if side == "C" else "target", pauli)
 
 
-@dataclass(frozen=True)
-class MeasurementSignature:
+class MeasurementSignature(NamedTuple):
     """Deterministic flip pattern of every readout relative to a clean run.
 
     The pattern is one packed word, read most significant bit first: a
@@ -127,21 +125,28 @@ class MeasurementSignature:
         return out + (f" flags={fs}" if fs else "")
 
 
-@dataclass
-class TableEntry:
+class TableEntry(NamedTuple):
     signature: MeasurementSignature
-    members: list[tuple[FaultLocation, PauliOperator]] = field(default_factory=list)
+    members: list[tuple[FaultLocation, PauliOperator]]  # no default: a default list would be shared
 
 
-@dataclass
 class DecodingTable:
     """Map from measurement signature to the faults that produce it."""
 
-    circuit: Circuit
-    entries: dict[MeasurementSignature, TableEntry] = field(default_factory=dict)
+    def __init__(self, circuit: Circuit, entries: dict[MeasurementSignature, TableEntry] | None = None):
+        self.circuit = circuit
+        self.entries = {} if entries is None else entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.circuit, self.entries) == (other.circuit, other.entries)
+
+    def __repr__(self) -> str:
+        return f"DecodingTable(circuit={self.circuit!r}, entries={self.entries!r})"
 
     def add(self, sig: MeasurementSignature, loc: FaultLocation, residual: PauliOperator) -> None:
-        self.entries.setdefault(sig, TableEntry(sig)).members.append((loc, residual))
+        self.entries.setdefault(sig, TableEntry(sig, [])).members.append((loc, residual))
 
     def sorted_entries(self) -> list[TableEntry]:
         """Entries in signature order. Members keep the order they were
@@ -370,8 +375,7 @@ def _view(circuit: Circuit, faults: FaultMap, view: str) -> DecodingTable:
 PerfectOpLedger = frozenset  # of (base label, side, pauli) keys
 
 
-@dataclass
-class CollisionClass:
+class CollisionClass(NamedTuple):
     signature: MeasurementSignature
     verdict: str  # "unique" | "benign" | "ambiguous"
     members: list[tuple[FaultLocation, PauliOperator]]
@@ -420,7 +424,7 @@ def classify_collisions(table: DecodingTable, ledger: PerfectOpLedger = frozense
     circuit = table.circuit
     clean = MeasurementSignature(0, signature_shape(circuit.layout))
     # The no-error outcome always gets a class; one that no fault shares comes last.
-    entries = table.sorted_entries() + ([] if clean in table.entries else [TableEntry(clean)])
+    entries = table.sorted_entries() + ([] if clean in table.entries else [TableEntry(clean, [])])
     classes: list[CollisionClass] = []
     for entry in entries:
         members = [
@@ -481,8 +485,7 @@ def ledger_names(ledger: PerfectOpLedger) -> list[str]:
 # Flag-gadget usage conditions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FlagConditionReport:
+class FlagConditionReport(NamedTuple):
     gadget_id: int
     kind: str
     cn_labels: tuple[str, str]

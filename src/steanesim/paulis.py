@@ -7,24 +7,28 @@ display helpers render 1-indexed names like ``X1X6``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Stabilizer generator supports, 1-indexed qubits {1,3,5,7}, {2,3,6,7}, {4,5,6,7}.
 GENERATOR_SUPPORTS = ((1, 3, 5, 7), (2, 3, 6, 7), (4, 5, 6, 7))
 
 
-@dataclass(frozen=True)
-class PauliOperator:
+class _PauliFields(NamedTuple):
+    n: int
+    x_bits: int
+    z_bits: int
+
+
+class PauliOperator(_PauliFields):
     """n-qubit Pauli as paired X/Z bit vectors, phase-free."""
 
-    n: int
-    x_bits: int = 0
-    z_bits: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        mask = (1 << self.n) - 1
-        if self.x_bits & ~mask or self.z_bits & ~mask:
-            raise ValueError(f"bit vectors exceed {self.n} qubits")
+    def __new__(cls, n: int, x_bits: int = 0, z_bits: int = 0):
+        mask = (1 << n) - 1
+        if x_bits & ~mask or z_bits & ~mask:
+            raise ValueError(f"bit vectors exceed {n} qubits")
+        return tuple.__new__(cls, (n, x_bits, z_bits))
 
     @classmethod
     def single(cls, n: int, qubit: int, kind: str) -> "PauliOperator":

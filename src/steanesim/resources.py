@@ -9,8 +9,8 @@ CNOT is replaced transversally, so counts grow by a factor of 7 per level
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import pinned
 from .builders import build_full_ec_circuit, build_t_gadget, build_toffoli_gadget
@@ -19,8 +19,7 @@ from .depth import BlockDepth
 LEVEL_GROWTH_FACTOR = 7
 
 
-@dataclass(frozen=True)
-class RuntimeEstimate:
+class RuntimeEstimate(NamedTuple):
     total_cnots: int
     cnot_time: float
     seconds: float
@@ -66,8 +65,7 @@ def estimate_runtime(
         raise ValueError(f"gate counts {gate_counts} at k={k} give more CNOTs than a float can time") from None
 
 
-@dataclass(frozen=True)
-class DepthCheck:
+class DepthCheck(NamedTuple):
     k: int
     x: int
     per_qubit_depth: int

@@ -15,7 +15,7 @@ T_j = (R1+...+R7) * (7^j - 1) / 6.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .depth import BlockDepth
 
@@ -26,15 +26,13 @@ MAX_LITERAL_LEVEL = 8
 MAX_LEVEL = 1023  # the largest k whose root exponent 1/(2^k - 1) a float can hold
 
 
-@dataclass(frozen=True)
-class ConcatenationProfile:
+class ConcatenationProfile(NamedTuple):
     base: BlockDepth
     level: int
     expanded: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ThresholdQuery:
+class ThresholdQuery(NamedTuple):
     k: int
     r: int | None           # None = transversal limit (r -> infinity)
     gate_class: str
@@ -53,8 +51,7 @@ class ThresholdQuery:
         return self.r * self.x / self.r0
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     k: int
     r: int | None
     gate_class: str

@@ -51,3 +51,37 @@ def test_peak_rss_eleven_percent_worse_is_outside_its_bound():
     [line] = bench_pairs.outside_bounds(summary)
     assert line.startswith("peak_rss_mb +11.0% is outside its bound of 10%")
     assert line.endswith("ops attempted: parent median 1601, change median 3041)")
+
+
+def test_label_medians_give_each_sides_raw_median_per_label():
+    bench_pairs = load_bench_pairs()
+    runs = pairs({})
+    for i, pair in enumerate(runs):
+        pair["parent"]["op_ms_by_label"] = {"depth": 130.0 + i, "verify": 330.0 + i}
+        pair["change"]["op_ms_by_label"] = {"depth": 110.0 + i} | ({"verify": 315.0} if i < 9 else {})
+    runs.append({"parent": {"correct": False}, "change": {"correct": False}})  # a failed pair reads nothing
+    assert bench_pairs.label_medians(runs) == {
+        "depth": {"parent": 134.5, "change": 114.5},
+        "verify": {"parent": 334.5, "change": 315.0},
+    }
+    assert bench_pairs.label_medians([runs[-1]]) == {}
+
+
+def test_a_run_reads_its_checkouts_results_file(tmp_path):
+    # A stand-in benchmark that writes the results file and prints the summary line.
+    bench_pairs = load_bench_pairs()
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, pathlib, sys\n"
+        "args = dict(zip(sys.argv[1::2], sys.argv[2::2]))\n"
+        "results = pathlib.Path('perfbench/results')\n"
+        "results.mkdir()\n"
+        "stem = f\"{args['--workload']}-seed{args['--seed']}-trace{args['--trace']}\"\n"
+        "(results / f'{stem}.json').write_text(json.dumps({'op_ms_by_label': {'verify': 321.5}}))\n"
+        "print(json.dumps({'correct': True, 'attempted': 40, 'failed': 0,\n"
+        "                  'metrics': {'ops_per_s': {'value': 7.5, 'unit': '1/s'}}}))\n",
+        encoding="utf-8",
+    )
+    run = bench_pairs.run_once(tmp_path, "reproduce", 3)
+    assert run == {"ops_per_s": 7.5, "correct": True, "attempted": 40, "failed": 0,
+                   "op_ms_by_label": {"verify": 321.5}}

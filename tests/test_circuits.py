@@ -147,7 +147,9 @@ def test_validate_rejects_gate_after_measurement():
 
 
 def test_gate_kind_arity_checked():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"CNOT takes 2 qubit\(s\), got \(0,\)"):
         Gate("CNOT", (0,), "C1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown gate kind 'WIBBLE'"):
         Gate("WIBBLE", (0,), "G1")
+    with pytest.raises(ValueError, match=r"C5: repeated operand in \(4, 4\)"):
+        Gate("CNOT", (4, 4), "C5")

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -25,6 +27,16 @@ ROOT = Path(__file__).resolve().parents[1]
 def run(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_numpy():
+    # Every subcommand runs as a fresh process that pays this import; only
+    # verify loads numpy, and no record type generates code at import.
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    probe = "import steanesim.cli, sys; print(sorted({'dataclasses', 'inspect', 'numpy'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                          stdout=subprocess.PIPE, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_tables_1a_first_row(capsys):

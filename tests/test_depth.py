@@ -69,6 +69,9 @@ def test_zero_profile_gives_zero_R():
 def test_block_depth_requires_seven_entries():
     with pytest.raises(ValueError):
         BlockDepth((1, 2, 3))
+    with pytest.raises(ValueError, match="expected seven R coefficients"):
+        BlockDepth(tuple(range(8)), gamma=4)
+    assert BlockDepth(tuple(range(7))) == BlockDepth(R=tuple(range(7)), gamma=4)
 
 
 def test_counts_agree_with_enumeration_location_by_location():

@@ -16,7 +16,10 @@ from steanesim.builders import AUX_GADGETS, FLAG_GADGETS, build_full_ec_circuit
 from steanesim.circuits import Circuit, Gate, parse, serialize
 from steanesim.depth import count_fault_locations
 from steanesim.faults import (
+    DecodingTable,
     FaultLocation,
+    MeasurementSignature,
+    TableEntry,
     canonical_residual,
     check_flag_conditions,
     classify_collisions,
@@ -230,6 +233,33 @@ def test_ledger_covers_a_fault_by_its_own_leg_and_components():
     assert ledger_covers(frozenset({z_key}), z) and not ledger_covers(frozenset({x_key, y_key}), z)
     # Every syndrome-round copy shares its gate's key.
     assert ledger_covers(frozenset({location_from_name("X22^C")}), FaultLocation("C22.2", "control", "Y"))
+
+
+def test_record_hazards():
+    # Mutable state is never shared between records: each new signature
+    # gets its own member list, each fresh circuit its own gate list.
+    table = DecodingTable(Circuit(7))
+    a, b = MeasurementSignature(1, (0, 0, 1, 0)), MeasurementSignature(0, (0, 0, 1, 0))
+    table.add(a, FaultLocation("C1", "control", "X"), PauliOperator(7))
+    table.add(b, FaultLocation("C2", "control", "X"), PauliOperator(7))
+    assert [len(e.members) for e in table.sorted_entries()] == [1, 1]
+    assert table.entries[a].members is not table.entries[b].members
+    assert TableEntry._field_defaults == {}  # a default list would be one list for every entry
+    first, second = Circuit(3), Circuit(3)
+    first.add("H", (0,), "H1")
+    assert second.gates == [] and first != second
+    # Validation still runs on every construction.
+    with pytest.raises(ValueError, match="bit vectors exceed 2 qubits"):
+        PauliOperator(2, 0b100)
+    with pytest.raises(ValueError, match="bit vectors exceed 3 qubits"):
+        PauliOperator(3, 0, 0b1000)
+    # Records are tuples, so a location equals the plain ledger key of the
+    # same fields; ledgers hold only such plain keys and are only probed
+    # with them, so no set or mapping holds both.
+    loc = FaultLocation("C22.2", "control", "X")
+    assert loc == ("C22.2", "control", "X") and loc.ledger_key() == ("C22", "control", "X")
+    assert type(loc.ledger_key()) is tuple
+    assert all(type(key) is tuple for key in ledger_from_names(["X22^C", "ZH1"]))
 
 
 def test_y_view_honours_the_union_ledger(data_flags_on):

@@ -44,11 +44,11 @@ def test_expand_levels_examples():
 
 def test_coefficient_anchors():
     assert DATA.gamma == AUX.gamma == 4
-    assert coefficient_c0(DATA, 1, 3) == 11786
-    assert coefficient_c0(AUX, 1, 2) == 4722
+    assert coefficient_c0(DATA, 1, 3) == pinned.C_DATA_K1_X3
+    assert coefficient_c0(AUX, 1, 2) == pinned.C_AUX_K1_X2
     # the same anchors recovered from the level-1 table: p_th = x / c
-    assert round(3 / pinned.TABLE_1A_DATA[1][1]) == 11786
-    assert round(2 / pinned.TABLE_1B_AUX[1][1]) == 4722
+    assert round(3 / pinned.TABLE_1A_DATA[1][1]) == pinned.C_DATA_K1_X3
+    assert round(2 / pinned.TABLE_1B_AUX[1][1]) == pinned.C_AUX_K1_X2
 
 
 def test_coefficient_matches_pairwise_oracle():

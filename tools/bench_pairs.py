@@ -61,7 +61,8 @@ def source_sha256(checkout: Path) -> str:
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """One benchmark run: its end-to-end metric values and ``correct`` flag."""
+    """One benchmark run: its end-to-end metric values, ``correct`` flag, op
+    counts and raw median ms per op label."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
@@ -69,7 +70,10 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
         return {"correct": False, "error": proc.stderr.strip().splitlines()[-1:]}
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     values = {name: m["value"] for name, m in result["metrics"].items()}
-    return {**values, "correct": result["correct"], "attempted": result["attempted"], "failed": result["failed"]}
+    results = checkout / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+    by_label = json.loads(results.read_text(encoding="utf-8"))["op_ms_by_label"]
+    return {**values, "correct": result["correct"], "attempted": result["attempted"], "failed": result["failed"],
+            "op_ms_by_label": by_label}
 
 
 def spread(values: list[float]) -> dict:
@@ -98,6 +102,15 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "attempted": attempted,
         }
     return out
+
+
+def label_medians(pairs: list[dict]) -> dict:
+    """Per op label, each side's median of its runs' raw ms per op (None
+    for a side with no run that did the label)."""
+    runs = {side: [p[side].get("op_ms_by_label", {}) for p in pairs] for side in ("parent", "change")}
+    labels = sorted({label for by_label in runs["parent"] + runs["change"] for label in by_label})
+    return {label: {side: statistics.median(v) if (v := [r[label] for r in runs[side] if label in r]) else None
+                    for side in runs} for label in labels}
 
 
 def outside_bounds(summary: dict) -> list[str]:
@@ -144,6 +157,8 @@ def main(argv: list[str] | None = None) -> int:
                 summary = summarize(pairs, metrics)
                 report["runs"][f"{workload}/seed{seed}"] = {
                     "workload": workload, "seed": seed, "pairs": pairs, "summary": summary,
+                    "op_ms_by_label": {"unit": "ms per op, raw: not scaled by the calibration loop",
+                                       "median": label_medians(pairs)},
                 }
                 for line in outside_bounds(summary) or ["every metric within its bound"]:
                     print(f"{workload} seed={seed}: {line}", flush=True)
