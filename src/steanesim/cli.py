@@ -178,8 +178,8 @@ TABLES = {
 }
 
 
-def _table(name: str) -> tuple[list[str], bool]:
-    """A table's CSV lines, and whether every entry matches its pinned value."""
+def _table(name: str) -> tuple[list[str], list[str]]:
+    """A table's CSV lines, and one line per entry that disagrees with its pinned value."""
     block, gate, pinned_map = TABLES[name]
     depth = block_analysis(block)[4]
     if gate is None:
@@ -188,8 +188,18 @@ def _table(name: str) -> tuple[list[str], bool]:
     else:
         results = generate_table_2(depth, gate)
         lines = ["k,r,x_star,max_p_th"] + [f"{r.k},{_r(r.r)},{r.x_star},{_fmt(r.max_p_th)}" for r in results]
-    pins = [pinned_map[r.k] if gate is None else (r.x_star, pinned_map[(r.k, r.r)]) for r in results]
-    return lines, all(r.x_star == x and abs(r.max_p_th - p) <= 1e-9 * p for r, (x, p) in zip(results, pins))
+    failures = []
+    for r in results:
+        if gate is None:  # tables 1a/1b pin x_star too
+            (x, p), where = pinned_map[r.k], f"k={r.k}"
+            got, want = f"x={r.x_star} p_th={_fmt(r.max_p_th)}", f"x={x} p_th={_fmt(p)}"
+        else:
+            x, p, where = r.x_star, pinned_map[(r.k, r.r)], f"k={r.k} r={_r(r.r)}"
+            got, want = f"max_p_th={_fmt(r.max_p_th)}", f"max_p_th={_fmt(p)}"
+        if r.x_star != x or abs(r.max_p_th - p) > 1e-9 * p:
+            failures.append(f"table {name} {where}: regenerated {got}, pinned {want}, "
+                            f"relative error {abs(r.max_p_th - p) / p:.3e}")
+    return lines, failures
 
 
 def cmd_tables(args) -> int:
@@ -201,10 +211,10 @@ def cmd_tables(args) -> int:
             _write("\n".join(lines), str(Path(args.out_dir) / f"table{name}.csv"))
     else:
         _emit(args, {"text": [line for lines, _ in tables.values() for line in lines]})
-    failed = [name for name, (_, ok) in tables.items() if args.check and not ok]
-    for name in failed:
-        sys.stderr.write(f"table {name}: regenerated values disagree with pinned reference\n")
-    return 1 if failed else 0
+    failures = [line for _, lines in tables.values() for line in lines] if args.check else []
+    for line in failures:
+        sys.stderr.write(line + "\n")
+    return 1 if failures else 0
 
 
 def cmd_threshold(args) -> int:

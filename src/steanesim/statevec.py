@@ -11,8 +11,9 @@ forked run carries its clean and faulted rows this way.
 An ancilla-block macro (``PREP0L``, ``PREPSTEANE``) is not simulated gate
 by gate: its seven-wire block state is prepared once per kind from
 :func:`builders.ancilla_prep` and tensored into the macro's wires, which
-must hold exactly |0...0>. A Pauli frame is applied as an exact signed
-permutation of the amplitudes.
+must hold exactly |0...0>. A run of consecutive CNOTs is applied as one
+permutation of the amplitudes (``np.take``), and a Pauli frame as an exact
+signed permutation, so both are exact.
 """
 from __future__ import annotations
 
@@ -87,14 +88,23 @@ def apply_1q(state: np.ndarray, matrix: np.ndarray, qubit: int, n: int) -> np.nd
 
 
 def _controlled_x(state: np.ndarray, controls: tuple[int, ...], target: int, n: int) -> np.ndarray:
-    """Flip ``target`` where every control bit is 1: a permutation, so exact."""
-    psi = state.reshape(state.shape[:-1] + (2,) * n).copy()
-    idx = [slice(None)] * n
-    for c in controls:
-        idx[n - 1 - c] = 1
-    sub = (Ellipsis, *idx)
-    psi[sub] = np.flip(psi[sub], axis=-1 - target + sum(c < target for c in controls))
-    return psi.reshape(state.shape)
+    """Flip ``target`` where every control bit is 1: a block swap, so exact.
+
+    The view has one length-2 axis per named bit, the bits between them
+    merged, and the rows and the bits above the highest named bit merged in
+    front: at most seven axes."""
+    bits = sorted((*controls, target), reverse=True)
+    shape, sub = [-1, 2], [slice(None), 1]
+    for hi, lo in zip(bits, bits[1:]):
+        shape += [1 << (hi - lo - 1), 2]
+        sub += [slice(None), 1]
+    shape.append(1 << bits[-1])
+    t = 1 + 2 * bits.index(target)
+    target0, target1 = (tuple(sub[:t] + [v] + sub[t + 1:]) for v in (0, 1))
+    out = state.copy()
+    psi, flipped = state.reshape(shape), out.reshape(shape)
+    flipped[target0], flipped[target1] = psi[target1], psi[target0]
+    return out
 
 
 def apply_cnot(state: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
@@ -103,6 +113,46 @@ def apply_cnot(state: np.ndarray, control: int, target: int, n: int) -> np.ndarr
 
 def apply_ccx(state: np.ndarray, c1: int, c2: int, target: int, n: int) -> np.ndarray:
     return _controlled_x(state, (c1, c2), target, n)
+
+
+def _xor_span(images: list[int]) -> np.ndarray:
+    """The XOR of every subset of ``images``, at the index whose bit j selects ``images[j]``."""
+    table = [0]
+    for image in images:
+        table += [v ^ image for v in table]
+    return np.array(table, dtype=np.intp)
+
+
+def _index_map(images: list[int]) -> np.ndarray:
+    """The GF(2)-linear map of n index bits that sends bit q to ``images[q]``,
+    at every index: the XOR spans of the low and the high half, combined."""
+    half = len(images) // 2
+    return np.bitwise_xor.outer(_xor_span(images[half:]), _xor_span(images[:half])).reshape(-1)
+
+
+def _apply_cnots(state, cnots: list[tuple[int, int]], n: int) -> np.ndarray:
+    """The CNOTs ``cnots`` (control, target), in order, as one permutation of
+    the amplitudes; empties the list. ``state`` is an array, or the (clean,
+    faulted) pair of a fork, which comes back stacked.
+
+    A run of CNOTs maps the index bits GF(2)-linearly, and each CNOT is its
+    own inverse, so the amplitude that lands at index ``j`` comes from
+    ``g1(g2(...gk(j)))``: one ``np.take`` moves each amplitude once, into
+    the stacked pair too."""
+    images = [1 << q for q in range(n)]
+    for c, t in reversed(cnots):
+        images = [b ^ ((b >> c) & 1) << t for b in images]
+    source = _index_map(images) if cnots else None
+    cnots.clear()
+    if isinstance(state, np.ndarray):
+        return state if source is None else state.take(source, axis=-1)
+    pair = np.empty((2,) + state[0].shape, dtype=complex)
+    for part, out in zip(state, pair):
+        if source is None:
+            out[...] = part
+        else:  # "clip" never clips a valid index; unlike "raise", it writes to ``out`` unbuffered
+            np.take(part, source, axis=-1, out=out, mode="clip")
+    return pair
 
 
 def project(state: np.ndarray, qubit: int, outcome: int, n: int) -> np.ndarray:
@@ -124,17 +174,34 @@ def _ancilla_block(kind: str) -> np.ndarray:
     return block
 
 
+@cache
+def _block_layout(wires: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The indices with ``wires`` clear, in increasing order, and for every
+    index its position in the (block value, clear rank) order of a placed
+    block, bit ``j`` of the block value on wire ``wires[j]``; None when that
+    is every index's own position (the block on the top wires, in order, as
+    every builder places it)."""
+    others = [q for q in range(n) if q not in wires]
+    position = {q: i for i, q in enumerate(others + list(wires))}
+    clear = _xor_span([1 << q for q in others])
+    clear.flags.writeable = False
+    if all(position[q] == q for q in wires):
+        return clear, None
+    order = _index_map([1 << position[q] for q in range(n)])
+    order.flags.writeable = False
+    return clear, order
+
+
 def _place_block(state: np.ndarray, g: Gate, n: int) -> np.ndarray:
     """Tensor the cached block of macro ``g`` into its wires (wire ``g.qubits[j]``
     takes block qubit ``j``); every amplitude with one of them set must be 0."""
-    k = len(g.qubits)
-    wires = [-1 - q for q in reversed(g.qubits)]  # axis of each wire, block qubit k-1 first
-    psi = np.moveaxis(state.reshape(state.shape[:-1] + (2,) * n), wires, range(-k, 0))
-    rows = psi.reshape(-1, 1 << k)
-    if rows[:, 1:].any():
+    clear, order = _block_layout(tuple(g.qubits), n)
+    rows = state.reshape(-1, 1 << n)
+    amplitudes = rows[:, clear]
+    if np.count_nonzero(amplitudes) != np.count_nonzero(rows):
         raise ValueError(f"macro {g.label} ({g.kind}) needs its wires in |0>")
-    placed = (rows[:, :1] * _ancilla_block(g.kind)).reshape(psi.shape)
-    return np.moveaxis(placed, range(-k, 0), wires).reshape(state.shape)
+    placed = (_ancilla_block(g.kind)[:, None] * amplitudes[:, None, :]).reshape(rows.shape)
+    return (placed if order is None else placed.take(order, axis=-1)).reshape(state.shape)
 
 
 def simulate_statevector(
@@ -163,32 +230,38 @@ def simulate_statevector(
         raise ValueError("fork needs one Pauli per input row")
     outcomes = outcomes or {}
     forked = False
+    cnots: list[tuple[int, int]] = []  # the run of CNOTs not applied yet
 
     for g in circuit.gates:
         if g.kind == "CNOT":
-            state = apply_cnot(state, g.qubits[0], g.qubits[1], n)
-        elif g.kind == "CCX":
-            state = apply_ccx(state, *g.qubits, n)
-        elif g.kind in _MATRICES:
-            state = apply_1q(state, _MATRICES[g.kind], g.qubits[0], n)
-        elif g.kind in ("MZ", "MX"):
-            q = g.qubits[0]
-            if g.kind == "MX":
-                state = apply_1q(state, _MATRICES["H"], q, n)
-            state = project(state, q, outcomes.get(g.label, 0), n)
-        elif g.kind in MACRO_KINDS:
-            state = _place_block(state, g, n)
-        elif g.kind == "CAT2":
-            state = apply_cnot(apply_1q(state, _MATRICES["H"], g.qubits[0], n), *g.qubits, n)
-        elif g.kind == "PREPP":
-            state = apply_1q(state, _MATRICES["H"], g.qubits[0], n)
-        elif g.kind != "PREP0":  # PREP0 adds no gate: its wire is taken to start in |0>
-            raise ValueError(f"dense oracle cannot apply {g.kind}")
+            cnots.append(g.qubits)
+        else:
+            state = _apply_cnots(state, cnots, n)
+            if g.kind == "CCX":
+                state = apply_ccx(state, *g.qubits, n)
+            elif g.kind in _MATRICES:
+                state = apply_1q(state, _MATRICES[g.kind], g.qubits[0], n)
+            elif g.kind in ("MZ", "MX"):
+                q = g.qubits[0]
+                if g.kind == "MX":
+                    state = apply_1q(state, _MATRICES["H"], q, n)
+                state = project(state, q, outcomes.get(g.label, 0), n)
+            elif g.kind in MACRO_KINDS:
+                state = _place_block(state, g, n)
+            elif g.kind == "CAT2":
+                state = apply_cnot(apply_1q(state, _MATRICES["H"], g.qubits[0], n), *g.qubits, n)
+            elif g.kind == "PREPP":
+                state = apply_1q(state, _MATRICES["H"], g.qubits[0], n)
+            elif g.kind != "PREP0":  # PREP0 adds no gate: its wire is taken to start in |0>
+                raise ValueError(f"dense oracle cannot apply {g.kind}")
         if fork is not None and g.label == fork[0]:
-            rows = state.reshape(-1, 1 << n)
+            state = _apply_cnots(state, cnots, n)
+            faulted = state.copy()
             # row by row: the rows of a stacked oracle run carry different faults
-            faulted = np.stack([apply_pauli(row, p, n) for row, p in zip(rows, fork[1])])
-            state, forked = np.stack((state, faulted.reshape(state.shape))), True
+            for row, p in zip(faulted.reshape(-1, 1 << n), fork[1]):
+                _pauli_in_place(row, p)
+            state, forked = (state, faulted), True  # stacked by the next kernel
+    state = _apply_cnots(state, cnots, n)
     if fork is not None and not forked:
         raise ValueError(f"fork label {fork[0]!r} names no gate")
     return state
@@ -196,30 +269,44 @@ def simulate_statevector(
 
 def apply_pauli(state: np.ndarray, p: PauliOperator, n: int) -> np.ndarray:
     """``p`` on every row as an exact signed permutation, equal bit for bit to
-    the product of its 2x2 matrices: per qubit, X swaps the bit's 0- and
-    1-halves, Z negates the 1-half, Y swaps them and multiplies by -i and i."""
+    the product of its 2x2 matrices."""
     if p.n != n:
         raise ValueError("Pauli size mismatch")
     state = np.array(state, dtype=complex)
-    for q in range(n):
-        kind = p.kind_on(q + 1)
-        psi = state.reshape(-1, 2, 1 << q)
-        if kind in ("X", "Y"):
-            psi[:] = psi[:, ::-1]
-        if kind == "Z":
-            psi[:, 1] *= -1
-        elif kind == "Y":
-            psi[:, 0] *= -1j
-            psi[:, 1] *= 1j
+    _pauli_in_place(state, p)
     return state
 
 
+def _pauli_in_place(state: np.ndarray, p: PauliOperator) -> None:
+    """Per qubit of the support, in increasing order: X swaps the bit's 0-
+    and 1-halves, Z negates the 1-half, Y swaps them and multiplies by -i
+    and i."""
+    for q in range(p.n):
+        x, z = p.x_bits >> q & 1, p.z_bits >> q & 1
+        if not (x or z):
+            continue
+        psi = state.reshape(-1, 2, 1 << q)
+        if x:
+            zero_half = psi[:, 0].copy()
+            psi[:, 0] = psi[:, 1]
+            psi[:, 1] = zero_half
+        if x and z:
+            psi[:, 0] *= -1j
+            psi[:, 1] *= 1j
+        elif z:
+            psi[:, 1] *= -1
+
+
 def states_equal(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
-    """Equality up to global phase."""
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    """Equality up to global phase. The sums are ``np.einsum``'s own loops:
+    ``np.linalg.norm`` and ``np.vdot`` hand a 2^14-amplitude row to a
+    threaded BLAS dot product, whose first call took about 1 s in some fresh
+    processes."""
+    a, b = (np.ascontiguousarray(v, dtype=complex).reshape(-1) for v in (a, b))
+    na, nb = (sqrt(np.einsum("i,i", v.view(np.float64), v.view(np.float64))) for v in (a, b))
     if na < tol or nb < tol:
         return na < tol and nb < tol
-    return bool(abs(abs(np.vdot(a, b)) / (na * nb) - 1.0) < tol)
+    return bool(abs(abs(np.einsum("i,i", a.conj(), b)) / (na * nb) - 1.0) < tol)
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -12,13 +12,21 @@ oracle behind ``verify`` checks the rule.
 :func:`decode` reads a walked frame's flip word instead, one parity per
 signature bit, into the nested tuples of :class:`ReferenceSignature`, and
 applies the decode-side Hadamards to the residual gate by gate.
+
+``statevec`` applies a run of CNOTs as one permutation and a Pauli only on
+its support. :func:`controlled_x` and :func:`apply_pauli` are the kernels it
+used before, one gate or qubit at a time on the n-axis view, and
+:func:`simulate_gate_by_gate` applies a circuit with them, gate by gate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from steanesim.circuits import DATA_QUBITS, PREP_KINDS, Circuit
 from steanesim.paulis import GENERATOR_SUPPORTS, PauliOperator, conjugate_bits
+from steanesim.statevec import _MATRICES, apply_1q
 
 
 def parity(x: int) -> int:
@@ -111,3 +119,48 @@ def decode(circuit: Circuit, masks, x: int, z: int, flips: int) -> tuple[Referen
         x, z = conjugate_bits("H", (q,), x, z)
     mask = (1 << len(DATA_QUBITS)) - 1
     return sig, PauliOperator(len(DATA_QUBITS), x & mask, z & mask)
+
+
+def controlled_x(state: np.ndarray, controls: tuple[int, ...], target: int, n: int) -> np.ndarray:
+    """Flip ``target`` where every control bit is 1, on the ``(2,) * n`` view."""
+    psi = state.reshape(state.shape[:-1] + (2,) * n).copy()
+    idx = [slice(None)] * n
+    for c in controls:
+        idx[n - 1 - c] = 1
+    sub = (Ellipsis, *idx)
+    psi[sub] = np.flip(psi[sub], axis=-1 - target + sum(c < target for c in controls))
+    return psi.reshape(state.shape)
+
+
+def apply_pauli(state: np.ndarray, p: PauliOperator, n: int) -> np.ndarray:
+    """``p`` on every row, qubit by qubit over all n: X swaps the bit's 0- and
+    1-halves, Z negates the 1-half, Y swaps them and multiplies by -i and i."""
+    state = np.array(state, dtype=complex)
+    for q in range(n):
+        kind = p.kind_on(q + 1)
+        psi = state.reshape(-1, 2, 1 << q)
+        if kind in ("X", "Y"):
+            psi[:] = psi[:, ::-1]
+        if kind == "Z":
+            psi[:, 1] *= -1
+        elif kind == "Y":
+            psi[:, 0] *= -1j
+            psi[:, 1] *= 1j
+    return state
+
+
+def simulate_gate_by_gate(circuit: Circuit, state: np.ndarray, fork=None) -> np.ndarray:
+    """``statevec.simulate_statevector`` on ``CNOT``/``CCX`` and 1-qubit
+    matrix gates, one kernel call per gate; ``fork=(label, paulis)`` stacks
+    the clean rows and the rows with ``paulis[r]`` on row ``r`` after ``label``."""
+    n = circuit.n_qubits
+    for g in circuit.gates:
+        if g.kind in ("CNOT", "CCX"):
+            state = controlled_x(state, g.qubits[:-1], g.qubits[-1], n)
+        else:
+            state = apply_1q(state, _MATRICES[g.kind], g.qubits[0], n)
+        if fork is not None and g.label == fork[0]:
+            rows = state.reshape(-1, 1 << n)
+            faulted = np.stack([apply_pauli(row, p, n) for row, p in zip(rows, fork[1])])
+            state = np.stack((state, faulted.reshape(state.shape)))
+    return state

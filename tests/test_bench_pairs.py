@@ -67,6 +67,15 @@ def test_label_medians_give_each_sides_raw_median_per_label():
     assert bench_pairs.label_medians([runs[-1]]) == {}
 
 
+def test_label_lines_print_each_labels_raw_median_parent_to_change():
+    bench_pairs = load_bench_pairs()
+    medians = {"depth": {"parent": 134.5, "change": 114.5}, "verify": {"parent": 334.54, "change": None}}
+    assert bench_pairs.label_lines(medians) == [
+        "depth raw median 134.5 -> 114.5 ms",
+        "verify raw median 334.5 -> - ms",
+    ]
+
+
 def test_a_run_reads_its_checkouts_results_file(tmp_path):
     # A stand-in benchmark that writes the results file and prints the summary line.
     bench_pairs = load_bench_pairs()

@@ -53,6 +53,23 @@ def test_tables_check_passes(capsys):
     assert code == 0
 
 
+def test_tables_check_names_each_failing_entry(capsys, monkeypatch):
+    from steanesim import pinned
+
+    clean = run(capsys, "tables", "--check")
+    monkeypatch.setitem(pinned.TABLE_2A_T_GATE, (1, 10), 1.5e-4)
+    monkeypatch.setitem(pinned.TABLE_1B_AUX, 3, (2, pinned.TABLE_1B_AUX[3][1]))
+    code = main(["tables", "--check"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, clean[1])
+    assert captured.err.splitlines() == [
+        "table 1b k=3: regenerated x=1 p_th=3.253090435914119e-04, pinned x=2 p_th=3.253090435914119e-04, "
+        "relative error 1.666e-16",
+        "table 2a k=1 r=10: regenerated max_p_th=1.460514977581095e-04, pinned max_p_th=1.500000000000000e-04, "
+        "relative error 2.632e-02",
+    ]
+
+
 def test_threshold_k3_row(capsys):
     code, out = run(capsys, "threshold", "--block", "data", "--k", "3")
     assert code == 0

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from forward_reference import simulate_gate_by_gate
 from steanesim import verification
 from steanesim.builders import (
     GadgetSpec,
@@ -308,3 +310,105 @@ def test_oracle_runs_each_drawn_fault_on_its_own_input(monkeypatch):
     # Encoder and decoder faults at one gate share a run; no run holds more than 2^14 input amplitudes.
     assert max(len(paulis) for n, _, paulis, _ in runs if n == 7) > 1
     assert all(rows.size <= 1 << 14 for *_, rows in runs)
+
+
+# Runs of CNOTs, broken by the other kinds; each gate gets its own label.
+DENSE_KINDS = ("CNOT", "CNOT", "CNOT", "CCX", "X", "H", "S")
+
+
+@st.composite
+def dense_runs(draw):
+    """A random CNOT/CCX/X/H/S circuit on n <= 8 qubits, an input (one state or
+    a stack), and either no fork or a fork at a random label with one random
+    Pauli per input row."""
+    n = draw(st.integers(1, 8))
+    arity = {"CNOT": 2, "CCX": 3}
+    kinds = [k for k in DENSE_KINDS if arity.get(k, 1) <= n]
+    gates = []
+    for i in range(draw(st.integers(1, 20))):
+        kind = draw(st.sampled_from(kinds))
+        gates.append(Gate(kind, tuple(draw(st.permutations(range(n)))[:arity.get(kind, 1)]), f"G{i}"))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.sampled_from([None, 1, 3]))
+    psi = random_state(n, rng) if rows is None else np.stack([random_state(n, rng) for _ in range(rows)])
+    fork = None
+    if draw(st.booleans()):
+        paulis = [PauliOperator(n, int(rng.integers(1 << n)), int(rng.integers(1 << n))) for _ in range(rows or 1)]
+        fork = (draw(st.sampled_from(gates)).label, paulis)
+    return Circuit(n, gates), psi, fork
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_runs())
+def test_fused_runs_equal_gate_by_gate_application_bit_for_bit(case):
+    circuit, psi, fork = case
+    got = simulate_statevector(circuit, psi, fork=fork)
+    want = simulate_gate_by_gate(circuit, psi, fork)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("build", [build_x_round_segment, build_z_round_segment])
+def test_round_segment_runs_equal_gate_by_gate_application_bit_for_bit(build):
+    # The CNOTs after the ancilla block: one 14-qubit run, forked at each of its gates.
+    segment = verification._strip_measurements(build())
+    cnots = Circuit(14, [g for g in segment.gates if g.kind == "CNOT"])
+    rng = np.random.default_rng(43)
+    single, stacked = random_state(14, rng), np.stack([random_state(14, rng) for _ in range(2)])
+    for psi in (single, stacked):
+        rows = psi.size >> 14
+        assert simulate_statevector(cnots, psi).tobytes() == simulate_gate_by_gate(cnots, psi).tobytes()
+        for g in cnots.gates:
+            fork = (g.label, [PauliOperator(14, int(rng.integers(1 << 14)), int(rng.integers(1 << 14)))
+                              for _ in range(rows)])
+            got = simulate_statevector(cnots, psi, fork=fork)
+            assert got.tobytes() == simulate_gate_by_gate(cnots, psi, fork).tobytes(), g.label
+
+
+@pytest.mark.parametrize("wires", [(9, 8, 7, 6, 5, 4, 3), (8, 1, 5, 0, 9, 3, 6), (0, 1, 2, 3, 4, 5, 6)])
+def test_block_placed_on_any_wires_equals_gate_by_gate_preparation(wires):
+    rng = np.random.default_rng(47)
+    free = [q for q in range(10) if q not in wires]
+    for kind in sorted(MACRO_KINDS):
+        segment = Circuit(10, [Gate(kind, wires, "P1")])
+        # a random state on the three free wires, every block wire in |0>
+        psi = np.zeros((2, 1 << 10), dtype=complex)
+        for i in range(8):
+            psi[:, sum(((i >> j) & 1) << q for j, q in enumerate(free))] = rng.normal(size=2) + 1j * rng.normal(size=2)
+        got = simulate_statevector(segment, psi)
+        assert got.shape == psi.shape
+        assert np.max(np.abs(got - simulate_statevector(_gate_by_gate(segment), psi))) <= 1e-15, kind
+
+
+def _vdot_distance(a, b) -> float:
+    """The distance from 1 of the normalized overlap, through np.vdot and np.linalg.norm."""
+    return abs(abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b)) - 1.0)
+
+
+@pytest.mark.parametrize("n", [7, 14])
+def test_states_equal_up_to_global_phase_only(n):
+    rng = np.random.default_rng(53)
+    psi = random_state(n, rng)
+    phased = np.exp(1j * rng.uniform(0, 2 * np.pi)) * psi
+    bumped = psi + 1e-6 * random_state(n, rng)
+    # The distance is second order in the perturbation: about 5e-13 at 1e-6,
+    # inside the default tolerance and outside 1e-13.
+    assert states_equal(psi, phased, tol=1e-13) and states_equal(psi, phased)
+    assert not states_equal(psi, bumped, tol=1e-13) and states_equal(psi, bumped)
+    zero = np.zeros(1 << n, dtype=complex)
+    assert states_equal(zero, zero.copy())
+    assert not states_equal(zero, psi) and not states_equal(psi, zero)
+
+
+@pytest.mark.parametrize("n", [7, 14])
+def test_states_equal_agrees_with_the_vdot_definition(n):
+    # Each pair's distance through np.vdot, moved by 1e-12 either way, must
+    # put the pair on either side of the tolerance.
+    rng = np.random.default_rng(59)
+    for scale in (1.0, 1e-3, 1e-5):
+        a = random_state(n, rng)
+        b = np.exp(1j * rng.uniform(0, 2 * np.pi)) * a + scale * random_state(n, rng)
+        distance = _vdot_distance(a, b)
+        assert distance > 1e-11
+        assert states_equal(a, b, tol=distance + 1e-12)
+        assert not states_equal(a, b, tol=distance - 1e-12)

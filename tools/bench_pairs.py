@@ -20,7 +20,9 @@ the change median against the parent median, whether that change stays
 within the metric's ``BENCHMARK.json`` bound, and each side's median count of
 attempted ops over the same runs; every metric outside its bound is printed
 per workload and seed, with those op counts beside it (a run that does more
-ops records more of them, which ``peak_rss_mb`` counts too).
+ops records more of them, which ``peak_rss_mb`` counts too). Each op label's
+raw median ms, parent -> change, is printed per workload and seed as well,
+which shows the command or op kind that moved.
 """
 from __future__ import annotations
 
@@ -113,6 +115,13 @@ def label_medians(pairs: list[dict]) -> dict:
                     for side in runs} for label in labels}
 
 
+def label_lines(medians: dict) -> list[str]:
+    """One line per op label of ``label_medians``: each side's raw median, parent -> change."""
+    def ms(v):
+        return "-" if v is None else f"{v:.1f}"
+    return [f"{label} raw median {ms(m['parent'])} -> {ms(m['change'])} ms" for label, m in medians.items()]
+
+
 def outside_bounds(summary: dict) -> list[str]:
     """One line per metric of ``summarize`` whose median got worse by more than its bound."""
     return [f"{name} {s['relative_change']:+.1%} is outside its bound of {s['bound']:.0%} (parent median "
@@ -154,13 +163,13 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{workload} seed={seed} pair {i + 1}/{PAIRS}: "
                           f"parent {pair['parent'].get('op_p90_ms')} ms, change {pair['change'].get('op_p90_ms')} ms "
                           f"(op_p90_ms)", flush=True)
-                summary = summarize(pairs, metrics)
+                summary, medians = summarize(pairs, metrics), label_medians(pairs)
                 report["runs"][f"{workload}/seed{seed}"] = {
                     "workload": workload, "seed": seed, "pairs": pairs, "summary": summary,
                     "op_ms_by_label": {"unit": "ms per op, raw: not scaled by the calibration loop",
-                                       "median": label_medians(pairs)},
+                                       "median": medians},
                 }
-                for line in outside_bounds(summary) or ["every metric within its bound"]:
+                for line in [*label_lines(medians), *(outside_bounds(summary) or ["every metric within its bound"])]:
                     print(f"{workload} seed={seed}: {line}", flush=True)
                 args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0
