@@ -89,10 +89,8 @@ def check_permitted_depth(block: BlockDepth, k: int, x: int, limit: int = pinned
         raise ValueError("limit must be positive")
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
+    if block.R[0] < 1:
+        raise ValueError(f"R1 must be >= 1 to bound the level, got {block.R[0]}")
     depth = period_depth(block, k, x)
-    max_k = 0
-    while period_depth(block, max_k + 1, x) <= limit:
-        max_k += 1
-        if max_k > 10_000:
-            break
+    max_k = max(0, (limit - block.gamma * x) // block.R[0])
     return DepthCheck(k, x, depth, limit, depth <= limit, max_k)

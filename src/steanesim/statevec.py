@@ -11,13 +11,14 @@ forked run carries its clean and faulted rows this way.
 An ancilla-block macro (``PREP0L``, ``PREPSTEANE``) is not simulated gate
 by gate: its seven-wire block state is prepared once per kind from
 :func:`builders.ancilla_prep` and tensored into the macro's wires, which
-must hold exactly |0...0>. A run of consecutive CNOTs is applied as one
-permutation of the amplitudes (``np.take``), and a Pauli frame as an exact
-signed permutation, so both are exact.
+must hold exactly |0...0>. Every controlled-X gate (``CNOT``, ``CCX`` and
+the coupling of ``CAT2``, after its H) joins the pending run, and a run is
+applied as one permutation of the amplitudes (``np.take``); a Pauli frame is
+an exact signed permutation, so both are exact.
 """
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from math import sqrt
 
 import numpy as np
@@ -87,63 +88,30 @@ def apply_1q(state: np.ndarray, matrix: np.ndarray, qubit: int, n: int) -> np.nd
     return matrix.dot(psi).reshape(2, -1, 1 << qubit).transpose(1, 0, 2).reshape(state.shape)
 
 
-def _controlled_x(state: np.ndarray, controls: tuple[int, ...], target: int, n: int) -> np.ndarray:
-    """Flip ``target`` where every control bit is 1: a block swap, so exact.
+@lru_cache(maxsize=4)
+def _run_source(run: tuple[tuple[int, ...], ...], n: int) -> np.ndarray:
+    """The index each amplitude comes from after the controlled-X gates
+    ``run`` (controls..., target), in order.
 
-    The view has one length-2 axis per named bit, the bits between them
-    merged, and the rows and the bits above the highest named bit merged in
-    front: at most seven axes."""
-    bits = sorted((*controls, target), reverse=True)
-    shape, sub = [-1, 2], [slice(None), 1]
-    for hi, lo in zip(bits, bits[1:]):
-        shape += [1 << (hi - lo - 1), 2]
-        sub += [slice(None), 1]
-    shape.append(1 << bits[-1])
-    t = 1 + 2 * bits.index(target)
-    target0, target1 = (tuple(sub[:t] + [v] + sub[t + 1:]) for v in (0, 1))
-    out = state.copy()
-    psi, flipped = state.reshape(shape), out.reshape(shape)
-    flipped[target0], flipped[target1] = psi[target1], psi[target0]
-    return out
+    Each gate is a permutation of the indices and its own inverse, so the
+    amplitude that lands at index ``j`` comes from ``g1(g2(...gk(j)))``. A
+    fork repeats its group's runs, hence the small memo."""
+    source = np.arange(1 << n)
+    for *controls, target in reversed(run):
+        on = source >> controls[0]
+        for c in controls[1:]:
+            on &= source >> c
+        source ^= (on & 1) << target
+    source.flags.writeable = False
+    return source
 
 
-def apply_cnot(state: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
-    return _controlled_x(state, (control,), target, n)
-
-
-def apply_ccx(state: np.ndarray, c1: int, c2: int, target: int, n: int) -> np.ndarray:
-    return _controlled_x(state, (c1, c2), target, n)
-
-
-def _xor_span(images: list[int]) -> np.ndarray:
-    """The XOR of every subset of ``images``, at the index whose bit j selects ``images[j]``."""
-    table = [0]
-    for image in images:
-        table += [v ^ image for v in table]
-    return np.array(table, dtype=np.intp)
-
-
-def _index_map(images: list[int]) -> np.ndarray:
-    """The GF(2)-linear map of n index bits that sends bit q to ``images[q]``,
-    at every index: the XOR spans of the low and the high half, combined."""
-    half = len(images) // 2
-    return np.bitwise_xor.outer(_xor_span(images[half:]), _xor_span(images[:half])).reshape(-1)
-
-
-def _apply_cnots(state, cnots: list[tuple[int, int]], n: int) -> np.ndarray:
-    """The CNOTs ``cnots`` (control, target), in order, as one permutation of
-    the amplitudes; empties the list. ``state`` is an array, or the (clean,
-    faulted) pair of a fork, which comes back stacked.
-
-    A run of CNOTs maps the index bits GF(2)-linearly, and each CNOT is its
-    own inverse, so the amplitude that lands at index ``j`` comes from
-    ``g1(g2(...gk(j)))``: one ``np.take`` moves each amplitude once, into
-    the stacked pair too."""
-    images = [1 << q for q in range(n)]
-    for c, t in reversed(cnots):
-        images = [b ^ ((b >> c) & 1) << t for b in images]
-    source = _index_map(images) if cnots else None
-    cnots.clear()
+def _apply_run(state, run: list[tuple[int, ...]], n: int) -> np.ndarray:
+    """The controlled-X gates ``run`` as one permutation of the amplitudes
+    (one ``np.take``); empties the list. ``state`` is an array, or the
+    (clean, faulted) pair of a fork, which comes back stacked."""
+    source = _run_source(tuple(run), n) if run else None
+    run.clear()
     if isinstance(state, np.ndarray):
         return state if source is None else state.take(source, axis=-1)
     pair = np.empty((2,) + state[0].shape, dtype=complex)
@@ -183,11 +151,12 @@ def _block_layout(wires: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarra
     every builder places it)."""
     others = [q for q in range(n) if q not in wires]
     position = {q: i for i, q in enumerate(others + list(wires))}
-    clear = _xor_span([1 << q for q in others])
+    index = np.arange(1 << n)
+    clear = np.flatnonzero((index & sum(1 << q for q in wires)) == 0)
     clear.flags.writeable = False
     if all(position[q] == q for q in wires):
         return clear, None
-    order = _index_map([1 << position[q] for q in range(n)])
+    order = sum((index >> q & 1) << position[q] for q in range(n))
     order.flags.writeable = False
     return clear, order
 
@@ -230,16 +199,14 @@ def simulate_statevector(
         raise ValueError("fork needs one Pauli per input row")
     outcomes = outcomes or {}
     forked = False
-    cnots: list[tuple[int, int]] = []  # the run of CNOTs not applied yet
+    run: list[tuple[int, ...]] = []  # the controlled-X gates not applied yet
 
     for g in circuit.gates:
-        if g.kind == "CNOT":
-            cnots.append(g.qubits)
+        if g.kind in ("CNOT", "CCX"):
+            run.append(g.qubits)
         else:
-            state = _apply_cnots(state, cnots, n)
-            if g.kind == "CCX":
-                state = apply_ccx(state, *g.qubits, n)
-            elif g.kind in _MATRICES:
+            state = _apply_run(state, run, n)
+            if g.kind in _MATRICES:
                 state = apply_1q(state, _MATRICES[g.kind], g.qubits[0], n)
             elif g.kind in ("MZ", "MX"):
                 q = g.qubits[0]
@@ -248,20 +215,21 @@ def simulate_statevector(
                 state = project(state, q, outcomes.get(g.label, 0), n)
             elif g.kind in MACRO_KINDS:
                 state = _place_block(state, g, n)
-            elif g.kind == "CAT2":
-                state = apply_cnot(apply_1q(state, _MATRICES["H"], g.qubits[0], n), *g.qubits, n)
+            elif g.kind == "CAT2":  # H, then a CNOT that opens the next run
+                state = apply_1q(state, _MATRICES["H"], g.qubits[0], n)
+                run.append(g.qubits)
             elif g.kind == "PREPP":
                 state = apply_1q(state, _MATRICES["H"], g.qubits[0], n)
             elif g.kind != "PREP0":  # PREP0 adds no gate: its wire is taken to start in |0>
                 raise ValueError(f"dense oracle cannot apply {g.kind}")
         if fork is not None and g.label == fork[0]:
-            state = _apply_cnots(state, cnots, n)
+            state = _apply_run(state, run, n)
             faulted = state.copy()
             # row by row: the rows of a stacked oracle run carry different faults
             for row, p in zip(faulted.reshape(-1, 1 << n), fork[1]):
                 _pauli_in_place(row, p)
             state, forked = (state, faulted), True  # stacked by the next kernel
-    state = _apply_cnots(state, cnots, n)
+    state = _apply_run(state, run, n)
     if fork is not None and not forked:
         raise ValueError(f"fork label {fork[0]!r} names no gate")
     return state

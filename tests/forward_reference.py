@@ -13,10 +13,11 @@ oracle behind ``verify`` checks the rule.
 signature bit, into the nested tuples of :class:`ReferenceSignature`, and
 applies the decode-side Hadamards to the residual gate by gate.
 
-``statevec`` applies a run of CNOTs as one permutation and a Pauli only on
-its support. :func:`controlled_x` and :func:`apply_pauli` are the kernels it
-used before, one gate or qubit at a time on the n-axis view, and
-:func:`simulate_gate_by_gate` applies a circuit with them, gate by gate.
+``statevec`` applies each run of controlled-X gates (``CNOT``, ``CCX`` and
+the coupling of ``CAT2``) as one permutation, and a Pauli only on its
+support. :func:`controlled_x` and :func:`apply_pauli` act one gate or qubit
+at a time on the n-axis view instead, and :func:`simulate_gate_by_gate`
+applies a circuit with them, gate by gate.
 """
 from __future__ import annotations
 
@@ -150,14 +151,17 @@ def apply_pauli(state: np.ndarray, p: PauliOperator, n: int) -> np.ndarray:
 
 
 def simulate_gate_by_gate(circuit: Circuit, state: np.ndarray, fork=None) -> np.ndarray:
-    """``statevec.simulate_statevector`` on ``CNOT``/``CCX`` and 1-qubit
-    matrix gates, one kernel call per gate; ``fork=(label, paulis)`` stacks
-    the clean rows and the rows with ``paulis[r]`` on row ``r`` after ``label``."""
+    """``statevec.simulate_statevector`` on ``CNOT``/``CCX``, ``CAT2`` (H on
+    its first wire, then a CNOT), ``PREPP`` (H) and 1-qubit matrix gates, one
+    kernel call per gate; ``fork=(label, paulis)`` stacks the clean rows and
+    the rows with ``paulis[r]`` on row ``r`` after ``label``."""
     n = circuit.n_qubits
     for g in circuit.gates:
-        if g.kind in ("CNOT", "CCX"):
+        if g.kind in ("CAT2", "PREPP"):
+            state = apply_1q(state, _MATRICES["H"], g.qubits[0], n)
+        if g.kind in ("CNOT", "CCX", "CAT2"):
             state = controlled_x(state, g.qubits[:-1], g.qubits[-1], n)
-        else:
+        elif g.kind != "PREPP":
             state = apply_1q(state, _MATRICES[g.kind], g.qubits[0], n)
         if fork is not None and g.label == fork[0]:
             rows = state.reshape(-1, 1 << n)

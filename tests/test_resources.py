@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from steanesim import pinned
-from steanesim.depth import aux_block_depth, data_block_depth
+from steanesim.depth import BlockDepth, aux_block_depth, data_block_depth
 from steanesim.resources import (
     check_permitted_depth,
     cnot_count,
@@ -63,6 +63,32 @@ def test_permitted_depth_checks():
     assert chk.per_qubit_depth < 100
     with pytest.raises(ValueError):
         check_permitted_depth(data, 1, 1, limit=0)
+
+
+def _looped_max_k(block, x, limit):
+    """The level count as the loop before the closed form found it."""
+    max_k = 0
+    while period_depth(block, max_k + 1, x) <= limit:
+        max_k += 1
+        if max_k > 10_000:
+            break
+    return max_k
+
+
+def test_max_admissible_k_closed_form_equals_the_loop():
+    for block in (data_block_depth(), aux_block_depth()):
+        for x in range(1, 6):
+            for limit in range(1, 2001):
+                assert check_permitted_depth(block, 1, x, limit).max_admissible_k == _looped_max_k(block, x, limit)
+
+
+def test_max_admissible_k_is_not_capped():
+    data = data_block_depth()
+    chk = check_permitted_depth(data, 1, 1, limit=10**8)
+    assert chk.max_admissible_k == (10**8 - 4) // 7 == 14_285_713
+    assert check_permitted_depth(data, 1, 1).max_admissible_k == 28
+    with pytest.raises(ValueError, match="R1"):
+        check_permitted_depth(BlockDepth((0,) * 7), 1, 1)
 
 
 def test_period_depth_formula():

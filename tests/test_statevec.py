@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forward_reference import simulate_gate_by_gate
+from forward_reference import controlled_x, simulate_gate_by_gate
 from steanesim import verification
 from steanesim.builders import (
     GadgetSpec,
@@ -24,8 +24,6 @@ from steanesim.statevec import (
     LOGICAL_ZERO_WORDS,
     _MATRICES,
     apply_1q,
-    apply_ccx,
-    apply_cnot,
     apply_pauli,
     logical_zero_state,
     project,
@@ -103,15 +101,20 @@ def test_toffoli_decomposition_equals_ccx():
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
         psi /= np.linalg.norm(psi)
         got = simulate_statevector(c, input_state=psi)
-        want = apply_ccx(psi, 0, 1, 2, 3)
+        want = controlled_x(psi, (0, 1), 2, 3)
         assert states_equal(got, want, 1e-12)
 
 
+def _one_gate(kind: str, qubits: tuple[int, ...], n: int) -> Circuit:
+    return Circuit(n, [Gate(kind, qubits, "G1")])
+
+
 def test_apply_cnot_agrees_with_truth_table():
+    cnot = _one_gate("CNOT", (0, 1), 2)
     for basis in range(4):
         e = np.zeros(4, dtype=complex)
         e[basis] = 1.0
-        out = apply_cnot(e, 0, 1, 2)
+        out = simulate_statevector(cnot, e)
         c, t = basis & 1, (basis >> 1) & 1
         expected = c | ((t ^ c) << 1)
         assert abs(out[expected] - 1) < 1e-12
@@ -157,9 +160,9 @@ def test_kernels_act_on_each_row_of_a_stack():
         for q in range(n):
             kernels += [(lambda s, m=m, q=q: apply_1q(s, m, q, n)) for m in _MATRICES.values()]
             kernels += [(lambda s, q=q, o=o: project(s, q, o, n)) for o in (0, 1)]
-            kernels += [(lambda s, q=q, t=t: apply_cnot(s, q, t, n)) for t in range(n) if t != q]
+            kernels += [(lambda s, c=_one_gate("CNOT", (q, t), n): simulate_statevector(c, s)) for t in range(n) if t != q]
         if n >= 3:
-            kernels.append(lambda s: apply_ccx(s, n - 1, 0, 1, n))
+            kernels.append(lambda s, c=_one_gate("CCX", (n - 1, 0, 1), n): simulate_statevector(c, s))
         for kernel in kernels:
             out = kernel(stack)
             assert out.shape == stack.shape
@@ -312,17 +315,17 @@ def test_oracle_runs_each_drawn_fault_on_its_own_input(monkeypatch):
     assert all(rows.size <= 1 << 14 for *_, rows in runs)
 
 
-# Runs of CNOTs, broken by the other kinds; each gate gets its own label.
-DENSE_KINDS = ("CNOT", "CNOT", "CNOT", "CCX", "X", "H", "S")
+# Runs of controlled-X gates, broken by the other kinds; each gate gets its own label.
+DENSE_KINDS = ("CNOT", "CNOT", "CNOT", "CCX", "CAT2", "PREPP", "X", "H", "S")
 
 
 @st.composite
 def dense_runs(draw):
-    """A random CNOT/CCX/X/H/S circuit on n <= 8 qubits, an input (one state or
-    a stack), and either no fork or a fork at a random label with one random
-    Pauli per input row."""
+    """A random CNOT/CCX/CAT2/PREPP/X/H/S circuit on n <= 8 qubits, an input
+    (one state or a stack), and either no fork or a fork at a random label
+    with one random Pauli per input row."""
     n = draw(st.integers(1, 8))
-    arity = {"CNOT": 2, "CCX": 3}
+    arity = {"CNOT": 2, "CAT2": 2, "CCX": 3}
     kinds = [k for k in DENSE_KINDS if arity.get(k, 1) <= n]
     gates = []
     for i in range(draw(st.integers(1, 20))):
