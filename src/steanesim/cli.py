@@ -92,8 +92,11 @@ def _sig_convention_b(sig, view: str, layout) -> str:
 
 def _load_circuit(args):
     if args.circuit:
+        for option, value in (("--block", args.block), ("--flags/--no-flags", args.flags)):
+            if value is not None:  # None: not given (the default cycle is the flagged data cycle)
+                raise ValueError(f"--circuit cannot be combined with {option}: the circuit file fixes the cycle")
         return reconstruct_meta(parse(Path(args.circuit).read_text(encoding="utf-8")))
-    return build_full_ec_circuit(include_flags=args.flags, block_kind=args.block)
+    return build_full_ec_circuit(include_flags=args.flags is not False, block_kind=args.block or "data")
 
 
 def cmd_propagate(args) -> int:
@@ -310,17 +313,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("propagate", help="emit the single-fault decoding table")
     sp.add_argument("--types", choices=("X", "Y", "Z"), default="X")
-    sp.add_argument("--flags", action=argparse.BooleanOptionalAction, default=True)
-    sp.add_argument("--block", choices=("data", "aux"), default="data")
+    sp.add_argument("--flags", action=argparse.BooleanOptionalAction, default=None)
+    sp.add_argument("--block", choices=("data", "aux"), default=None)
     sp.add_argument("--circuit", default=None, help="analyze a serialized circuit file instead")
     common(sp, "json")
     sp.set_defaults(func=cmd_propagate)
 
     sp = sub.add_parser("flags", help="audit the flag-gadget usage conditions")
-    sp.add_argument("--block", choices=("data", "aux"), default="data")
+    sp.add_argument("--block", choices=("data", "aux"), default=None)
     sp.add_argument("--circuit", default=None, help="analyze a serialized circuit file instead")
     common(sp, "json")
-    sp.set_defaults(func=cmd_flags, flags=True)  # the audit builds the flagged cycle
+    sp.set_defaults(func=cmd_flags, flags=None)  # the audit builds the flagged cycle
 
     sp = sub.add_parser("depth", help="print depth profiles and R coefficients")
     common(sp, "csv", "json")

@@ -5,8 +5,8 @@ encoder output states, decoder inversion, gadget algebra on the trivial
 code, and Pauli-frame propagation on syndrome-round segments. Mid-circuit
 measurements are handled by explicit branch selection (project on a chosen
 outcome and renormalize), never by sampling. Every kernel also takes stacked
-states, any array whose last axis has length 2^n, and acts on each row; a
-forked run carries its clean and faulted rows this way.
+states, any array whose last axis has length 2^n, and acts on each row; the
+propagation oracle runs its clean and faulted rows on as one such stack.
 
 An ancilla-block macro (``PREP0L``, ``PREPSTEANE``) is not simulated gate
 by gate: its seven-wire block state is prepared once per kind from
@@ -94,8 +94,10 @@ def _run_source(run: tuple[tuple[int, ...], ...], n: int) -> np.ndarray:
     ``run`` (controls..., target), in order.
 
     Each gate is a permutation of the indices and its own inverse, so the
-    amplitude that lands at index ``j`` comes from ``g1(g2(...gk(j)))``. A
-    fork repeats its group's runs, hence the small memo."""
+    amplitude that lands at index ``j`` comes from ``g1(g2(...gk(j)))``. The
+    propagation oracle runs the faults cut at one gate in several stacks
+    (round-segment faults one at a time), which repeat the same runs; hence
+    the small memo."""
     source = np.arange(1 << n)
     for *controls, target in reversed(run):
         on = source >> controls[0]
@@ -106,21 +108,14 @@ def _run_source(run: tuple[tuple[int, ...], ...], n: int) -> np.ndarray:
     return source
 
 
-def _apply_run(state, run: list[tuple[int, ...]], n: int) -> np.ndarray:
+def _apply_run(state: np.ndarray, run: list[tuple[int, ...]], n: int) -> np.ndarray:
     """The controlled-X gates ``run`` as one permutation of the amplitudes
-    (one ``np.take``); empties the list. ``state`` is an array, or the
-    (clean, faulted) pair of a fork, which comes back stacked."""
-    source = _run_source(tuple(run), n) if run else None
+    (one ``np.take``); empties the list."""
+    if not run:
+        return state
+    source = _run_source(tuple(run), n)
     run.clear()
-    if isinstance(state, np.ndarray):
-        return state if source is None else state.take(source, axis=-1)
-    pair = np.empty((2,) + state[0].shape, dtype=complex)
-    for part, out in zip(state, pair):
-        if source is None:
-            out[...] = part
-        else:  # "clip" never clips a valid index; unlike "raise", it writes to ``out`` unbuffered
-            np.take(part, source, axis=-1, out=out, mode="clip")
-    return pair
+    return state.take(source, axis=-1)
 
 
 def project(state: np.ndarray, qubit: int, outcome: int, n: int) -> np.ndarray:
@@ -177,17 +172,11 @@ def simulate_statevector(
     circuit: Circuit,
     input_state: np.ndarray | None = None,
     outcomes: dict[str, int] | None = None,
-    fork: tuple[str, list[PauliOperator]] | None = None,
 ) -> np.ndarray:
     """Exact dense state after the circuit; measurements need chosen outcomes.
 
     ``input_state`` is one state or a stack of them (shape (..., 2^n)).
     ``outcomes`` maps measurement labels to the selected branch (0/1).
-    ``fork=(label, paulis)`` splits the run right after gate ``label``: the
-    clean state and a copy with ``paulis[r]`` applied to input row ``r``
-    run on together, and the pair is returned with shape (2, ...input).
-    This is how the propagation oracle places deterministic faults without
-    simulating the shared prefix twice.
     """
     n = circuit.n_qubits
     if n > MAX_QUBITS:
@@ -195,10 +184,7 @@ def simulate_statevector(
     state = zero_state(n) if input_state is None else np.asarray(input_state, dtype=complex)
     if state.shape[-1:] != (1 << n,):
         raise ValueError("input state has wrong dimension")
-    if fork is not None and len(fork[1]) != state.size >> n:
-        raise ValueError("fork needs one Pauli per input row")
     outcomes = outcomes or {}
-    forked = False
     run: list[tuple[int, ...]] = []  # the controlled-X gates not applied yet
 
     for g in circuit.gates:
@@ -222,33 +208,16 @@ def simulate_statevector(
                 state = apply_1q(state, _MATRICES["H"], g.qubits[0], n)
             elif g.kind != "PREP0":  # PREP0 adds no gate: its wire is taken to start in |0>
                 raise ValueError(f"dense oracle cannot apply {g.kind}")
-        if fork is not None and g.label == fork[0]:
-            state = _apply_run(state, run, n)
-            faulted = state.copy()
-            # row by row: the rows of a stacked oracle run carry different faults
-            for row, p in zip(faulted.reshape(-1, 1 << n), fork[1]):
-                _pauli_in_place(row, p)
-            state, forked = (state, faulted), True  # stacked by the next kernel
-    state = _apply_run(state, run, n)
-    if fork is not None and not forked:
-        raise ValueError(f"fork label {fork[0]!r} names no gate")
-    return state
+    return _apply_run(state, run, n)
 
 
-def apply_pauli(state: np.ndarray, p: PauliOperator, n: int) -> np.ndarray:
-    """``p`` on every row as an exact signed permutation, equal bit for bit to
-    the product of its 2x2 matrices."""
-    if p.n != n:
-        raise ValueError("Pauli size mismatch")
-    state = np.array(state, dtype=complex)
-    _pauli_in_place(state, p)
-    return state
-
-
-def _pauli_in_place(state: np.ndarray, p: PauliOperator) -> None:
-    """Per qubit of the support, in increasing order: X swaps the bit's 0-
-    and 1-halves, Z negates the 1-half, Y swaps them and multiplies by -i
-    and i."""
+def apply_pauli(state: np.ndarray, p: PauliOperator) -> None:
+    """``p`` on every row of ``state``, in place, as an exact signed
+    permutation equal bit for bit to the product of its 2x2 matrices. Per
+    qubit of the support, in increasing order: X swaps the bit's 0- and
+    1-halves, Z negates the 1-half, Y swaps them and multiplies by -i and i."""
+    if state.shape[-1] != 1 << p.n or not state.flags.c_contiguous:
+        raise ValueError("apply_pauli needs C-contiguous rows of 2^n amplitudes, n the Pauli's size")
     for q in range(p.n):
         x, z = p.x_bits >> q & 1, p.z_bits >> q & 1
         if not (x or z):

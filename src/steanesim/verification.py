@@ -5,7 +5,8 @@ encoder output amplitudes, the transversal-H identity on the logical zero
 state, decoder inversion, teleportation-gadget algebra on the trivial code,
 and the backward frame sweep of the fault map against dense simulation on
 encode, decode and syndrome-round segments (at most 14 qubits per segment,
-built from the same parts as the full cycle).
+built from the same parts as the full cycle), each segment cut after the
+fault's gate into two plain runs.
 """
 from __future__ import annotations
 
@@ -137,18 +138,32 @@ def _strip_measurements(circuit: Circuit) -> Circuit:
     return Circuit(circuit.n_qubits, gates, name=circuit.name + "-unitary")
 
 
+def _forked(circuit: Circuit, index: int, rows: np.ndarray | list, paulis: list[PauliOperator]) -> np.ndarray:
+    """The (clean, faulted) pair of ``rows`` run through ``circuit``, faulted
+    by ``paulis[r]`` on row ``r`` right after gate ``index``. A row is a
+    state of the low wires, every other wire in |0>. The prefix up to that
+    gate runs once, in the clean half of the pair, and the suffix runs on
+    both halves as one stack; no other input array is kept."""
+    n, rows = circuit.n_qubits, np.asarray(rows)
+    pair = np.zeros((2,) + rows.shape[:-1] + (1 << n,), dtype=complex)
+    pair[0, ..., :rows.shape[-1]] = rows
+    pair[0] = simulate_statevector(Circuit(n, circuit.gates[:index + 1]), pair[0])
+    pair[1] = pair[0]
+    for row, p in zip(pair[1].reshape(-1, 1 << n), paulis):
+        apply_pauli(row, p)
+    return simulate_statevector(Circuit(n, circuit.gates[index + 1:]), pair)
+
+
 def check_propagation_oracle(n_faults: int = 200, seed: int = 20240817, tol: float = 1e-10) -> tuple[bool, str]:
     """The backward frame sweep behind ``fault_map`` (``fault_frames``, one
     sweep per segment) vs dense simulation on <=14-qubit circuit segments.
 
     Each fault gets a random state on the data wires 1-7 (the round
-    segments' ancilla wires start in |0...0>). The faults that fork one
-    segment at the same gate run as stacked ``simulate_statevector`` runs:
-    the gates before the fork are simulated once per input row, the rest on
-    the clean and the faulted rows together. A stack holds at most as many
-    amplitudes as one forked run of the widest segment, so round-segment
-    faults run one at a time. The frame, applied to a clean row, must give
-    its faulted row up to global phase."""
+    segments' ancilla wires start in |0...0>). The faults at one gate of a
+    segment run through :func:`_forked` in stacks of at most 2^14 input
+    amplitudes, so round-segment faults run one at a time. The frame,
+    applied in place to a clean row, must give its faulted row up to global
+    phase."""
     rng = np.random.default_rng(seed)
     segments = {
         "encoder": build_encoder(),
@@ -159,27 +174,26 @@ def check_propagation_oracle(n_faults: int = 200, seed: int = 20240817, tol: flo
     pool = []
     for name, circ in segments.items():
         locations = enumerable_locations(circ)
-        for (_, label, _, qubit), frames in zip(locations, fault_frames(circ, locations, {})):
+        for (index, _, _, qubit), frames in zip(locations, fault_frames(circ, locations, {})):
             for pauli, frame in zip("XYZ", frames):
-                pool.append((name, label, qubit, pauli, frame))
+                pool.append((name, index, qubit, pauli, frame))
     picks = rng.choice(len(pool), size=n_faults, replace=True)
-    forks: dict[tuple[str, str], list] = {}  # (segment, fork label) -> its faults, in draw order
+    cuts: dict[tuple[str, int], list] = {}  # (segment, gate index) -> its faults, in draw order
     for idx in picks:
-        name, label, qubit, pauli, frame = pool[int(idx)]
-        forks.setdefault((name, label), []).append((qubit, pauli, frame, random_state(7, rng)))
+        name, index, qubit, pauli, frame = pool[int(idx)]
+        cuts.setdefault((name, index), []).append((qubit, pauli, frame, random_state(7, rng)))
     widest = max(c.n_qubits for c in segments.values())
     disagreements = 0
-    for (name, label), faults in forks.items():
+    for (name, index), faults in cuts.items():
         circ, n = segments[name], segments[name].n_qubits
         per_run = 1 << (widest - n)
         for first in range(0, len(faults), per_run):
             run = faults[first:first + per_run]
-            inputs = np.zeros((len(run), 1 << n), dtype=complex)
-            inputs[:, :128] = [psi for *_, psi in run]  # data wires 1-7 are the low bits
             paulis = [PauliOperator.single(n, qubit + 1, pauli) for qubit, pauli, _, _ in run]
-            clean, faulted = simulate_statevector(circ, inputs, fork=(label, paulis))
+            clean, faulted = _forked(circ, index, [psi for *_, psi in run], paulis)  # data wires 1-7: low bits
             for (_, _, (x, z, _), _), c, f in zip(run, clean, faulted):
-                if not states_equal(f, apply_pauli(c, PauliOperator(n, x, z), n), tol):
+                apply_pauli(c, PauliOperator(n, x, z))
+                if not states_equal(f, c, tol):
                     disagreements += 1
     return disagreements == 0, f"{n_faults} random faults, {disagreements} disagreements"
 

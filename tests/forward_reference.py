@@ -15,9 +15,13 @@ applies the decode-side Hadamards to the residual gate by gate.
 
 ``statevec`` applies each run of controlled-X gates (``CNOT``, ``CCX`` and
 the coupling of ``CAT2``) as one permutation, and a Pauli only on its
-support. :func:`controlled_x` and :func:`apply_pauli` act one gate or qubit
-at a time on the n-axis view instead, and :func:`simulate_gate_by_gate`
-applies a circuit with them, gate by gate.
+support, in place. :func:`controlled_x` and :func:`apply_pauli` act one
+gate or qubit at a time on the n-axis view instead, on a copy, and
+:func:`simulate_gate_by_gate` applies a circuit with them, gate by gate.
+Its ``fork`` puts the faulted rows beside the clean ones inside that one
+pass; ``verification._forked``, the propagation oracle's fault placement,
+cuts the circuit after the fault gate and runs a prefix and a suffix
+instead, and the tests compare the two bit for bit.
 """
 from __future__ import annotations
 

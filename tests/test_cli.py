@@ -331,13 +331,17 @@ def test_flags_on_a_file_uses_its_own_ledgers(tmp_path, capsys):
     ("threshold", "--curves", "c.csv", "--out", "t.csv"),
     ("resources", "--cnot-time", "inf"),
     ("resources", "--count", "5", "--format", "json"),
+    ("propagate", "--circuit", "aux.txt", "--block", "data", "--no-flags"),
+    ("propagate", "--circuit", "aux.txt", "--flags"),
+    ("flags", "--circuit", "aux.txt", "--block", "aux"),
 ], ids=["missing-file", "resources-k0", "threshold-k0", "curves-k0", "threshold-r-negative", "curves-r0",
         "verify-faults-negative", "verify-seed-negative", "resources-x0", "resources-x-negative",
         "resources-cnot-time-negative", "resources-cnot-time-zero", "resources-cnot-time-inf",
         "resources-runtime-count-overflow", "threshold-k-overflow", "curves-k-overflow",
         "resources-runtime-k-overflow", "resources-k-unprintable", "resources-k-unprintable-json",
         "tables-out-and-out-dir", "curves-and-out", "resources-cnot-time-without-gate",
-        "resources-count-without-gate"])
+        "resources-count-without-gate", "propagate-circuit-and-block", "propagate-circuit-and-flags",
+        "flags-circuit-and-block"])
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert main(list(argv)) == 2
@@ -356,6 +360,9 @@ def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
         assert "cnot_time must be positive and finite" in captured.err
     if "--out" in argv:  # an option that would be ignored is named
         assert "cannot be combined" in captured.err
+    if "--circuit" in argv[:-2]:  # the file fixes the block and the flags
+        named = "--block" if "--block" in argv else "--flags/--no-flags"
+        assert f"--circuit cannot be combined with {named}" in captured.err
     if argv[:2] == ("resources", "--k") and int(argv[2]) > 5086:  # counts past the default 4300 printable digits
         assert f"--k {argv[2]} gives CNOT counts of more than 4300 digits" in captured.err
 

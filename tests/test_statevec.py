@@ -217,22 +217,18 @@ def test_macro_on_wires_not_in_zero_raises():
 
 
 def test_fork_clean_row_equals_unforked_run():
+    # The cut flushes the pending CNOT run at the fault gate; the uncut run
+    # carries it on. Both give the same bytes, at every cut of the segment.
     segment, psi = _round_segment_and_input()
-    label = next(g.label for g in segment.gates if g.kind == "CNOT")
+    uncut = simulate_statevector(segment, psi)
     fault = PauliOperator.single(segment.n_qubits, 3, "Y")
-    clean, faulted = simulate_statevector(segment, psi, fork=(label, [fault]))
-    unforked = simulate_statevector(segment, psi)
-    assert clean.tobytes() == unforked.tobytes()
-    assert not states_equal(faulted, clean)
-
-
-def test_fork_on_a_missing_label_raises():
-    segment, psi = _round_segment_and_input()
-    fault = [PauliOperator.single(segment.n_qubits, 1, "X")]
-    # a label inside a macro is no gate either: the block is placed whole
-    for label in ("nope", "PX1.C3", "C3"):
-        with pytest.raises(ValueError, match="names no gate"):
-            simulate_statevector(segment, psi, fork=(label, fault))
+    for index in range(len(segment.gates)):
+        prefix, suffix = (Circuit(14, gates) for gates in (segment.gates[:index + 1], segment.gates[index + 1:]))
+        assert simulate_statevector(suffix, simulate_statevector(prefix, psi)).tobytes() == uncut.tobytes(), index
+        if segment.gates[index].kind == "CNOT":
+            clean, faulted = verification._forked(segment, index, psi, [fault])
+            assert clean.tobytes() == uncut.tobytes()
+            assert not states_equal(faulted, clean)
 
 
 def test_fork_needs_one_pauli_per_row():
@@ -240,11 +236,10 @@ def test_fork_needs_one_pauli_per_row():
     rng = np.random.default_rng(37)
     stack = np.stack([random_state(7, rng) for _ in range(3)])
     faults = [PauliOperator.single(7, q, "Z") for q in (1, 2, 3)]
-    clean, faulted = simulate_statevector(encoder, stack, fork=("C5", faults))
+    index = next(i for i, g in enumerate(encoder.gates) if g.label == "C5")
+    clean, faulted = verification._forked(encoder, index, stack, faults)
     for row, psi, fault in zip(faulted, stack, faults):
-        assert row.tobytes() == simulate_statevector(encoder, psi, fork=("C5", [fault]))[1].tobytes()
-    with pytest.raises(ValueError, match="one Pauli per input row"):
-        simulate_statevector(encoder, stack, fork=("C5", faults[:2]))
+        assert row.tobytes() == verification._forked(encoder, index, psi, [fault])[1].tobytes()
 
 
 def test_stacked_round_trip_equals_one_run_per_state():
@@ -268,7 +263,13 @@ def test_apply_pauli_matches_matrix_product_bit_for_bit():
                 for q in range(n):
                     if p.kind_on(q + 1) != "I":
                         want = apply_1q(want, _MATRICES[p.kind_on(q + 1)], q, n)
-                assert apply_pauli(psi, p, n).tobytes() == want.tobytes(), (n, str(p))
+                got = psi.copy()
+                assert apply_pauli(got, p) is None
+                assert got.tobytes() == want.tobytes(), (n, str(p))
+    with pytest.raises(ValueError, match="C-contiguous rows"):
+        apply_pauli(random_state(3, rng), PauliOperator.single(2, 1, "X"))
+    with pytest.raises(ValueError, match="C-contiguous rows"):
+        apply_pauli(np.stack((random_state(2, rng), random_state(2, rng))).T, PauliOperator.single(1, 1, "X"))
 
 
 def test_oracle_catches_a_wrong_propagation(monkeypatch):
@@ -290,16 +291,26 @@ def test_oracle_catches_a_wrong_propagation(monkeypatch):
 
 
 def test_oracle_runs_each_drawn_fault_on_its_own_input(monkeypatch):
-    runs = []
-    simulate = verification.simulate_statevector
+    cuts, runs = [], []
+    forked, simulate = verification._forked, verification.simulate_statevector
 
-    def spy(circuit, inputs, fork):
-        runs.append((circuit.n_qubits, fork[0], [str(p) for p in fork[1]], inputs.copy()))
-        return simulate(circuit, inputs, fork=fork)
+    def spy_forked(circuit, index, rows, paulis):
+        cuts.append((circuit, index, [str(p) for p in paulis]))
+        return forked(circuit, index, rows, paulis)
 
-    monkeypatch.setattr(verification, "simulate_statevector", spy)
+    def spy_simulate(circuit, inputs):
+        runs.append((circuit.gates, inputs.copy()))
+        return simulate(circuit, inputs)
+
+    monkeypatch.setattr(verification, "_forked", spy_forked)
+    monkeypatch.setattr(verification, "simulate_statevector", spy_simulate)
     assert verification.check_propagation_oracle(n_faults=40, seed=99)[0]
-    got = sorted((label, p, row.tobytes()) for _, label, paulis, rows in runs for p, row in zip(paulis, rows))
+    # Each cut is a prefix run through the fault gate on the input rows, then a
+    # suffix run on the (clean, faulted) pair.
+    assert len(runs) == 2 * len(cuts)
+    prefixes, suffixes = runs[::2], runs[1::2]
+    got = sorted((c.gates[i].label, p, row.tobytes())
+                 for (c, i, paulis), (_, rows) in zip(cuts, prefixes) for p, row in zip(paulis, rows))
     # The draws of one dense run per fault: all picks, then a data state per pick.
     rng = np.random.default_rng(99)
     strip = verification._strip_measurements
@@ -310,9 +321,13 @@ def test_oracle_runs_each_drawn_fault_on_its_own_input(monkeypatch):
         n, label, qubit, p = pool[int(idx)]
         want.append((label, str(PauliOperator.single(n, qubit + 1, p)), _padded(random_state(7, rng), n).tobytes()))
     assert got == sorted(want)
-    # Encoder and decoder faults at one gate share a run; no run holds more than 2^14 input amplitudes.
-    assert max(len(paulis) for n, _, paulis, _ in runs if n == 7) > 1
-    assert all(rows.size <= 1 << 14 for *_, rows in runs)
+    # Encoder and decoder faults at one gate share a run; a prefix holds at
+    # most 2^14 input amplitudes, a suffix pair at most 2^15.
+    assert max(len(paulis) for c, _, paulis in cuts if c.n_qubits == 7) > 1
+    for (circuit, index, _), (prefix, rows), (suffix, pair) in zip(cuts, prefixes, suffixes):
+        assert prefix == circuit.gates[:index + 1] and suffix == circuit.gates[index + 1:]
+        assert pair.shape == (2,) + rows.shape
+        assert rows.size <= 1 << 14 and pair.size <= 1 << 15
 
 
 # Runs of controlled-X gates, broken by the other kinds; each gate gets its own label.
@@ -322,8 +337,8 @@ DENSE_KINDS = ("CNOT", "CNOT", "CNOT", "CCX", "CAT2", "PREPP", "X", "H", "S")
 @st.composite
 def dense_runs(draw):
     """A random CNOT/CCX/CAT2/PREPP/X/H/S circuit on n <= 8 qubits, an input
-    (one state or a stack), and either no fork or a fork at a random label
-    with one random Pauli per input row."""
+    (one state or a stack), and either no cut or a cut after a random gate
+    index with one random Pauli per input row."""
     n = draw(st.integers(1, 8))
     arity = {"CNOT": 2, "CAT2": 2, "CCX": 3}
     kinds = [k for k in DENSE_KINDS if arity.get(k, 1) <= n]
@@ -334,26 +349,30 @@ def dense_runs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = draw(st.sampled_from([None, 1, 3]))
     psi = random_state(n, rng) if rows is None else np.stack([random_state(n, rng) for _ in range(rows)])
-    fork = None
+    cut = None
     if draw(st.booleans()):
         paulis = [PauliOperator(n, int(rng.integers(1 << n)), int(rng.integers(1 << n))) for _ in range(rows or 1)]
-        fork = (draw(st.sampled_from(gates)).label, paulis)
-    return Circuit(n, gates), psi, fork
+        cut = (draw(st.integers(0, len(gates) - 1)), paulis)
+    return Circuit(n, gates), psi, cut
 
 
 @settings(max_examples=300, deadline=None)
 @given(dense_runs())
 def test_fused_runs_equal_gate_by_gate_application_bit_for_bit(case):
-    circuit, psi, fork = case
-    got = simulate_statevector(circuit, psi, fork=fork)
-    want = simulate_gate_by_gate(circuit, psi, fork)
+    circuit, psi, cut = case
+    if cut is None:
+        got, want = simulate_statevector(circuit, psi), simulate_gate_by_gate(circuit, psi)
+    else:
+        index, paulis = cut
+        got = verification._forked(circuit, index, psi, paulis)
+        want = simulate_gate_by_gate(circuit, psi, (circuit.gates[index].label, paulis))
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("build", [build_x_round_segment, build_z_round_segment])
 def test_round_segment_runs_equal_gate_by_gate_application_bit_for_bit(build):
-    # The CNOTs after the ancilla block: one 14-qubit run, forked at each of its gates.
+    # The CNOTs after the ancilla block: one 14-qubit run, cut after each of its gates.
     segment = verification._strip_measurements(build())
     cnots = Circuit(14, [g for g in segment.gates if g.kind == "CNOT"])
     rng = np.random.default_rng(43)
@@ -361,11 +380,10 @@ def test_round_segment_runs_equal_gate_by_gate_application_bit_for_bit(build):
     for psi in (single, stacked):
         rows = psi.size >> 14
         assert simulate_statevector(cnots, psi).tobytes() == simulate_gate_by_gate(cnots, psi).tobytes()
-        for g in cnots.gates:
-            fork = (g.label, [PauliOperator(14, int(rng.integers(1 << 14)), int(rng.integers(1 << 14)))
-                              for _ in range(rows)])
-            got = simulate_statevector(cnots, psi, fork=fork)
-            assert got.tobytes() == simulate_gate_by_gate(cnots, psi, fork).tobytes(), g.label
+        for index, g in enumerate(cnots.gates):
+            paulis = [PauliOperator(14, int(rng.integers(1 << 14)), int(rng.integers(1 << 14))) for _ in range(rows)]
+            got = verification._forked(cnots, index, psi, paulis)
+            assert got.tobytes() == simulate_gate_by_gate(cnots, psi, (g.label, paulis)).tobytes(), g.label
 
 
 @pytest.mark.parametrize("wires", [(9, 8, 7, 6, 5, 4, 3), (8, 1, 5, 0, 9, 3, 6), (0, 1, 2, 3, 4, 5, 6)])
