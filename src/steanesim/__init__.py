@@ -20,7 +20,7 @@ from .faults import (
     view_table,
 )
 from .depth import BlockDepth, DepthProfile, count_fault_locations, effective_R
-from .threshold import ThresholdQuery, ThresholdResult, coefficient_c, evaluate_p_th, expand_levels, optimize_x
+from .threshold import ThresholdResult, coefficient_c, expand_levels, optimize_x, p_th
 from .resources import check_permitted_depth, cnot_count, estimate_runtime
 
 __version__ = "0.1.0"

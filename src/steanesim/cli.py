@@ -223,6 +223,8 @@ def cmd_tables(args) -> int:
 def cmd_threshold(args) -> int:
     if args.curves and args.out is not None:
         raise ValueError("--curves and --out cannot be combined: --curves names the output file")
+    if args.r is not None and args.gate == "transversal":
+        raise ValueError("--r needs a measured --gate (t, toffoli1, toffoli2, toffoli3); the transversal class ignores it")
     block_depth = block_analysis(args.block)[4]
     if args.curves:
         ks = list(range(1, 7)) if args.k is None else [args.k]

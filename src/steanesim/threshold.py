@@ -12,9 +12,14 @@ For level k the expanded list has length 7^k; the literal expansion is kept
 for modest k, while the default path evaluates the same sum in closed form:
 sum over lineage positions s of list_k[s] equals T_{k-1} + 7^(k-1) * R1 with
 T_j = (R1+...+R7) * (7^j - 1) / 6.
+
+`p_th` is the one threshold formula and `_scan` the one x loop: `curve`
+lists the scan's (k, x, p_th) rows, and `optimize_x` takes their first
+maximum without materialising them.
 """
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 from .depth import BlockDepth
@@ -26,31 +31,6 @@ MAX_LITERAL_LEVEL = 8
 MAX_LEVEL = 1023  # the largest k whose root exponent 1/(2^k - 1) a float can hold
 
 
-class ConcatenationProfile(NamedTuple):
-    base: BlockDepth
-    level: int
-    expanded: tuple[int, ...]
-
-
-class ThresholdQuery(NamedTuple):
-    k: int
-    r: int | None           # None = transversal limit (r -> infinity)
-    gate_class: str
-    x: int
-
-    @property
-    def r0(self) -> float | None:
-        if self.gate_class == "transversal" or self.r is None:
-            return self.r
-        return self.r - 1 + R_PRIME[self.gate_class]
-
-    def depth_ratio(self) -> float:
-        """(r*x/r0): the measured classes divide by r0 = r - 1 + r'."""
-        if self.gate_class == "transversal" or self.r is None:
-            return float(self.x)
-        return self.r * self.x / self.r0
-
-
 class ThresholdResult(NamedTuple):
     k: int
     r: int | None
@@ -60,7 +40,7 @@ class ThresholdResult(NamedTuple):
     max_p_th: float
 
 
-def expand_levels(block: BlockDepth, k: int) -> ConcatenationProfile:
+def expand_levels(block: BlockDepth, k: int) -> tuple[int, ...]:
     """Materialized level-k depth list (7x growth per level).
 
     Each element e of the current list is replaced by [e + R1, R2, ..., R7];
@@ -77,7 +57,7 @@ def expand_levels(block: BlockDepth, k: int) -> ConcatenationProfile:
             nxt.append(e + block.R[0])
             nxt.extend(block.R[1:7])
         lst = nxt
-    return ConcatenationProfile(block, k, tuple(lst))
+    return tuple(lst)
 
 
 def _pair_sum_terms(A: int, B: int, D: int, E: int, F: int) -> int:
@@ -88,15 +68,12 @@ def _pair_sum_terms(A: int, B: int, D: int, E: int, F: int) -> int:
     )
 
 
-def coefficient_c0_literal(profile: ConcatenationProfile, x: int, gamma: int) -> int:
-    """Exact integer c0 by walking the materialized lineage positions."""
-    R = profile.base.R
+def coefficient_c0_literal(expanded: tuple[int, ...], x: int, gamma: int) -> int:
+    """Exact integer c0 by walking the lineage positions 0, 7, 14, ... of an
+    `expand_levels` list; positions 1-6 hold R2..R7 at every level."""
     gx = gamma * x
-    B, D, E, F = R[1] + gx, R[3] + gx, R[4] + gx, R[5] + gx
-    c0 = 0
-    for s in range(0, 7 ** profile.level, 7):
-        c0 += _pair_sum_terms(profile.expanded[s] + gx, B, D, E, F)
-    return c0
+    B, D, E, F = (expanded[i] + gx for i in (1, 3, 4, 5))
+    return sum(_pair_sum_terms(expanded[s] + gx, B, D, E, F) for s in range(0, len(expanded), 7))
 
 
 def coefficient_c0(block: BlockDepth, k: int, x: int) -> int:
@@ -121,19 +98,18 @@ def coefficient_c(block: BlockDepth, k: int, x: int) -> float:
     return coefficient_c0(block, k, x) / 7 ** (k - 1)
 
 
-def evaluate_p_th(query: ThresholdQuery, c: float) -> float:
-    """p_th = (r*x/r0)^(1/(2^k - 1)) / c."""
+def p_th(block: BlockDepth, k: int, x: int, r: int | None = None, gate_class: str = "transversal") -> float:
+    """p_th = (r*x/r0)^(1/(2^k - 1)) / c, with r0 = r - 1 + r' for the measured
+    classes; the transversal class and r=None (r -> infinity) take the ratio x."""
+    c = coefficient_c(block, k, x)
     if c <= 0:
         raise ZeroDivisionError("coefficient c must be positive")
-    return query.depth_ratio() ** (1.0 / (2 ** query.k - 1)) / c
+    ratio = x if gate_class == "transversal" or r is None else r * x / (r - 1 + R_PRIME[gate_class])
+    return ratio ** (1.0 / (2 ** k - 1)) / c
 
 
-def p_th(block: BlockDepth, k: int, x: int, r: int | None = None, gate_class: str = "transversal") -> float:
-    return evaluate_p_th(ThresholdQuery(k, r, gate_class, x), coefficient_c(block, k, x))
-
-
-def _check_scan(k: int, r: int | None, gate_class: str, x_max: int) -> None:
-    """The argument checks shared by the x scans."""
+def _scan(block: BlockDepth, k: int, x_max: int, r: int | None, gate_class: str):
+    """Check the arguments now; return the lazy (k, x, p_th) rows for x = 1..x_max."""
     if k > MAX_LEVEL:
         raise ValueError(f"k must be <= {MAX_LEVEL}, got {k}")
     if gate_class not in GATE_CLASSES:
@@ -142,6 +118,7 @@ def _check_scan(k: int, r: int | None, gate_class: str, x_max: int) -> None:
         raise ValueError("x_max must be >= 1")
     if r is not None and r < 1:
         raise ValueError("r must be >= 1")
+    return ((k, x, p_th(block, k, x, r, gate_class)) for x in range(1, x_max + 1))
 
 
 def optimize_x(
@@ -151,38 +128,23 @@ def optimize_x(
     gate_class: str = "transversal",
     x_max: int = DEFAULT_X_MAX,
 ) -> ThresholdResult:
-    """Scan x = 1..x_max; ties resolve to the smallest x (first maximum)."""
-    _check_scan(k, r, gate_class, x_max)
-    best_x, best_c, best_p = 1, 0.0, float("-inf")
-    for x in range(1, x_max + 1):
-        c = coefficient_c(block, k, x)
-        val = evaluate_p_th(ThresholdQuery(k, r, gate_class, x), c)
-        if val > best_p:
-            best_x, best_c, best_p = x, c, val
-    return ThresholdResult(k, r, gate_class, best_x, best_c, best_p)
+    """The first maximum of the scan `curve` lists: ties resolve to the smallest x."""
+    _, x_star, best = max(_scan(block, k, x_max, r, gate_class), key=itemgetter(2))
+    return ThresholdResult(k, r, gate_class, x_star, coefficient_c(block, k, x_star), best)
 
 
 def curve(block: BlockDepth, k: int, x_max: int = DEFAULT_X_MAX, r: int | None = None,
           gate_class: str = "transversal") -> list[tuple[int, int, float]]:
     """(k, x, p_th) rows for a fixed level."""
-    _check_scan(k, r, gate_class, x_max)
-    rows = []
-    for x in range(1, x_max + 1):
-        c = coefficient_c(block, k, x)
-        rows.append((k, x, evaluate_p_th(ThresholdQuery(k, r, gate_class, x), c)))
-    return rows
+    return list(_scan(block, k, x_max, r, gate_class))
 
 
 TABLE2_R_VALUES = (1, 10, 100, 1000, 10000, None)  # None prints as the limit row
 
 
-def generate_table_1(block: BlockDepth, k_max: int = 10, x_max: int = DEFAULT_X_MAX):
-    return [optimize_x(block, k, x_max=x_max) for k in range(1, k_max + 1)]
+def generate_table_1(block: BlockDepth):
+    return [optimize_x(block, k) for k in range(1, 11)]
 
 
-def generate_table_2(block: BlockDepth, gate_class: str, k_max: int = 6, x_max: int = DEFAULT_X_MAX):
-    rows = []
-    for k in range(1, k_max + 1):
-        for r in TABLE2_R_VALUES:
-            rows.append(optimize_x(block, k, r=r, gate_class=gate_class, x_max=x_max))
-    return rows
+def generate_table_2(block: BlockDepth, gate_class: str):
+    return [optimize_x(block, k, r=r, gate_class=gate_class) for k in range(1, 7) for r in TABLE2_R_VALUES]

@@ -334,6 +334,8 @@ def test_flags_on_a_file_uses_its_own_ledgers(tmp_path, capsys):
     ("propagate", "--circuit", "aux.txt", "--block", "data", "--no-flags"),
     ("propagate", "--circuit", "aux.txt", "--flags"),
     ("flags", "--circuit", "aux.txt", "--block", "aux"),
+    ("threshold", "--k", "2", "--r", "10"),
+    ("threshold", "--k", "2", "--r", "10", "--curves", "-"),
 ], ids=["missing-file", "resources-k0", "threshold-k0", "curves-k0", "threshold-r-negative", "curves-r0",
         "verify-faults-negative", "verify-seed-negative", "resources-x0", "resources-x-negative",
         "resources-cnot-time-negative", "resources-cnot-time-zero", "resources-cnot-time-inf",
@@ -341,7 +343,7 @@ def test_flags_on_a_file_uses_its_own_ledgers(tmp_path, capsys):
         "resources-runtime-k-overflow", "resources-k-unprintable", "resources-k-unprintable-json",
         "tables-out-and-out-dir", "curves-and-out", "resources-cnot-time-without-gate",
         "resources-count-without-gate", "propagate-circuit-and-block", "propagate-circuit-and-flags",
-        "flags-circuit-and-block"])
+        "flags-circuit-and-block", "threshold-r-transversal", "curves-r-transversal"])
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert main(list(argv)) == 2
@@ -358,6 +360,8 @@ def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
         assert f"gate counts {{'t': {argv[-1]}}} at k=1" in captured.err
     elif argv[-2] == "--cnot-time":
         assert "cnot_time must be positive and finite" in captured.err
+    if argv[0] == "threshold" and "--gate" not in argv and "--r" in argv:
+        assert "--r needs a measured --gate" in captured.err
     if "--out" in argv:  # an option that would be ignored is named
         assert "cannot be combined" in captured.err
     if "--circuit" in argv[:-2]:  # the file fixes the block and the flags

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,20 +11,58 @@ from hypothesis import given, settings, strategies as st
 from steanesim import pinned
 from steanesim.depth import BlockDepth, aux_block_depth, data_block_depth
 from steanesim.threshold import (
-    ThresholdQuery,
+    GATE_CLASSES,
+    MAX_LEVEL,
+    R_PRIME,
+    TABLE2_R_VALUES,
+    ThresholdResult,
     coefficient_c,
     coefficient_c0,
     coefficient_c0_literal,
     curve,
-    evaluate_p_th,
     expand_levels,
     generate_table_1,
     generate_table_2,
     optimize_x,
+    p_th,
 )
 
 DATA = BlockDepth(pinned.DATA_BLOCK_R)
 AUX = BlockDepth(pinned.AUX_BLOCK_R)
+
+
+def reference_scan(block, k, r=None, gate_class="transversal", x_max=200) -> ThresholdResult:
+    """The explicit x loop with the formula spelled out: keep the first strict maximum."""
+    best_x, best_c, best_p = 1, 0.0, float("-inf")
+    for x in range(1, x_max + 1):
+        c = coefficient_c(block, k, x)
+        ratio = float(x) if gate_class == "transversal" or r is None else r * x / (r - 1 + R_PRIME[gate_class])
+        val = ratio ** (1.0 / (2 ** k - 1)) / c
+        if val > best_p:
+            best_x, best_c, best_p = x, c, val
+    return ThresholdResult(k, r, gate_class, best_x, best_c, best_p)
+
+
+def scan_grid(seed: int = 18):
+    """Seeded (block, k, r, gate_class, x_max) queries: both blocks, every gate
+    class, k 1-12 against every table r and a drawn r up to 1e5, cycling x_max
+    through fixed values and log-uniform drawn ones up to 2000; MAX_LEVEL with x_max <= 7; every pinned table cell."""
+    rng = random.Random(seed)
+    x_maxes = (1, 2, 3, 7, 50, 200)
+    queries = []
+    for block in (DATA, AUX):
+        for gate in GATE_CLASSES:
+            for k in range(1, 13):
+                for i, r in enumerate(TABLE2_R_VALUES + (rng.randint(1, 100_000),)):
+                    x_max = x_maxes[(k + i) % 7] if (k + i) % 7 < 6 else round(2000 ** rng.random())
+                    queries.append((block, k, r, gate, x_max))
+            for r in (None, 1, rng.randint(1, 100_000)):
+                queries.append((block, MAX_LEVEL, r, gate, rng.randint(1, 7)))
+    queries += [(block, k, None, "transversal", 200) for block, table in ((DATA, pinned.TABLE_1A_DATA),
+                                                                         (AUX, pinned.TABLE_1B_AUX)) for k in table]
+    queries += [(AUX, k, r, gate, 200) for gate, table in (("t", pinned.TABLE_2A_T_GATE),
+                                                           ("toffoli3", pinned.TABLE_2B_TOFFOLI_TARGET)) for k, r in table]
+    return queries
 
 
 def step17_by_hand(depths: tuple[int, ...], gamma: int, x: int, lineage: int) -> int:
@@ -32,8 +72,8 @@ def step17_by_hand(depths: tuple[int, ...], gamma: int, x: int, lineage: int) ->
 
 
 def test_expand_levels_examples():
-    assert expand_levels(DATA, 1).expanded == DATA.R
-    lvl2 = expand_levels(DATA, 2).expanded
+    assert expand_levels(DATA, 1) == DATA.R
+    lvl2 = expand_levels(DATA, 2)
     assert len(lvl2) == 49
     for m in range(7):
         assert lvl2[7 * m] == DATA.R[m] + 7
@@ -64,24 +104,21 @@ def test_coefficient_matches_pairwise_oracle():
 @given(st.integers(1, 5), st.integers(1, 9))
 def test_literal_expansion_equals_closed_form(k, x):
     for block in (DATA, AUX):
-        profile = expand_levels(block, k)
-        assert coefficient_c0_literal(profile, x, block.gamma) == coefficient_c0(block, k, x)
+        assert coefficient_c0_literal(expand_levels(block, k), x, block.gamma) == coefficient_c0(block, k, x)
 
 
-def test_evaluate_p_th_examples():
-    assert evaluate_p_th(ThresholdQuery(1, None, "transversal", 3), 11786.0) == pytest.approx(
-        3 / 11786, rel=1e-15
-    )
-    got = evaluate_p_th(ThresholdQuery(1, 1, "t", 2), 4722.0)
-    assert got == pytest.approx((2 / 20) / 4722, rel=1e-15)
-    assert evaluate_p_th(ThresholdQuery(1, 1, "transversal", 1), 1.0) == 1.0
+def test_p_th_examples():
+    assert p_th(DATA, 1, 3) == 3 / 11786
+    assert p_th(AUX, 1, 2, 1, "t") == (2 / 20) / 4722
+    assert p_th(DATA, 1, 3, 1, "transversal") == p_th(DATA, 1, 3)  # the transversal class ignores r
     with pytest.raises(ZeroDivisionError):
-        evaluate_p_th(ThresholdQuery(1, 1, "transversal", 1), 0.0)
+        p_th(BlockDepth((0,) * 7, gamma=0), 1, 1)
 
 
 def test_exponent_is_linear_at_level_one():
-    q = ThresholdQuery(1, None, "transversal", 7)
-    assert evaluate_p_th(q, 2.0) == pytest.approx(7 / 2, rel=1e-15)
+    for block in (DATA, AUX):
+        for x in (1, 2, 7):
+            assert p_th(block, 1, x) == x / coefficient_c(block, 1, x)
 
 
 def test_optimize_x_anchors():
@@ -150,9 +187,7 @@ def test_optimize_x_edge_cases():
     # with zero gamma the coefficient is constant in x, so p_th grows with x
     block = BlockDepth((1, 1, 1, 1, 1, 1, 1), gamma=0)
     assert optimize_x(block, 1, x_max=10).x_star == 10
-    values = [evaluate_p_th(ThresholdQuery(1, None, "transversal", x), coefficient_c(block, 1, x))
-              for x in (1, 2)]
-    assert values[0] < values[1]
+    assert p_th(block, 1, 1) < p_th(block, 1, 2)
 
 
 def test_derived_block_depths_feed_the_tables():
@@ -173,3 +208,19 @@ def test_curve_checks_its_arguments_like_optimize_x():
         with pytest.raises(ValueError) as scan_error:
             optimize_x(DATA, 1, **kwargs)
         assert str(curve_error.value) == str(scan_error.value)
+
+
+def test_optimize_x_equals_the_reference_scan():
+    for block, k, r, gate, x_max in scan_grid():
+        assert optimize_x(block, k, r, gate, x_max) == reference_scan(block, k, r, gate, x_max), (k, r, gate, x_max)
+
+
+def test_optimize_x_memory_does_not_grow_with_x_max():
+    # the scan is consumed lazily; a materialised 50,000-row curve takes more than 5 MB
+    tracemalloc.start()
+    try:
+        optimize_x(DATA, 1, x_max=50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
