@@ -64,7 +64,7 @@ def _emit(args, forms: dict, out: str | None = None) -> None:
     """Write the form ``--format`` selects from ``forms`` (``"json"`` maps to
     a payload, any other form to lines) to ``out``, by default ``--out``."""
     form = forms[args.format]
-    text = json.dumps(form, indent=2, sort_keys=True) if args.format == "json" else "\n".join(form)
+    text = json.dumps(form, indent=2, sort_keys=True, allow_nan=False) if args.format == "json" else "\n".join(form)
     _write(text, args.out if out is None else out)
 
 
@@ -287,6 +287,10 @@ def cmd_verify(args) -> int:
     for option, value in (("--faults", args.faults), ("--seed", args.seed)):
         if value < 0:
             raise ValueError(f"{option} must be >= 0, got {value}")
+    # The oracle's arrays hold at most 2 x 2^14 amplitudes and its only BLAS calls are 2x2 products
+    # (apply_1q): one thread suffices, and starting OpenBLAS's pool cost ~60 ms of every fresh verify.
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import verification
 
     results = verification.run_all(n_oracle_faults=args.faults, seed=args.seed)

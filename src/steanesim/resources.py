@@ -60,9 +60,13 @@ def estimate_runtime(
             raise ValueError("gate counts must be nonnegative")
         total += count * cnot_count(gate_class, k)
     try:
-        return RuntimeEstimate(total, cnot_time, total * cnot_time)
-    except OverflowError:
-        raise ValueError(f"gate counts {gate_counts} at k={k} give more CNOTs than a float can time") from None
+        seconds = total * cnot_time
+    except OverflowError:  # a CNOT count too large for a float
+        seconds = math.inf
+    if not math.isfinite(seconds):
+        raise ValueError(f"gate counts {gate_counts} at k={k} with cnot_time {cnot_time} give a runtime "
+                         "past a float's range")
+    return RuntimeEstimate(total, cnot_time, seconds)
 
 
 class DepthCheck(NamedTuple):

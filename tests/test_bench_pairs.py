@@ -94,3 +94,14 @@ def test_a_run_reads_its_checkouts_results_file(tmp_path):
     run = bench_pairs.run_once(tmp_path, "reproduce", 3)
     assert run == {"ops_per_s": 7.5, "correct": True, "attempted": 40, "failed": 0,
                    "op_ms_by_label": {"verify": 321.5}}
+
+
+def test_host_records_the_blas_thread_settings_both_sides_inherit(monkeypatch):
+    bench_pairs = load_bench_pairs()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "4")
+    host = bench_pairs.host()
+    assert {k: host[k] for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")} == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "4"}
+    assert {"nproc", "python", "machine"} <= set(host)

@@ -39,6 +39,46 @@ def test_cli_import_loads_no_dataclasses_inspect_or_numpy():
     assert proc.stdout.strip() == "[]"
 
 
+def _cli_process(argv: list[str], blas_threads: str | None) -> subprocess.Popen:
+    """A fresh interpreter running ``argv`` with ``OPENBLAS_NUM_THREADS``
+    unset (None) or set to ``blas_threads``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return subprocess.Popen([sys.executable, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def test_verify_output_does_not_depend_on_the_blas_thread_setting():
+    golden = (ROOT / "perfbench" / "goldens" / "verify.txt").read_bytes()
+    procs = {threads: _cli_process(["-m", "steanesim.cli", "verify"], threads) for threads in (None, "1", "2")}
+    outputs = {threads: proc.communicate(timeout=60) for threads, proc in procs.items()}
+    assert {threads: (proc.returncode, outputs[threads][0]) for threads, proc in procs.items()} == {
+        threads: (0, golden) for threads in procs}
+
+
+def test_verify_loads_numpy_with_one_blas_thread_unless_one_is_set():
+    # Only verify sets the variable, only if numpy is not loaded yet, and an exported value wins.
+    probe = (
+        "import contextlib, io, json, os, sys\n"
+        "from steanesim.cli import main\n"
+        "seen = []\n"
+        "for argv in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        main(argv.split())\n"
+        "    seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "tasks = len(os.listdir('/proc/self/task')) if sys.platform.startswith('linux') else None\n"
+        "print(json.dumps([seen, tasks]))\n"
+    )
+    unset = _cli_process(["-c", probe, "depth", "verify --faults 0"], None)
+    preset = _cli_process(["-c", probe, "verify --faults 0"], "3")
+    (seen, tasks), (seen_preset, _) = (json.loads(p.communicate(timeout=60)[0]) for p in (unset, preset))
+    assert seen == [None, "1"]
+    assert seen_preset == ["3"]
+    if sys.platform.startswith("linux"):
+        assert tasks == 1
+
+
 def test_tables_1a_first_row(capsys):
     code, out = run(capsys, "tables", "--table", "1a")
     assert code == 0
@@ -336,6 +376,8 @@ def test_flags_on_a_file_uses_its_own_ledgers(tmp_path, capsys):
     ("flags", "--circuit", "aux.txt", "--block", "aux"),
     ("threshold", "--k", "2", "--r", "10"),
     ("threshold", "--k", "2", "--r", "10", "--curves", "-"),
+    ("resources", "--gate", "t", "--count", "10", "--cnot-time", "1e308"),
+    ("resources", "--gate", "t", "--count", "10", "--cnot-time", "1e308", "--format", "json"),
 ], ids=["missing-file", "resources-k0", "threshold-k0", "curves-k0", "threshold-r-negative", "curves-r0",
         "verify-faults-negative", "verify-seed-negative", "resources-x0", "resources-x-negative",
         "resources-cnot-time-negative", "resources-cnot-time-zero", "resources-cnot-time-inf",
@@ -343,7 +385,8 @@ def test_flags_on_a_file_uses_its_own_ledgers(tmp_path, capsys):
         "resources-runtime-k-overflow", "resources-k-unprintable", "resources-k-unprintable-json",
         "tables-out-and-out-dir", "curves-and-out", "resources-cnot-time-without-gate",
         "resources-count-without-gate", "propagate-circuit-and-block", "propagate-circuit-and-flags",
-        "flags-circuit-and-block", "threshold-r-transversal", "curves-r-transversal"])
+        "flags-circuit-and-block", "threshold-r-transversal", "curves-r-transversal",
+        "resources-runtime-seconds-overflow", "resources-runtime-seconds-overflow-json"])
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert main(list(argv)) == 2
@@ -356,8 +399,8 @@ def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
         assert re.search(rf"\bk\b.*{argv[-1]}", captured.err)
     if "--gate" not in argv and argv[0] == "resources" and argv[1] in ("--count", "--cnot-time"):
         assert "--count and --cnot-time need --gate" in captured.err
-    elif argv[-2] == "--count":  # ... and for a runtime, the gate counts too
-        assert f"gate counts {{'t': {argv[-1]}}} at k=1" in captured.err
+    elif "--count" in argv:  # ... and for a runtime, the gate counts and the CNOT time too
+        assert f"gate counts {{'t': {argv[argv.index('--count') + 1]}}} at k=1 with cnot_time" in captured.err
     elif argv[-2] == "--cnot-time":
         assert "cnot_time must be positive and finite" in captured.err
     if argv[0] == "threshold" and "--gate" not in argv and "--r" in argv:
@@ -406,3 +449,14 @@ def test_curves_write_json_under_format_json(tmp_path, monkeypatch, capsys):
     assert csv_rows[0] == "k,x,p_th"
     assert [f"{p['k']},{p['x']},{p['p_th']:.15e}" for p in points] == csv_rows[1:]
     assert capsys.readouterr().out == ""
+
+
+def test_json_forms_reject_nan_and_infinity():
+    # Python's json would print Infinity or NaN, which a strict JSON parser rejects.
+    from argparse import Namespace
+
+    from steanesim.cli import _emit
+
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            _emit(Namespace(format="json", out=None), {"json": {"seconds": value}})

@@ -41,6 +41,11 @@ def test_runtime_estimates():
     assert est.seconds == pytest.approx(436e6 * 2.85e-4, rel=1e-12)
     with pytest.raises(ValueError):
         estimate_runtime({"t": -1})
+    # A finite count and time whose product is past a float's range: no inf seconds.
+    with pytest.raises(ValueError, match=r"gate counts \{'t': 10\} at k=1 with cnot_time 1e\+308"):
+        estimate_runtime({"t": 10}, cnot_time=1e308)
+    with pytest.raises(ValueError, match="past a float's range"):
+        estimate_runtime({"t": 10**400})
 
 
 def test_runtime_linearity():

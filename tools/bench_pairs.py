@@ -15,14 +15,17 @@ one workload and seed run back to back. The output file holds, per workload
 and seed, every run's five end-to-end metrics and ``correct`` flag, each
 side's median and quartiles per metric, and the number of pairs in which
 the change reads better (ties count for neither side), with the direction
-taken from ``BENCHMARK.json``. It also holds each metric's relative change of
-the change median against the parent median, whether that change stays
-within the metric's ``BENCHMARK.json`` bound, and each side's median count of
-attempted ops over the same runs; every metric outside its bound is printed
-per workload and seed, with those op counts beside it (a run that does more
-ops records more of them, which ``peak_rss_mb`` counts too). Each op label's
-raw median ms, parent -> change, is printed per workload and seed as well,
-which shows the command or op kind that moved.
+taken from ``BENCHMARK.json``. Its ``host`` block names the machine and the
+runner's ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` (null when unset), which both sides inherit. It also
+holds each metric's relative change of the change median against the parent
+median, whether that change stays within the metric's ``BENCHMARK.json``
+bound, and each side's median count of attempted ops over the same runs;
+every metric outside its bound is printed per workload and seed, with those
+op counts beside it (a run that does more ops records more of them, which
+``peak_rss_mb`` counts too). Each op label's raw median ms, parent ->
+change, is printed per workload and seed as well, which shows the command
+or op kind that moved.
 """
 from __future__ import annotations
 
@@ -60,6 +63,13 @@ def source_sha256(checkout: Path) -> str:
     for path in sorted((checkout / "src" / "steanesim").glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
+
+
+def host() -> dict:
+    """The runner's machine, and the BLAS thread settings it passes to both
+    sides (None when unset): a preset value would speed up the parent too."""
+    return {"nproc": os.cpu_count(), "python": platform.python_version(), "machine": platform.machine(),
+            **{name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -143,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
         "command": "python3 perfbench/run.py --workload W --seed S --seconds 36 --trace 0",
         "parent": {"rev": args.parent, "commit": git("rev-parse", args.parent).decode().strip()},
         "change": {"head": git("rev-parse", "HEAD").decode().strip(), "source_sha256": source_sha256(ROOT)},
-        "host": {"nproc": os.cpu_count(), "python": platform.python_version(), "machine": platform.machine()},
+        "host": host(),
         "quartiles": "statistics.quantiles(n=4, method='inclusive')",
         "runs": {},
     }
