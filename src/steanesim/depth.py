@@ -18,13 +18,10 @@ from typing import NamedTuple
 from .builders import build_full_ec_circuit
 from .circuits import DATA_QUBITS, Circuit
 from .faults import (
-    FaultLocation,
     PerfectOpLedger,
-    counts_as_member,
+    classify_collisions,
     derive_perfect_assumptions,
     enumerable_locations,
-    fault_map,
-    view_paulis,
     view_table,
 )
 
@@ -61,20 +58,18 @@ def count_fault_locations(
     """Tally, per block qubit, the location-sides with a member in each view.
 
     A location-side counts for type t when a fault the t view holds there
-    is a member (:func:`~steanesim.faults.counts_as_member`) under that
-    view's ledger: ``x_ledger`` for X, ``x_ledger | z_ledger`` for Y,
-    ``z_ledger`` for Z.
+    is a member of its classes (:func:`~steanesim.faults.classify_collisions`,
+    memoized with the view) under that view's ledger: ``x_ledger`` for X,
+    ``x_ledger | z_ledger`` for Y, ``z_ledger`` for Z. An aux block
+    classifies only the X view.
     """
+    qubit = {(label, side): q for _, label, side, q in enumerable_locations(circuit)}
     ledgers = {"X": x_ledger, "Y": x_ledger | z_ledger, "Z": z_ledger}
     counts = {view: [0] * len(DATA_QUBITS) for view in ledgers}
-    faults = fault_map(circuit)
-    for _, label, side, qubit in enumerable_locations(circuit):  # flag legs are never members
-        for view, ledger in ledgers.items():
-            for pauli in view_paulis(view, side):
-                loc = FaultLocation(label, side, pauli)
-                if counts_as_member(circuit, loc, *faults[loc], ledger):
-                    counts[view][qubit] += 1
-                    break
+    for view in "X" if circuit.layout.block == "aux" else "XYZ":
+        classes = classify_collisions(view_table(circuit, view), ledgers[view])
+        for leg in {(loc.label, loc.side) for cls in classes for loc, _ in cls.members}:  # never a flag leg
+            counts[view][qubit[leg]] += 1
     r_x, r_y, r_z = (tuple(counts[view]) for view in "XYZ")
     if circuit.layout.block == "aux":
         return DepthProfile(r_x, r_x, (0,) * len(DATA_QUBITS))

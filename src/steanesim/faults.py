@@ -136,6 +136,7 @@ class DecodingTable:
     def __init__(self, circuit: Circuit, entries: dict[MeasurementSignature, TableEntry] | None = None):
         self.circuit = circuit
         self.entries = {} if entries is None else entries
+        self.view_key = None  # set by view_table, whose entries are memoized and read-only
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -344,9 +345,13 @@ def view_table(circuit: Circuit, view: str) -> DecodingTable:
     The X view holds X faults on CNOT legs. The Z view holds Z faults on
     CNOT legs plus every effective Hadamard fault (Z after an encode-side H,
     X after a decode-side H mimic Z-type residuals). The Y view holds Y
-    faults on CNOT legs and Hadamards.
+    faults on CNOT legs and Hadamards. Views are memoized by circuit content,
+    as the map is, and share their entries read-only (members are tuples).
     """
-    return _view(circuit, fault_map(circuit), view)
+    key = (circuit.n_qubits, tuple(circuit.gates), circuit.layout, view)
+    table = DecodingTable(circuit, _view_entries(*key))
+    table.view_key = key
+    return table
 
 
 _HADAMARD_PAULIS = {"X": (), "Y": ("Y",), "Z": ("X", "Z")}  # the Hadamard faults in each view
@@ -358,14 +363,16 @@ def view_paulis(view: str, side: str) -> tuple[str, ...]:
     return _HADAMARD_PAULIS[view] if side == "single" else (view,)
 
 
-def _view(circuit: Circuit, faults: FaultMap, view: str) -> DecodingTable:
+@lru_cache(maxsize=3)  # the three views of the circuit whose map is memoized
+def _view_entries(n_qubits: int, gates: tuple[Gate, ...], layout: CycleLayout | None, view: str):
     if view not in _HADAMARD_PAULIS:
         raise ValueError(f"unknown view {view!r}")
-    table = DecodingTable(circuit)
-    for loc, (sig, residual) in faults.items():
-        if loc.pauli in view_paulis(view, loc.side):
-            table.add(sig, loc, residual)
-    return table
+    paulis = {side: view_paulis(view, side) for side in ("control", "target", "single")}
+    grouped: dict[MeasurementSignature, list] = {}
+    for loc, (sig, residual) in _fault_map(n_qubits, gates, layout).items():
+        if loc.pauli in paulis[loc.side]:
+            grouped.setdefault(sig, []).append((loc, residual))
+    return MappingProxyType({sig: TableEntry(sig, tuple(members)) for sig, members in grouped.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +385,9 @@ PerfectOpLedger = frozenset  # of (base label, side, pauli) keys
 class CollisionClass(NamedTuple):
     signature: MeasurementSignature
     verdict: str  # "unique" | "benign" | "ambiguous"
-    members: list[tuple[FaultLocation, PauliOperator]]
+    members: tuple[tuple[FaultLocation, PauliOperator], ...]
     includes_no_error: bool
-    residual_groups: list[tuple[tuple[int, int], list[FaultLocation]]]
-
-
-_COMPONENTS = {"X": ("X",), "Y": ("Y", "X", "Z"), "Z": ("Z",)}
+    residual_groups: tuple[tuple[tuple[int, int], tuple[FaultLocation, ...]], ...]
 
 
 def ledger_covers(ledger: PerfectOpLedger, loc: FaultLocation) -> bool:
@@ -391,8 +395,8 @@ def ledger_covers(ledger: PerfectOpLedger, loc: FaultLocation) -> bool:
     for one of its components: a Y fault is covered by its leg's X or Z key."""
     if not ledger:
         return False
-    label, side, pauli = loc.ledger_key()
-    return any((label, side, p) in ledger for p in _COMPONENTS[pauli])
+    key = label, side, pauli = loc.ledger_key()
+    return key in ledger or pauli == "Y" and ((label, side, "X") in ledger or (label, side, "Z") in ledger)
 
 
 def counts_as_member(
@@ -419,18 +423,30 @@ def classify_collisions(table: DecodingTable, ledger: PerfectOpLedger = frozense
     Only members (:func:`counts_as_member` under ``ledger``) are classified.
     Within one signature class all read-out flips coincide by construction,
     so members can only disagree on the unread data qubit; ``benign`` means
-    they do not.
+    they do not. A view table's classes are memoized per ledger, so each
+    (circuit content, view, ledger) is classified once, into read-only
+    records; a table built by hand is classified afresh.
     """
+    return list(_classes(table.view_key, ledger)) if table.view_key else _classify(table, ledger)
+
+
+@lru_cache(maxsize=5)  # the (view, ledger) pairs of one analysis: X, Z bare; X, Y, Z under ledgers
+def _classes(view_key: tuple, ledger: PerfectOpLedger) -> tuple[CollisionClass, ...]:
+    n_qubits, gates, layout, _ = view_key
+    table = DecodingTable(Circuit(n_qubits, list(gates), layout=layout), _view_entries(*view_key))
+    return tuple(_classify(table, ledger))
+
+
+def _classify(table: DecodingTable, ledger: PerfectOpLedger) -> list[CollisionClass]:
     circuit = table.circuit
     clean = MeasurementSignature(0, signature_shape(circuit.layout))
     # The no-error outcome always gets a class; one that no fault shares comes last.
     entries = table.sorted_entries() + ([] if clean in table.entries else [TableEntry(clean, [])])
     classes: list[CollisionClass] = []
     for entry in entries:
-        members = [
-            (loc, res) for loc, res in entry.members if counts_as_member(circuit, loc, entry.signature, res, ledger)
-        ]
-        includes_no_error = entry.signature == clean
+        sig = entry.signature
+        members = tuple([(loc, res) for loc, res in entry.members if counts_as_member(circuit, loc, sig, res, ledger)])
+        includes_no_error = sig == clean
         if not members and not includes_no_error:
             continue
         groups: dict[tuple[int, int], list[FaultLocation]] = {(0, 0): []} if includes_no_error else {}
@@ -440,7 +456,8 @@ def classify_collisions(table: DecodingTable, ledger: PerfectOpLedger = frozense
             verdict = "ambiguous"
         else:
             verdict = "benign" if len(members) + includes_no_error > 1 else "unique"
-        classes.append(CollisionClass(entry.signature, verdict, members, includes_no_error, sorted(groups.items())))
+        residual_groups = tuple([(canonical, tuple(locs)) for canonical, locs in sorted(groups.items())])
+        classes.append(CollisionClass(sig, verdict, members, includes_no_error, residual_groups))
     return classes
 
 
@@ -518,7 +535,7 @@ def check_flag_conditions(
         return []
     faults = fault_map(circuit)
     ambiguous = {
-        kind: {cls.signature for cls in classify_collisions(_view(circuit, faults, kind), ledger)
+        kind: {cls.signature for cls in classify_collisions(view_table(circuit, kind), ledger)
                if cls.verdict == "ambiguous"}
         for kind, ledger in (("X", x_ledger), ("Z", z_ledger))
     }

@@ -13,6 +13,12 @@ oracle behind ``verify`` checks the rule.
 signature bit, into the nested tuples of :class:`ReferenceSignature`, and
 applies the decode-side Hadamards to the residual gate by gate.
 
+``depth.count_fault_locations`` tallies the distinct legs among the
+members of the memoized classes. :func:`count_locations_one_by_one` asks
+the membership rule (``faults.counts_as_member``) at every location-side
+and view instead, so the tests check the tally against a count that does
+not read the classes.
+
 ``statevec`` applies each run of controlled-X gates (``CNOT``, ``CCX`` and
 the coupling of ``CAT2``) as one permutation, and a Pauli only on its
 support, in place. :func:`controlled_x` and :func:`apply_pauli` act one
@@ -30,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from steanesim.circuits import DATA_QUBITS, PREP_KINDS, Circuit
+from steanesim.faults import FaultLocation, counts_as_member, enumerable_locations, fault_map, view_paulis
 from steanesim.paulis import GENERATOR_SUPPORTS, PauliOperator, conjugate_bits
 from steanesim.statevec import _MATRICES, apply_1q
 
@@ -124,6 +131,27 @@ def decode(circuit: Circuit, masks, x: int, z: int, flips: int) -> tuple[Referen
         x, z = conjugate_bits("H", (q,), x, z)
     mask = (1 << len(DATA_QUBITS)) - 1
     return sig, PauliOperator(len(DATA_QUBITS), x & mask, z & mask)
+
+
+def count_locations_one_by_one(circuit: Circuit, x_ledger: frozenset, z_ledger: frozenset):
+    """``(r_x, r_y, r_z)`` counted location by location: a location-side on
+    qubit q counts for type t when a fault the t view holds there is a
+    member under ledger t (X: ``x_ledger``, Y: their union, Z: ``z_ledger``).
+    An aux block reports r_y = r_x and no Z-type depth."""
+    ledgers = {"X": x_ledger, "Y": x_ledger | z_ledger, "Z": z_ledger}
+    counts = {view: [0] * len(DATA_QUBITS) for view in ledgers}
+    faults = fault_map(circuit)
+    for _, label, side, qubit in enumerable_locations(circuit):
+        for view, ledger in ledgers.items():
+            for pauli in view_paulis(view, side):
+                loc = FaultLocation(label, side, pauli)
+                if counts_as_member(circuit, loc, *faults[loc], ledger):
+                    counts[view][qubit] += 1
+                    break
+    r_x, r_y, r_z = (tuple(counts[view]) for view in "XYZ")
+    if circuit.layout.block == "aux":
+        return r_x, r_x, (0,) * len(DATA_QUBITS)
+    return r_x, r_y, r_z
 
 
 def controlled_x(state: np.ndarray, controls: tuple[int, ...], target: int, n: int) -> np.ndarray:

@@ -5,6 +5,8 @@ of their arguments by name to count propagations and oracle faults. A
 rename in the package would break a traced run of the benchmark.
 ``perfbench/run.py`` clears every ``lru_cache`` it finds in the package
 before an in-process op, so each op starts as cold as a fresh process.
+Within one variant-sweep op, the views, ledgers, classes, depth profile and
+flag audit share one classification per (view, ledger).
 """
 from __future__ import annotations
 
@@ -52,10 +54,33 @@ def test_fault_map_memo_is_cleared_between_ops():
     run_module = load_perfbench("run")
     run_module.depth = depth  # bound by the benchmark's main() before a Run is made
     run = run_module.Run(workload=None)
-    assert faults._fault_map in run.caches
+    memos = (faults._fault_map, faults._view_entries, faults._classes)  # the map, its views, their classes
+    assert all(memo in run.caches for memo in memos)
     circuit = build_full_ec_circuit()
-    faults.fault_map(circuit)
+    faults.check_flag_conditions(circuit)  # fills every memo
+    assert all(memo.cache_info().currsize for memo in memos)
     run.clear_caches()
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
     misses = faults._fault_map.cache_info().misses
     faults.fault_map(circuit)
     assert faults._fault_map.cache_info().misses == misses + 1
+
+
+def test_variant_sweep_op_classifies_each_view_and_ledger_once(monkeypatch):
+    from steanesim import depth, faults
+    from steanesim.builders import build_full_ec_circuit
+
+    run_module = load_perfbench("run")
+    run_module.depth, run_module.faults = depth, faults  # bound by the benchmark's main()
+    circuit = build_full_ec_circuit()
+    for memo in (faults._fault_map, faults._view_entries, faults._classes):
+        memo.cache_clear()
+    classify, calls = faults._classify, []
+    monkeypatch.setattr(faults, "_classify", lambda table, ledger: calls.append((id(table.entries), ledger))
+                        or classify(table, ledger))
+    x_ledger, z_ledger, *_ = run_module.analyse(circuit)
+    view = {id(faults.view_table(circuit, t).entries): t for t in "XYZ"}
+    classified = [(view[entries], ledger) for entries, ledger in calls]
+    assert len(classified) == len(set(classified))
+    assert set(classified) == {("X", frozenset()), ("Z", frozenset()),
+                               ("X", x_ledger), ("Y", x_ledger | z_ledger), ("Z", z_ledger)}

@@ -4,16 +4,17 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forward_reference import decode, flip_bits, propagate_fault, readout_masks
+from forward_reference import count_locations_one_by_one, decode, flip_bits, propagate_fault, readout_masks
 from golden_tables import X_PERFECT, X_TABLE, Z_PERFECT, Z_TABLE
 from steanesim import faults as faults_module
 from steanesim.builders import AUX_GADGETS, FLAG_GADGETS, build_full_ec_circuit
-from steanesim.circuits import Circuit, Gate, parse, serialize
+from steanesim.circuits import DATA_QUBITS, Circuit, Gate, parse, serialize
 from steanesim.depth import count_fault_locations
 from steanesim.faults import (
     DecodingTable,
@@ -416,6 +417,64 @@ def test_depth_tallies_the_members_of_each_view(kwargs):
         assert (profile.r_x, profile.r_y, profile.r_z) == (tallies["X"], tallies["X"], (0,) * 7)
     else:
         assert (profile.r_x, profile.r_y, profile.r_z) == (tallies["X"], tallies["Y"], tallies["Z"])
+
+
+@pytest.mark.parametrize("kwargs", BUILD_CONFIGS.values(), ids=BUILD_CONFIGS.keys())
+def test_depth_matches_the_location_by_location_count(kwargs):
+    # The tally of class members against the membership rule asked at every
+    # location-side and view, under the derived ledgers and under none.
+    circuit = build_full_ec_circuit(**kwargs)
+    x_ledger = derive_perfect_assumptions(view_table(circuit, "X"))
+    z_ledger = derive_perfect_assumptions(view_table(circuit, "Z"))
+    for ledgers in ((x_ledger, z_ledger), (frozenset(), frozenset())):
+        assert count_fault_locations(circuit, *ledgers) == count_locations_one_by_one(circuit, *ledgers)
+
+
+DEFAULT_CONFIG = "data-reps2-xz-flags"  # the configuration build_full_ec_circuit() builds
+
+
+def permute_ancillas(circuit: Circuit, seed: int) -> Circuit:
+    """The circuit with its non-data wires shuffled: new content, same analysis."""
+    wires = list(range(len(DATA_QUBITS), circuit.n_qubits))
+    perm = dict(zip(wires, random.Random(seed).sample(wires, len(wires))))
+    gates = [Gate(g.kind, tuple(perm.get(q, q) for q in g.qubits), g.label) for g in circuit.gates]
+    return reconstruct_meta(Circuit(circuit.n_qubits, gates))
+
+
+def test_memos_stay_bounded_over_distinct_circuits():
+    pinned = json.loads(GOLDEN_CONFIGS.read_text(encoding="utf-8"))[DEFAULT_CONFIG]
+    circuits = [permute_ancillas(build_full_ec_circuit(), seed) for seed in range(20)]
+    assert len({tuple(c.gates) for c in circuits}) == 20
+    for circuit in circuits:
+        assert analysis_record(circuit) == pinned
+    for memo in (faults_module._fault_map, faults_module._view_entries, faults_module._classes):
+        info = memo.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize <= 5
+
+
+def test_returned_tables_and_classes_do_not_poison_the_memo():
+    # A view table's entries and a class are read-only records, and the class
+    # list is the caller's own: no mutation reaches the next analysis.
+    pinned = json.loads(GOLDEN_CONFIGS.read_text(encoding="utf-8"))[DEFAULT_CONFIG]
+    circuit = build_full_ec_circuit()
+    table = view_table(circuit, "X")
+    classes = classify_collisions(table, derive_perfect_assumptions(table))
+    entry = next(iter(table.entries.values()))
+    cls = next(c for c in classes if c.members)
+    loc, res = cls.members[0]
+    with pytest.raises(TypeError):
+        table.entries[entry.signature] = entry
+    with pytest.raises(AttributeError):
+        table.add(entry.signature, loc, res)
+    with pytest.raises(AttributeError):
+        entry.members.append((loc, res))
+    with pytest.raises(AttributeError):
+        cls.members.clear()
+    with pytest.raises(AttributeError):
+        cls.residual_groups[0][1].append(loc)
+    table.entries = {}
+    classes.clear()
+    assert analysis_record(circuit) == pinned
 
 
 SWEEP_WIRES = 4
