@@ -251,9 +251,9 @@ def _numbered(dest: Circuit, prefix: str, rows) -> Circuit:
     n = 1
     for kind, qubits in rows:
         if kind in MEASURE_KINDS:
-            dest.add(*_readout(kind[1], qubits[0]))
+            dest.gates.append(Gate(*_readout(kind[1], qubits[0])))
         else:
-            dest.add(kind, qubits, f"{prefix}G{n}")
+            dest.gates.append(Gate(kind, qubits, f"{prefix}G{n}"))
             n += 1
     return dest
 
@@ -287,8 +287,7 @@ def build_toffoli_decomposition() -> Circuit:
 
 def build_cat_state(verification_reps: int = 2) -> Circuit:
     """Seven-qubit GHZ preparation (chain) plus repeated two-CNOT parity verification."""
-    c = Circuit(N + verification_reps, name=f"cat{N}")
-    c.add("H", (0,), "G0")
+    c = Circuit(N + verification_reps, [Gate("H", (0,), "G0")], name=f"cat{N}")
     rows = [("CNOT", (i, i + 1)) for i in range(N - 1)]
     for anc in range(N, N + verification_reps):
         rows += [("CNOT", (0, anc)), ("CNOT", (N - 1, anc)), ("MZ", (anc,))]
@@ -300,7 +299,7 @@ def _append_block(dest: Circuit, block: Circuit, prefix: str) -> tuple[int, ...]
     offset = dest.n_qubits
     dest.n_qubits += block.n_qubits
     for g in block.gates:
-        dest.append(Gate(g.kind, tuple(q + offset for q in g.qubits), f"{prefix}-{g.label}"))
+        dest.gates.append(Gate(g.kind, tuple(q + offset for q in g.qubits), f"{prefix}-{g.label}"))
     return tuple(range(offset, offset + block.n_qubits))
 
 

@@ -77,14 +77,6 @@ class Circuit:
         return (f"Circuit(n_qubits={self.n_qubits!r}, gates={self.gates!r}, name={self.name!r}, "
                 f"layout={self.layout!r})")
 
-    def append(self, gate: Gate) -> None:
-        self.gates.append(gate)
-
-    def add(self, kind: str, qubits: tuple[int, ...], label: str) -> Gate:
-        g = Gate(kind, qubits, label)
-        self.gates.append(g)
-        return g
-
     def validate(self) -> None:
         """Check operand ranges, label uniqueness and no gate after measurement."""
         seen: set[str] = set()

@@ -127,32 +127,22 @@ class MeasurementSignature(NamedTuple):
 
 class TableEntry(NamedTuple):
     signature: MeasurementSignature
-    members: list[tuple[FaultLocation, PauliOperator]]  # no default: a default list would be shared
+    members: tuple[tuple[FaultLocation, PauliOperator], ...]
 
 
-class DecodingTable:
-    """Map from measurement signature to the faults that produce it."""
+class DecodingTable(NamedTuple):
+    """Map from measurement signature to the faults that produce it: one
+    view of a circuit, as :func:`view_table` builds it. ``key`` is the
+    view's memo key ``(n_qubits, gates, layout, view)``, so the table's
+    classes are those of its own content even if ``circuit`` is edited."""
 
-    def __init__(self, circuit: Circuit, entries: dict[MeasurementSignature, TableEntry] | None = None):
-        self.circuit = circuit
-        self.entries = {} if entries is None else entries
-        self.view_key = None  # set by view_table, whose entries are memoized and read-only
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.circuit, self.entries) == (other.circuit, other.entries)
-
-    def __repr__(self) -> str:
-        return f"DecodingTable(circuit={self.circuit!r}, entries={self.entries!r})"
-
-    def add(self, sig: MeasurementSignature, loc: FaultLocation, residual: PauliOperator) -> None:
-        self.entries.setdefault(sig, TableEntry(sig, [])).members.append((loc, residual))
+    circuit: Circuit
+    key: tuple
+    entries: Mapping[MeasurementSignature, TableEntry]
 
     def sorted_entries(self) -> list[TableEntry]:
-        """Entries in signature order. Members keep the order they were
-        added in, which for a view is :meth:`FaultLocation.sort_key` order
-        (the order of :func:`fault_map`)."""
+        """Entries in signature order. Members keep the order of
+        :func:`fault_map`, which is :meth:`FaultLocation.sort_key` order."""
         return sorted(self.entries.values(), key=lambda e: e.signature.word)
 
 
@@ -349,9 +339,7 @@ def view_table(circuit: Circuit, view: str) -> DecodingTable:
     as the map is, and share their entries read-only (members are tuples).
     """
     key = (circuit.n_qubits, tuple(circuit.gates), circuit.layout, view)
-    table = DecodingTable(circuit, _view_entries(*key))
-    table.view_key = key
-    return table
+    return DecodingTable(circuit, key, _view_entries(*key))
 
 
 _HADAMARD_PAULIS = {"X": (), "Y": ("Y",), "Z": ("X", "Z")}  # the Hadamard faults in each view
@@ -423,25 +411,24 @@ def classify_collisions(table: DecodingTable, ledger: PerfectOpLedger = frozense
     Only members (:func:`counts_as_member` under ``ledger``) are classified.
     Within one signature class all read-out flips coincide by construction,
     so members can only disagree on the unread data qubit; ``benign`` means
-    they do not. A view table's classes are memoized per ledger, so each
-    (circuit content, view, ledger) is classified once, into read-only
-    records; a table built by hand is classified afresh.
+    they do not. A table's classes are memoized per ledger by its key, so
+    each (circuit content, view, ledger) is classified once, into read-only
+    records.
     """
-    return list(_classes(table.view_key, ledger)) if table.view_key else _classify(table, ledger)
+    return list(_classes(table.key, ledger))
 
 
 @lru_cache(maxsize=5)  # the (view, ledger) pairs of one analysis: X, Z bare; X, Y, Z under ledgers
-def _classes(view_key: tuple, ledger: PerfectOpLedger) -> tuple[CollisionClass, ...]:
-    n_qubits, gates, layout, _ = view_key
-    table = DecodingTable(Circuit(n_qubits, list(gates), layout=layout), _view_entries(*view_key))
-    return tuple(_classify(table, ledger))
+def _classes(key: tuple, ledger: PerfectOpLedger) -> tuple[CollisionClass, ...]:
+    n_qubits, gates, layout, view = key
+    return tuple(_classify(view_table(Circuit(n_qubits, list(gates), layout=layout), view), ledger))
 
 
 def _classify(table: DecodingTable, ledger: PerfectOpLedger) -> list[CollisionClass]:
     circuit = table.circuit
     clean = MeasurementSignature(0, signature_shape(circuit.layout))
     # The no-error outcome always gets a class; one that no fault shares comes last.
-    entries = table.sorted_entries() + ([] if clean in table.entries else [TableEntry(clean, [])])
+    entries = table.sorted_entries() + ([] if clean in table.entries else [TableEntry(clean, ())])
     classes: list[CollisionClass] = []
     for entry in entries:
         sig = entry.signature

@@ -1,12 +1,14 @@
 """Concatenation-level expansion, pair-count coefficient and threshold search.
 
-The failure coefficient c counts ordered pairs of fault locations inside one
-encoded block over an error-correction period: with per-qubit depths
+The failure coefficient c counts unordered pairs of fault locations inside
+one encoded block over an error-correction period, each pair once: 21 per
+lineage position, so 21*v^2 when every depth is v. The per-qubit depths are
 (A, B, B, D, E, F, F) + gamma*x, where A walks the expanded first-position
-lineage and B=R2, D=R4, E=R5, F=R6 stay at their base-level values (the
-expansion is deliberately asymmetric; only the first position accumulates
-+R1 per level). All sums are exact integers; the single float division and
-the 1/(2^k - 1) root reproduce the published sixteen-digit values.
+lineage and B=R2, D=R4, E=R5, F=R6 stay at their base-level values, so
+positions 3 and 7 read R2 and R6 (the expansion is deliberately asymmetric;
+only the first position accumulates +R1 per level). All sums are exact
+integers; the single float division and the 1/(2^k - 1) root reproduce the
+published sixteen-digit values.
 
 For level k the expanded list has length 7^k; the literal expansion is kept
 for modest k, while the default path evaluates the same sum in closed form:

@@ -60,19 +60,30 @@ def test_label_medians_give_each_sides_raw_median_per_label():
         pair["parent"]["op_ms_by_label"] = {"depth": 130.0 + i, "verify": 330.0 + i}
         pair["change"]["op_ms_by_label"] = {"depth": 110.0 + i} | ({"verify": 315.0} if i < 9 else {})
     runs.append({"parent": {"correct": False}, "change": {"correct": False}})  # a failed pair reads nothing
+    runs[0]["parent"]["op_ms_by_label"]["cs"] = 7.0  # one run is its own median and quartiles
     assert bench_pairs.label_medians(runs) == {
-        "depth": {"parent": 134.5, "change": 114.5},
-        "verify": {"parent": 334.5, "change": 315.0},
+        "cs": {"parent": {"median": 7.0, "q1": 7.0, "q3": 7.0}, "change": None},
+        "depth": {"parent": {"median": 134.5, "q1": 132.25, "q3": 136.75},
+                  "change": {"median": 114.5, "q1": 112.25, "q3": 116.75}},
+        "verify": {"parent": {"median": 334.5, "q1": 332.25, "q3": 336.75},
+                   "change": {"median": 315.0, "q1": 315.0, "q3": 315.0}},
     }
     assert bench_pairs.label_medians([runs[-1]]) == {}
 
 
 def test_label_lines_print_each_labels_raw_median_parent_to_change():
     bench_pairs = load_bench_pairs()
-    medians = {"depth": {"parent": 134.5, "change": 114.5}, "verify": {"parent": 334.54, "change": None}}
+    medians = {
+        "depth": {"parent": {"median": 134.5, "q1": 132.25, "q3": 136.75},
+                  "change": {"median": 114.5, "q1": 112.25, "q3": 116.75}},
+        "flags": {"parent": {"median": 80.0, "q1": 78.0, "q3": 83.0},
+                  "change": {"median": 83.0, "q1": 80.0, "q3": 85.0}},
+        "verify": {"parent": {"median": 334.54, "q1": 332.25, "q3": 336.75}, "change": None},
+    }
     assert bench_pairs.label_lines(medians) == [
-        "depth raw median 134.5 -> 114.5 ms",
-        "verify raw median 334.5 -> - ms",
+        "depth raw median 134.5 (q1-q3 132.2-136.8) -> 114.5 (q1-q3 112.2-116.8) ms",
+        "flags raw median 80.0 (q1-q3 78.0-83.0) -> 83.0 (q1-q3 80.0-85.0) ms, within spread",
+        "verify raw median 334.5 (q1-q3 332.2-336.8) -> - ms",
     ]
 
 

@@ -139,9 +139,7 @@ def test_parse_reports_line_numbers():
 
 
 def test_validate_rejects_gate_after_measurement():
-    c = Circuit(2)
-    c.add("MZ", (0,), "M1:Z")
-    c.add("H", (0,), "H9")
+    c = Circuit(2, [Gate("MZ", (0,), "M1:Z"), Gate("H", (0,), "H9")])
     with pytest.raises(ValueError, match="already measured"):
         c.validate()
 

@@ -17,10 +17,7 @@ from steanesim.builders import AUX_GADGETS, FLAG_GADGETS, build_full_ec_circuit
 from steanesim.circuits import DATA_QUBITS, Circuit, Gate, parse, serialize
 from steanesim.depth import count_fault_locations
 from steanesim.faults import (
-    DecodingTable,
     FaultLocation,
-    MeasurementSignature,
-    TableEntry,
     canonical_residual,
     check_flag_conditions,
     classify_collisions,
@@ -237,17 +234,10 @@ def test_ledger_covers_a_fault_by_its_own_leg_and_components():
 
 
 def test_record_hazards():
-    # Mutable state is never shared between records: each new signature
-    # gets its own member list, each fresh circuit its own gate list.
-    table = DecodingTable(Circuit(7))
-    a, b = MeasurementSignature(1, (0, 0, 1, 0)), MeasurementSignature(0, (0, 0, 1, 0))
-    table.add(a, FaultLocation("C1", "control", "X"), PauliOperator(7))
-    table.add(b, FaultLocation("C2", "control", "X"), PauliOperator(7))
-    assert [len(e.members) for e in table.sorted_entries()] == [1, 1]
-    assert table.entries[a].members is not table.entries[b].members
-    assert TableEntry._field_defaults == {}  # a default list would be one list for every entry
+    # Mutable state is never shared between records: each fresh circuit
+    # gets its own gate list.
     first, second = Circuit(3), Circuit(3)
-    first.add("H", (0,), "H1")
+    first.gates.append(Gate("H", (0,), "H1"))
     assert second.gates == [] and first != second
     # Validation still runs on every construction.
     with pytest.raises(ValueError, match="bit vectors exceed 2 qubits"):
@@ -465,16 +455,28 @@ def test_returned_tables_and_classes_do_not_poison_the_memo():
     with pytest.raises(TypeError):
         table.entries[entry.signature] = entry
     with pytest.raises(AttributeError):
-        table.add(entry.signature, loc, res)
-    with pytest.raises(AttributeError):
         entry.members.append((loc, res))
     with pytest.raises(AttributeError):
         cls.members.clear()
     with pytest.raises(AttributeError):
         cls.residual_groups[0][1].append(loc)
-    table.entries = {}
+    with pytest.raises(AttributeError):
+        table.entries = {}
     classes.clear()
     assert analysis_record(circuit) == pinned
+
+
+def test_a_table_keeps_its_classes_after_its_circuit_is_edited():
+    # A table carries the memo key of its own content, so an edit of the
+    # circuit after the build reaches neither its entries nor its classes.
+    circuit = build_full_ec_circuit(include_flags=False)
+    table = view_table(circuit, "X")
+    circuit.gates.append(Gate("H", (0,), "G999"))  # qubit 1 is never read out: residuals change
+    faults_module._classes.cache_clear()
+    classes = classify_collisions(table)
+    assert classes == classify_collisions(view_table(build_full_ec_circuit(include_flags=False), "X"))
+    assert classes != classify_collisions(view_table(circuit, "X"))
+    assert table.entries == view_table(build_full_ec_circuit(include_flags=False), "X").entries
 
 
 SWEEP_WIRES = 4
@@ -522,7 +524,7 @@ def test_fault_map_follows_edits_of_a_circuit():
     i = next(i for i, g in enumerate(circuit.gates) if g.label == "C5")
     circuit.gates[i] = Gate("CNOT", circuit.gates[i].qubits[::-1], "C5")
     replaced = dict(fault_map(circuit))
-    circuit.append(Gate("H", (0,), "G999"))  # qubit 1 is never read out: residuals change
+    circuit.gates.append(Gate("H", (0,), "G999"))  # qubit 1 is never read out: residuals change
     appended = dict(fault_map(circuit))
     assert before != replaced != appended
     faults_module._fault_map.cache_clear()

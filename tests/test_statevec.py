@@ -73,8 +73,7 @@ def test_unitary_norm_preserved():
 
 
 def test_projection_on_impossible_outcome_raises():
-    c = Circuit(1)
-    c.add("MZ", (0,), "M1:Z")
+    c = Circuit(1, [Gate("MZ", (0,), "M1:Z")])
     with pytest.raises(ValueError, match="zero amplitude"):
         simulate_statevector(c, input_state=zero_state(1), outcomes={"M1:Z": 1})
 

@@ -23,9 +23,10 @@ median, whether that change stays within the metric's ``BENCHMARK.json``
 bound, and each side's median count of attempted ops over the same runs;
 every metric outside its bound is printed per workload and seed, with those
 op counts beside it (a run that does more ops records more of them, which
-``peak_rss_mb`` counts too). Each op label's raw median ms, parent ->
-change, is printed per workload and seed as well, which shows the command
-or op kind that moved.
+``peak_rss_mb`` counts too). Each op label's raw median ms and quartiles,
+parent -> change, are printed per workload and seed as well, which shows
+the command or op kind that moved; a label whose change median lies inside
+the parent's q1-q3 is marked ``within spread``.
 """
 from __future__ import annotations
 
@@ -117,19 +118,27 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
 
 
 def label_medians(pairs: list[dict]) -> dict:
-    """Per op label, each side's median of its runs' raw ms per op (None
-    for a side with no run that did the label)."""
+    """Per op label, each side's ``spread`` of its runs' raw ms per op (a
+    single run is its own median and quartiles; None for a side with no run
+    that did the label)."""
     runs = {side: [p[side].get("op_ms_by_label", {}) for p in pairs] for side in ("parent", "change")}
     labels = sorted({label for by_label in runs["parent"] + runs["change"] for label in by_label})
-    return {label: {side: statistics.median(v) if (v := [r[label] for r in runs[side] if label in r]) else None
-                    for side in runs} for label in labels}
+    return {label: {side: spread(v if len(v) > 1 else v * 2) if (v := [r[label] for r in runs[side] if label in r])
+                    else None for side in runs} for label in labels}
 
 
 def label_lines(medians: dict) -> list[str]:
-    """One line per op label of ``label_medians``: each side's raw median, parent -> change."""
-    def ms(v):
-        return "-" if v is None else f"{v:.1f}"
-    return [f"{label} raw median {ms(m['parent'])} -> {ms(m['change'])} ms" for label, m in medians.items()]
+    """One line per op label of ``label_medians``: each side's raw median and
+    q1-q3, parent -> change, marked ``within spread`` when the change median
+    lies inside the parent's q1-q3."""
+    def ms(s):
+        return "-" if s is None else f"{s['median']:.1f} (q1-q3 {s['q1']:.1f}-{s['q3']:.1f})"
+    lines = []
+    for label, m in medians.items():
+        parent, change = m["parent"], m["change"]
+        within = parent and change and parent["q1"] <= change["median"] <= parent["q3"]
+        lines.append(f"{label} raw median {ms(parent)} -> {ms(change)} ms" + (", within spread" if within else ""))
+    return lines
 
 
 def outside_bounds(summary: dict) -> list[str]:
@@ -177,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
                 report["runs"][f"{workload}/seed{seed}"] = {
                     "workload": workload, "seed": seed, "pairs": pairs, "summary": summary,
                     "op_ms_by_label": {"unit": "ms per op, raw: not scaled by the calibration loop",
-                                       "median": medians},
+                                       "spread": medians},
                 }
                 for line in [*label_lines(medians), *(outside_bounds(summary) or ["every metric within its bound"])]:
                     print(f"{workload} seed={seed}: {line}", flush=True)
