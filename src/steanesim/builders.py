@@ -341,8 +341,9 @@ def build_t_gadget(repetitions: int = 2) -> Circuit:
 def build_toffoli_gadget(repetitions: int = 2) -> Circuit:
     """Full fault-tolerant Toffoli period (counting/structure circuit)."""
     c = Circuit(0, name="toffoli-gadget")
-    xyz = [_append_block(c, build_full_ec_circuit(True, "data"), f"B{j}")[:N] for j in range(1, 4)]
-    anc = [_append_block(c, build_full_ec_circuit(True, "aux"), f"AUX{j}")[:N] for j in range(1, 4)]
+    data, aux = build_full_ec_circuit(True, "data"), build_full_ec_circuit(True, "aux")  # inlined three times each
+    xyz = [_append_block(c, data, f"B{j}")[:N] for j in range(1, 4)]
+    anc = [_append_block(c, aux, f"AUX{j}")[:N] for j in range(1, 4)]
     cz, toff = build_cz_decomposition(), build_toffoli_decomposition()
     for r in range(1, repetitions + 1):
         cat = _append_block(c, build_cat_state(), f"CAT{r}")[:N]

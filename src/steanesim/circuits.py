@@ -22,6 +22,8 @@ MACRO_KINDS = {"PREP0L", "PREPSTEANE"}  # 7-qubit logical-ancilla preparations
 PREP_KINDS = MACRO_KINDS | {"CAT2", "PREP0", "PREPP"}  # every preparation; all precede the labeled gates
 MEASURE_KINDS = {"MZ", "MX"}
 DATA_QUBITS = range(7)  # the code block's wires in every encode/decode cycle
+_ARITY = {**dict.fromkeys(ONE_QUBIT_KINDS, 1), **dict.fromkeys(TWO_QUBIT_KINDS, 2),
+          **dict.fromkeys(THREE_QUBIT_KINDS, 3), **dict.fromkeys(MACRO_KINDS, 7)}
 
 
 class _GateFields(NamedTuple):
@@ -36,19 +38,12 @@ class Gate(_GateFields):
     __slots__ = ()
 
     def __new__(cls, kind: str, qubits: tuple[int, ...], label: str):
-        if kind in ONE_QUBIT_KINDS:
-            want = 1
-        elif kind in TWO_QUBIT_KINDS:
-            want = 2
-        elif kind in THREE_QUBIT_KINDS:
-            want = 3
-        elif kind in MACRO_KINDS:
-            want = 7
-        else:
+        want = _ARITY.get(kind)
+        if want is None:
             raise ValueError(f"unknown gate kind {kind!r}")
         if len(qubits) != want:
             raise ValueError(f"{kind} takes {want} qubit(s), got {qubits}")
-        if len(set(qubits)) != len(qubits):
+        if want > 1 and len(set(qubits)) != want:
             raise ValueError(f"{label}: repeated operand in {qubits}")
         return tuple.__new__(cls, (kind, qubits, label))
 
@@ -160,10 +155,26 @@ def derive_layout(gates: list[Gate]) -> CycleLayout:
     expected label that is missing, or a gadget whose two CN gates do not
     both couple one data wire to a non-data flag qubit.
     """
-    labels = {g.label: g for g in gates}
+    # One pass indexes the gate of each label, the readout of each wire, the copy suffixes of
+    # each round's first coupling and the gadget ids (gadget g shows by its CAT<g> or either CN).
+    labels, readout, gadget_ids = {}, {}, set()
+    copies: dict[str, set[str]] = {"C12": set(), "C19": set()}
+    for g in gates:
+        label = g.label
+        labels[label] = g
+        if g.kind in MEASURE_KINDS:
+            readout[g.qubits[0]] = label
+        if label[:1] != "C":
+            continue
+        base, _, copy = label.partition(".")
+        if base in copies:
+            copies[base].add(copy)
+        elif label[:2] == "CN" and label[2:].isdigit():
+            gadget_ids.add((int(label[2:]) + 1) // 2)
+        elif label[:3] == "CAT" and label[3:].isdigit():
+            gadget_ids.add(int(label[3:]))
     if "C12" not in labels or "C19" not in labels:
         raise ValueError("not an encode/decode cycle: syndrome couplings C12/C19 missing")
-    readout = {g.qubits[0]: g.label for g in gates if g.is_measurement}
 
     def gate(label: str, owner: str = "encode/decode cycle") -> Gate:
         if label not in labels:
@@ -176,9 +187,8 @@ def derive_layout(gates: list[Gate]) -> CycleLayout:
         return readout[qubit]
 
     def rounds(first: int, anc_side: int, basis: str) -> tuple[tuple[str, ...], ...]:
-        copies = sorted({int(lbl.partition(".")[2] or 1) for lbl in labels if base_label(lbl) == f"C{first}"})
         out = []
-        for copy in copies:
+        for copy in sorted({int(suffix or 1) for suffix in copies[f"C{first}"]}):
             row = []
             for i in range(len(DATA_QUBITS)):
                 label = copy_label(first + i, copy)
@@ -186,9 +196,6 @@ def derive_layout(gates: list[Gate]) -> CycleLayout:
             out.append(tuple(row))
         return tuple(out)
 
-    # Gadget g shows by its cat-pair preparation CAT<g> or by either CN gate.
-    gadget_ids = {(int(lbl[2:]) + 1) // 2 for lbl in labels if lbl[:2] == "CN" and lbl[2:].isdigit()}
-    gadget_ids |= {int(lbl[3:]) for lbl in labels if lbl[:3] == "CAT" and lbl[3:].isdigit()}
     gadgets = []
     for gid in sorted(gadget_ids):
         cn_labels = (f"CN{2 * gid - 1}", f"CN{2 * gid}")
@@ -241,36 +248,32 @@ def serialize(circuit: Circuit) -> str:
 
 def parse(text: str) -> Circuit:
     """Inverse of :func:`serialize`; raises ValueError with line numbers."""
-    n_qubits = 0
+    n_qubits, max_q, name = 0, 0, ""
     gates: list[Gate] = []
-    name = ""
-    max_q = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip() if not raw.lstrip().startswith("#") else ""
-        header = raw.lstrip()
-        if header.startswith("# qubits"):
-            try:
-                n_qubits = int(header.split()[2])
-            except (IndexError, ValueError) as exc:
-                raise ValueError(f"line {lineno}: bad qubit header") from exc
+        line = raw.lstrip()
+        if line[:1] == "#":  # a comment line, or one of the two headers
+            if line.startswith("# qubits"):
+                try:
+                    n_qubits = int(line.split()[2])
+                except (IndexError, ValueError) as exc:
+                    raise ValueError(f"line {lineno}: bad qubit header") from exc
+            elif line.startswith("# circuit"):
+                name = line[len("# circuit"):].strip()
             continue
-        if header.startswith("# circuit"):
-            name = header[len("# circuit"):].strip()
+        parts = line.partition("#")[0].split()
+        if not parts:
             continue
-        if not line:
-            continue
-        parts = line.split()
         if len(parts) < 3:
             raise ValueError(f"line {lineno}: expected 'LABEL KIND q1 [q2 ...]'")
         label, kind, *ops = parts
         try:
-            qubits = tuple(int(o) - 1 for o in ops)
+            qubits = tuple([int(o) - 1 for o in ops])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: non-integer operand") from exc
-        for q in qubits:
-            if q < 0:
-                raise ValueError(f"line {lineno}: qubits are 1-indexed")
-            max_q = max(max_q, q)
+        if min(qubits) < 0:
+            raise ValueError(f"line {lineno}: qubits are 1-indexed")
+        max_q = max(max_q, *qubits)
         try:
             gates.append(Gate(kind, qubits, label))
         except ValueError as exc:

@@ -14,7 +14,6 @@ entries can be compared digit by digit.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -64,7 +63,11 @@ def _emit(args, forms: dict, out: str | None = None) -> None:
     """Write the form ``--format`` selects from ``forms`` (``"json"`` maps to
     a payload, any other form to lines) to ``out``, by default ``--out``."""
     form = forms[args.format]
-    text = json.dumps(form, indent=2, sort_keys=True, allow_nan=False) if args.format == "json" else "\n".join(form)
+    if args.format == "json":
+        import json  # only JSON forms need it: text commands skip its import
+        text = json.dumps(form, indent=2, sort_keys=True, allow_nan=False)
+    else:
+        text = "\n".join(form)
     _write(text, args.out if out is None else out)
 
 

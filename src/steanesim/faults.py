@@ -56,6 +56,7 @@ class FaultLocation(NamedTuple):
         return (kind, num, copy, self.side, self.pauli)
 
 
+@cache  # labels repeat across circuits: each is parsed once
 def _split_label(label: str) -> tuple[str, int, int]:
     m = _LOC_RE.match(label)
     if not m:
@@ -141,9 +142,9 @@ class DecodingTable(NamedTuple):
     entries: Mapping[MeasurementSignature, TableEntry]
 
     def sorted_entries(self) -> list[TableEntry]:
-        """Entries in signature order. Members keep the order of
-        :func:`fault_map`, which is :meth:`FaultLocation.sort_key` order."""
-        return sorted(self.entries.values(), key=lambda e: e.signature.word)
+        """Entries in signature order, as the view stores them. Members keep the
+        order of :func:`fault_map`, which is :meth:`FaultLocation.sort_key` order."""
+        return list(self.entries.values())
 
 
 def enumerable_locations(circuit: Circuit) -> list[tuple[int, str, str, int]]:
@@ -285,19 +286,15 @@ def _fault_map(n_qubits: int, gates: tuple[Gate, ...], layout: CycleLayout | Non
     # Entries that share a signature or a residual share one object.
     signature = cache(lambda word: MeasurementSignature(word, shape))
     residual = cache(lambda x, z: PauliOperator(len(DATA_QUBITS), x, z))
-
-    def outcome(x: int, z: int, word: int) -> tuple[MeasurementSignature, PauliOperator]:
-        d = (x ^ z) & swap
-        return signature(word), residual((x ^ d) & block, (z ^ d) & block)
-
     # Sorting the location-sides once gives FaultLocation.sort_key order, as X < Y < Z.
     located = sorted(zip(locations, fault_frames(circuit, locations, _readout_feeds(layout))),
                      key=lambda item: (*_split_label(item[0][1]), item[0][2]))
-    return MappingProxyType({
-        FaultLocation(label, side, pauli): outcome(*frame)
-        for (_, label, side, _), frames in located
-        for pauli, frame in zip("XYZ", frames)
-    })
+    out = {}
+    for (_, label, side, _), frames in located:
+        for pauli, (x, z, word) in zip("XYZ", frames):
+            d = (x ^ z) & swap
+            out[FaultLocation(label, side, pauli)] = signature(word), residual((x ^ d) & block, (z ^ d) & block)
+    return MappingProxyType(out)
 
 
 def inject_and_propagate(
@@ -338,8 +335,10 @@ def view_table(circuit: Circuit, view: str) -> DecodingTable:
     faults on CNOT legs and Hadamards. Views are memoized by circuit content,
     as the map is, and share their entries read-only (members are tuples).
     """
+    if view not in _HADAMARD_PAULIS:
+        raise ValueError(f"unknown view {view!r}")
     key = (circuit.n_qubits, tuple(circuit.gates), circuit.layout, view)
-    return DecodingTable(circuit, key, _view_entries(*key))
+    return DecodingTable(circuit, key, _view_entries(*key[:3])[view])
 
 
 _HADAMARD_PAULIS = {"X": (), "Y": ("Y",), "Z": ("X", "Z")}  # the Hadamard faults in each view
@@ -351,16 +350,19 @@ def view_paulis(view: str, side: str) -> tuple[str, ...]:
     return _HADAMARD_PAULIS[view] if side == "single" else (view,)
 
 
-@lru_cache(maxsize=3)  # the three views of the circuit whose map is memoized
-def _view_entries(n_qubits: int, gates: tuple[Gate, ...], layout: CycleLayout | None, view: str):
-    if view not in _HADAMARD_PAULIS:
-        raise ValueError(f"unknown view {view!r}")
-    paulis = {side: view_paulis(view, side) for side in ("control", "target", "single")}
-    grouped: dict[MeasurementSignature, list] = {}
+# The views partition the map: each (leg, Pauli) belongs to one view.
+_VIEW_OF = {(side, pauli): view for view in _HADAMARD_PAULIS for side in ("control", "target", "single")
+            for pauli in view_paulis(view, side)}
+
+
+@lru_cache(maxsize=1)  # the views of the circuit whose map is memoized
+def _view_entries(n_qubits: int, gates: tuple[Gate, ...], layout: CycleLayout | None):
+    """One pass over the map fills the three views, each in signature-word order."""
+    grouped: dict[str, dict[MeasurementSignature, list]] = {view: {} for view in _HADAMARD_PAULIS}
     for loc, (sig, residual) in _fault_map(n_qubits, gates, layout).items():
-        if loc.pauli in paulis[loc.side]:
-            grouped.setdefault(sig, []).append((loc, residual))
-    return MappingProxyType({sig: TableEntry(sig, tuple(members)) for sig, members in grouped.items()})
+        grouped[_VIEW_OF[loc.side, loc.pauli]].setdefault(sig, []).append((loc, residual))
+    return {view: MappingProxyType({sig: TableEntry(sig, tuple(groups[sig])) for sig in sorted(groups)})
+            for view, groups in grouped.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +390,15 @@ def ledger_covers(ledger: PerfectOpLedger, loc: FaultLocation) -> bool:
 
 
 def counts_as_member(
-    circuit: Circuit, loc: FaultLocation, sig: MeasurementSignature, res: PauliOperator, ledger: PerfectOpLedger
+    circuit: Circuit, loc: FaultLocation, sig: MeasurementSignature, canonical: tuple[int, int],
+    ledger: PerfectOpLedger,
 ) -> bool:
     """The one membership rule of classes, ledgers and depth counts.
 
     A fault the ledger covers, or one on a flag-qubit leg (gadget-internal:
     the condition-1 audit covers it), is no member. Any other fault is one
-    when it flips a readout or leaves an observable residual. Flag bits
+    when it flips a readout or leaves an observable residual (``canonical``,
+    its :func:`canonical_residual`). Flag bits
     count only for the flag CNOTs' own wire legs, the overhead the gadget
     must account for; for the labeled gates a flag false-positive alone is
     not a result (the block is rejected, no error is delivered).
@@ -402,7 +406,7 @@ def counts_as_member(
     if circuit.layout.is_flag_leg(loc.label, loc.side) or ledger_covers(ledger, loc):
         return False
     flipped = sig.word if loc.label.startswith("CN") else sig.word >> sig.shape[3]  # flag bits are lowest
-    return bool(flipped) or canonical_residual(circuit, res) != (0, 0)
+    return bool(flipped) or canonical != (0, 0)
 
 
 def classify_collisions(table: DecodingTable, ledger: PerfectOpLedger = frozenset()) -> list[CollisionClass]:
@@ -432,19 +436,22 @@ def _classify(table: DecodingTable, ledger: PerfectOpLedger) -> list[CollisionCl
     classes: list[CollisionClass] = []
     for entry in entries:
         sig = entry.signature
-        members = tuple([(loc, res) for loc, res in entry.members if counts_as_member(circuit, loc, sig, res, ledger)])
         includes_no_error = sig == clean
+        members = []
+        groups: dict[tuple[int, int], list[FaultLocation]] = {(0, 0): []} if includes_no_error else {}
+        for loc, res in entry.members:
+            canonical = canonical_residual(circuit, res)
+            if counts_as_member(circuit, loc, sig, canonical, ledger):
+                members.append((loc, res))
+                groups.setdefault(canonical, []).append(loc)
         if not members and not includes_no_error:
             continue
-        groups: dict[tuple[int, int], list[FaultLocation]] = {(0, 0): []} if includes_no_error else {}
-        for loc, res in members:
-            groups.setdefault(canonical_residual(circuit, res), []).append(loc)
         if len(groups) > 1:
             verdict = "ambiguous"
         else:
             verdict = "benign" if len(members) + includes_no_error > 1 else "unique"
         residual_groups = tuple([(canonical, tuple(locs)) for canonical, locs in sorted(groups.items())])
-        classes.append(CollisionClass(sig, verdict, members, includes_no_error, residual_groups))
+        classes.append(CollisionClass(sig, verdict, tuple(members), includes_no_error, residual_groups))
     return classes
 
 
@@ -466,11 +473,8 @@ def derive_perfect_assumptions(table: DecodingTable) -> PerfectOpLedger:
         if cls.includes_no_error:
             keep = (0, 0)
         else:
-            def group_rank(item):
-                canonical, locs = item
-                latest = max(loc.sort_key() for loc in locs)
-                return (-len(locs), latest, canonical)
-            keep = sorted(groups, key=group_rank)[0][0]
+            # The largest group; a tie keeps the group whose last member (locs keep map order) is earliest.
+            keep = min(groups, key=lambda group: (-len(group[1]), group[1][-1].sort_key(), group[0]))[0]
         for canonical, locs in groups:
             if canonical != keep:
                 removed.update(loc.ledger_key() for loc in locs)

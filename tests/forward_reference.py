@@ -36,7 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from steanesim.circuits import DATA_QUBITS, PREP_KINDS, Circuit
-from steanesim.faults import FaultLocation, counts_as_member, enumerable_locations, fault_map, view_paulis
+from steanesim.faults import (
+    FaultLocation,
+    canonical_residual,
+    counts_as_member,
+    enumerable_locations,
+    fault_map,
+    view_paulis,
+)
 from steanesim.paulis import GENERATOR_SUPPORTS, PauliOperator, conjugate_bits
 from steanesim.statevec import _MATRICES, apply_1q
 
@@ -145,7 +152,8 @@ def count_locations_one_by_one(circuit: Circuit, x_ledger: frozenset, z_ledger: 
         for view, ledger in ledgers.items():
             for pauli in view_paulis(view, side):
                 loc = FaultLocation(label, side, pauli)
-                if counts_as_member(circuit, loc, *faults[loc], ledger):
+                sig, res = faults[loc]
+                if counts_as_member(circuit, loc, sig, canonical_residual(circuit, res), ledger):
                     counts[view][qubit] += 1
                     break
     r_x, r_y, r_z = (tuple(counts[view]) for view in "XYZ")

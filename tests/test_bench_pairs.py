@@ -53,6 +53,21 @@ def test_peak_rss_eleven_percent_worse_is_outside_its_bound():
     assert line.endswith("ops attempted: parent median 1601, change median 3041)")
 
 
+def test_rss_change_prints_beside_the_op_count_change_within_its_bound_too():
+    bench_pairs = load_bench_pairs()
+    within = bench_pairs.summarize(pairs({"peak_rss_mb": 1.05}, ops=(1000, 1230)), METRICS)
+    assert within["peak_rss_mb"]["within_bound"]
+    assert bench_pairs.rss_lines(within) == [
+        "peak_rss_mb +5.0% (parent median 39.5, change median 41.48) beside ops attempted +23.0% "
+        "(parent median 1001, change median 1231)"]
+    outside = bench_pairs.summarize(pairs({"peak_rss_mb": 1.11}, ops=(1600, 3040)), METRICS)
+    [line] = bench_pairs.rss_lines(outside)
+    assert line.startswith("peak_rss_mb +11.0% ") and "beside ops attempted +89.9% " in line
+    outside["peak_rss_mb"]["attempted"]["parent"] = 0  # a parent that attempted no op gives no ratio
+    assert "beside ops attempted n/a (parent median 0, change median 3041)" in bench_pairs.rss_lines(outside)[0]
+    assert bench_pairs.rss_lines({}) == []
+
+
 def test_label_medians_give_each_sides_raw_median_per_label():
     bench_pairs = load_bench_pairs()
     runs = pairs({})

@@ -1,7 +1,12 @@
 """Circuit IR, builders and text round-tripping."""
 from __future__ import annotations
 
+import random
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steanesim.builders import (
     DECODER_CNOTS,
@@ -15,7 +20,8 @@ from steanesim.builders import (
     build_toffoli_decomposition,
     GadgetSpec,
 )
-from steanesim.circuits import Circuit, Gate, parse, serialize
+from steanesim.circuits import DATA_QUBITS, Circuit, Gate, derive_layout, parse, serialize
+from test_faults import BUILD_CONFIGS
 
 
 def count_kind(circuit: Circuit, kind: str) -> int:
@@ -151,3 +157,93 @@ def test_gate_kind_arity_checked():
         Gate("WIBBLE", (0,), "G1")
     with pytest.raises(ValueError, match=r"C5: repeated operand in \(4, 4\)"):
         Gate("CNOT", (4, 4), "C5")
+
+
+# The text of every parse error, one bad input each.
+PARSE_ERRORS = [
+    ("# qubits x\nC1 CNOT 1 2\n", "line 1: bad qubit header"),
+    ("# qubits\n", "line 1: bad qubit header"),
+    ("# qubits 3\n\nC1 CNOT\n", "line 3: expected 'LABEL KIND q1 [q2 ...]'"),
+    ("C1 CNOT 1 b\n", "line 1: non-integer operand"),
+    ("C1 CNOT 0 b\n", "line 1: non-integer operand"),  # named before the 0 operand
+    ("# a comment\nC1 CNOT 0 2\n", "line 2: qubits are 1-indexed"),
+    ("C1 FOO 1 2\n", "line 1: unknown gate kind 'FOO'"),
+    ("C1 CNOT 1 2 3\n", "line 1: CNOT takes 2 qubit(s), got (0, 1, 2)"),
+    ("C1 CNOT 1 # 2\n", "line 1: CNOT takes 2 qubit(s), got (0,)"),  # a comment ends the operands
+    ("H1 H 1 2\n", "line 1: H takes 1 qubit(s), got (0, 1)"),
+    ("C1 CNOT 2 2\n", "line 1: C1: repeated operand in (1, 1)"),
+    ("C1 H 1\nC1 H 2\n", "duplicate label C1"),
+    ("# qubits 2\nC1 CNOT 1 3\n", "C1: qubit 3 out of range (n=2)"),
+    ("M1:Z MZ 1\nH1 H 1\n", "H1: qubit 1 already measured"),
+]
+
+
+@pytest.mark.parametrize("text,message", PARSE_ERRORS, ids=[m for _, m in PARSE_ERRORS])
+def test_parse_error_texts(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+def _without(circuit: Circuit, drop) -> list[Gate]:
+    return [g for g in circuit.gates if not drop(g)]
+
+
+def _layout_cases():
+    data = build_full_ec_circuit()
+    anc = next(g for g in data.gates if g.label == "C13").qubits[0]  # the X round's ancilla wire
+    flag = next(g for g in data.gates if g.label == "CN1").qubits[1]  # gadget 1's first flag wire
+    return [
+        (_without(data, lambda g: g.label == "C12"), "not an encode/decode cycle: syndrome couplings C12/C19 missing"),
+        (_without(data, lambda g: g.label == "C19"), "not an encode/decode cycle: syndrome couplings C12/C19 missing"),
+        (_without(data, lambda g: g.label == "H5"), "encode/decode cycle: H5 missing"),
+        (_without(data, lambda g: g.label == "C14.2"), "encode/decode cycle: C14.2 missing"),
+        (_without(data, lambda g: g.label == "CN6"), "flag gadget 3: CN6 missing"),
+        (data.gates + [Gate("H", (0,), "CN17")], "flag gadget 9: CN18 missing"),
+        (_without(data, lambda g: g.label == "M5:Z"), "terminal: readout M5:Z missing"),
+        (_without(data, lambda g: g.is_measurement and g.qubits[0] == anc), f"C13: readout M{anc + 1}:X missing"),
+        (_without(data, lambda g: g.is_measurement and g.qubits[0] == flag), f"CN1: readout M{flag + 1}:Z missing"),
+        ([Gate("CNOT", (1, 2), "CN1") if g.label == "CN1" else g for g in data.gates],
+         "flag gadget 1: CN1/CN2 must couple one data wire to flag qubits"),
+        ([Gate("H", (1,), "CN1") if g.label == "CN1" else g for g in data.gates],
+         "flag gadget 1: CN1/CN2 must couple one data wire to flag qubits"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_layout_cases())))
+def test_derive_layout_error_texts(case):
+    gates, message = _layout_cases()[case]
+    with pytest.raises(ValueError) as exc:
+        derive_layout(gates)
+    assert str(exc.value) == message
+
+
+_READOUT = re.compile(r"M(\d+):([XZ])")
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(BUILD_CONFIGS)), seed=st.integers(0, 2**32 - 1))
+def test_layout_of_a_wire_permuted_text_is_the_permuted_layout(name, seed):
+    # Shuffle the non-data wires, each readout label following its wire, as
+    # the benchmark's relabeled circuits do: the layout read back from the
+    # text is the built layout with every readout label moved.
+    circuit = build_full_ec_circuit(**BUILD_CONFIGS[name])
+    wires = list(range(len(DATA_QUBITS), circuit.n_qubits))
+    shuffled = wires[:]
+    random.Random(seed).shuffle(shuffled)
+    perm = dict(zip(wires, shuffled))
+
+    def moved(label: str) -> str:
+        m = _READOUT.fullmatch(label)
+        return f"M{perm.get(int(m[1]) - 1, int(m[1]) - 1) + 1}:{m[2]}" if m else label
+
+    gates = [Gate(g.kind, tuple(perm.get(q, q) for q in g.qubits), moved(g.label)) for g in circuit.gates]
+    layout = circuit.layout
+    want = layout._replace(
+        x_rounds=tuple(tuple(map(moved, row)) for row in layout.x_rounds),
+        z_rounds=tuple(tuple(map(moved, row)) for row in layout.z_rounds),
+        terminal_meas=tuple((q, basis, moved(label)) for q, basis, label in layout.terminal_meas),
+        gadgets=tuple(plan._replace(meas_labels=tuple(map(moved, plan.meas_labels))) for plan in layout.gadgets),
+    )
+    assert derive_layout(parse(serialize(Circuit(circuit.n_qubits, gates))).gates) == want
+    assert derive_layout(parse(serialize(circuit)).gates) == layout

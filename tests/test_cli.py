@@ -31,9 +31,10 @@ def run(capsys, *argv) -> tuple[int, str]:
 
 def test_cli_import_loads_no_dataclasses_inspect_or_numpy():
     # Every subcommand runs as a fresh process that pays this import; only
-    # verify loads numpy, and no record type generates code at import.
+    # verify loads numpy, no record type generates code at import, and only
+    # a JSON form loads json.
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-    probe = "import steanesim.cli, sys; print(sorted({'dataclasses', 'inspect', 'numpy'} & set(sys.modules)))"
+    probe = "import steanesim.cli, sys; print(sorted({'dataclasses', 'inspect', 'json', 'numpy'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
                           stdout=subprocess.PIPE, text=True, check=True)
     assert proc.stdout.strip() == "[]"

@@ -23,7 +23,9 @@ median, whether that change stays within the metric's ``BENCHMARK.json``
 bound, and each side's median count of attempted ops over the same runs;
 every metric outside its bound is printed per workload and seed, with those
 op counts beside it (a run that does more ops records more of them, which
-``peak_rss_mb`` counts too). Each op label's raw median ms and quartiles,
+``peak_rss_mb`` counts too). The change in ``peak_rss_mb`` is printed beside
+the change in median attempted ops for every workload and seed, within its
+bound or not. Each op label's raw median ms and quartiles,
 parent -> change, are printed per workload and seed as well, which shows
 the command or op kind that moved; a label whose change median lies inside
 the parent's q1-q3 is marked ``within spread``.
@@ -149,6 +151,20 @@ def outside_bounds(summary: dict) -> list[str]:
             for name, s in summary.items() if not s["within_bound"]]
 
 
+def rss_lines(summary: dict) -> list[str]:
+    """``peak_rss_mb``'s median change beside the change in median attempted
+    ops (one line; none when ``summarize`` holds no RSS): memory that grows
+    with the op count reads as a regression of a faster change."""
+    if "peak_rss_mb" not in summary:
+        return []
+    s = summary["peak_rss_mb"]
+    ops = s["attempted"]
+    grew = f"{ops['change'] / ops['parent'] - 1:+.1%}" if ops["parent"] else "n/a"
+    return [f"peak_rss_mb {s['relative_change']:+.1%} (parent median {s['parent']['median']:.4g}, change median "
+            f"{s['change']['median']:.4g}) beside ops attempted {grew} (parent median {ops['parent']:g}, "
+            f"change median {ops['change']:g})"]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", required=True, help="git revision to compare the working tree against")
@@ -188,7 +204,8 @@ def main(argv: list[str] | None = None) -> int:
                     "op_ms_by_label": {"unit": "ms per op, raw: not scaled by the calibration loop",
                                        "spread": medians},
                 }
-                for line in [*label_lines(medians), *(outside_bounds(summary) or ["every metric within its bound"])]:
+                for line in [*label_lines(medians), *rss_lines(summary),
+                             *(outside_bounds(summary) or ["every metric within its bound"])]:
                     print(f"{workload} seed={seed}: {line}", flush=True)
                 args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0
