@@ -10,8 +10,9 @@ One fault map per circuit (:func:`fault_map`) feeds the views, ledgers,
 depth counts and flag audit. Propagation and signature bits are linear over
 GF(2), so one backward sweep over the gates (:func:`fault_frames`) gives the
 X, Y and Z frames and packed signature words of every location-side at
-once; it is the package's one propagation engine. The map is memoized by
-circuit content, so the analyses of one circuit share it.
+once; it is the package's one propagation engine. One memo, keyed by
+circuit content, holds the map and its three view tables, and each table
+keeps its classes per ledger, so the analyses of one circuit share them.
 
 Enumerated locations are the data-block legs of the labeled CNOTs C1-C36
 (ancilla legs of the syndrome couplings belong to the ancilla block's own
@@ -133,13 +134,14 @@ class TableEntry(NamedTuple):
 
 class DecodingTable(NamedTuple):
     """Map from measurement signature to the faults that produce it: one
-    view of a circuit, as :func:`view_table` builds it. ``key`` is the
-    view's memo key ``(n_qubits, gates, layout, view)``, so the table's
-    classes are those of its own content even if ``circuit`` is edited."""
+    view of a circuit, as :func:`view_table` memoizes it with the map.
+    ``classes`` holds the table's classes per ledger, filled by
+    :func:`classify_collisions` on first use, so a held table keeps the
+    classes of its own content after the memo moves on."""
 
-    circuit: Circuit
-    key: tuple
+    layout: CycleLayout
     entries: Mapping[MeasurementSignature, TableEntry]
+    classes: dict[PerfectOpLedger, tuple[CollisionClass, ...]]
 
     def sorted_entries(self) -> list[TableEntry]:
         """Entries in signature order, as the view stores them. Members keep the
@@ -265,36 +267,47 @@ def fault_map(circuit: Circuit) -> FaultMap:
     packed signature word with no decode. The map iterates in
     :meth:`FaultLocation.sort_key` order, so a view's members are added
     already sorted. It is memoized by circuit content (wire count, gates
-    and layout), so the analyses of one circuit share one map, and a
-    circuit changed after a call gets the map of its new content.
+    and layout) with the circuit's view tables, so the analyses of one
+    circuit share one map, and a circuit changed after a call gets the map
+    of its new content.
     """
-    return _fault_map(circuit.n_qubits, tuple(circuit.gates), circuit.layout)
+    return _analysis(circuit.n_qubits, tuple(circuit.gates), circuit.layout)[0]
 
 
 @lru_cache(maxsize=1)
-def _fault_map(n_qubits: int, gates: tuple[Gate, ...], layout: CycleLayout | None) -> FaultMap:
+def _analysis(n_qubits: int, gates: tuple[Gate, ...],
+              layout: CycleLayout | None) -> tuple[FaultMap, dict[str, DecodingTable]]:
+    """The fault map of one circuit content and its X, Y and Z view tables.
+    One loop fills both, since the views partition the map (``_VIEW_OF``);
+    each view is stored in signature-word order."""
     circuit = Circuit(n_qubits, list(gates), layout=layout)
     locations = enumerable_locations(circuit)
-    if not locations:  # a circuit without faults needs no layout
-        return MappingProxyType({})
-    shape = signature_shape(layout)
-    # Residuals are reported in the pre-decode-Hadamard frame (an X left
-    # after a decode-side H is the same observable as a Z before it): one
-    # masked swap of the X and Z bits of those qubits.
-    swap = sum(1 << q for q in layout.decode_h_qubits)
-    block = (1 << len(DATA_QUBITS)) - 1
-    # Entries that share a signature or a residual share one object.
-    signature = cache(lambda word: MeasurementSignature(word, shape))
-    residual = cache(lambda x, z: PauliOperator(len(DATA_QUBITS), x, z))
-    # Sorting the location-sides once gives FaultLocation.sort_key order, as X < Y < Z.
-    located = sorted(zip(locations, fault_frames(circuit, locations, _readout_feeds(layout))),
-                     key=lambda item: (*_split_label(item[0][1]), item[0][2]))
     out = {}
-    for (_, label, side, _), frames in located:
-        for pauli, (x, z, word) in zip("XYZ", frames):
-            d = (x ^ z) & swap
-            out[FaultLocation(label, side, pauli)] = signature(word), residual((x ^ d) & block, (z ^ d) & block)
-    return MappingProxyType(out)
+    grouped: dict[str, dict[MeasurementSignature, list]] = {view: {} for view in _HADAMARD_PAULIS}
+    if locations:  # a circuit without faults needs no layout
+        shape = signature_shape(layout)
+        # Residuals are reported in the pre-decode-Hadamard frame (an X left
+        # after a decode-side H is the same observable as a Z before it): one
+        # masked swap of the X and Z bits of those qubits.
+        swap = sum(1 << q for q in layout.decode_h_qubits)
+        block = (1 << len(DATA_QUBITS)) - 1
+        # Entries that share a signature or a residual share one object.
+        signature = cache(lambda word: MeasurementSignature(word, shape))
+        residual = cache(lambda x, z: PauliOperator(len(DATA_QUBITS), x, z))
+        # Sorting the location-sides once gives FaultLocation.sort_key order, as X < Y < Z.
+        located = sorted(zip(locations, fault_frames(circuit, locations, _readout_feeds(layout))),
+                         key=lambda item: (*_split_label(item[0][1]), item[0][2]))
+        for (_, label, side, _), frames in located:
+            for pauli, (x, z, word) in zip("XYZ", frames):
+                d = (x ^ z) & swap
+                loc, sig = FaultLocation(label, side, pauli), signature(word)
+                res = residual((x ^ d) & block, (z ^ d) & block)
+                out[loc] = sig, res
+                grouped[_VIEW_OF[side, pauli]].setdefault(sig, []).append((loc, res))
+    tables = {view: DecodingTable(layout, MappingProxyType({sig: TableEntry(sig, tuple(groups[sig]))
+                                                            for sig in sorted(groups)}), {})
+              for view, groups in grouped.items()}
+    return MappingProxyType(out), tables
 
 
 def inject_and_propagate(
@@ -332,13 +345,13 @@ def view_table(circuit: Circuit, view: str) -> DecodingTable:
     The X view holds X faults on CNOT legs. The Z view holds Z faults on
     CNOT legs plus every effective Hadamard fault (Z after an encode-side H,
     X after a decode-side H mimic Z-type residuals). The Y view holds Y
-    faults on CNOT legs and Hadamards. Views are memoized by circuit content,
-    as the map is, and share their entries read-only (members are tuples).
+    faults on CNOT legs and Hadamards. The tables are memoized with the map,
+    by circuit content, and share their entries read-only (members are
+    tuples).
     """
     if view not in _HADAMARD_PAULIS:
         raise ValueError(f"unknown view {view!r}")
-    key = (circuit.n_qubits, tuple(circuit.gates), circuit.layout, view)
-    return DecodingTable(circuit, key, _view_entries(*key[:3])[view])
+    return _analysis(circuit.n_qubits, tuple(circuit.gates), circuit.layout)[1][view]
 
 
 _HADAMARD_PAULIS = {"X": (), "Y": ("Y",), "Z": ("X", "Z")}  # the Hadamard faults in each view
@@ -353,16 +366,6 @@ def view_paulis(view: str, side: str) -> tuple[str, ...]:
 # The views partition the map: each (leg, Pauli) belongs to one view.
 _VIEW_OF = {(side, pauli): view for view in _HADAMARD_PAULIS for side in ("control", "target", "single")
             for pauli in view_paulis(view, side)}
-
-
-@lru_cache(maxsize=1)  # the views of the circuit whose map is memoized
-def _view_entries(n_qubits: int, gates: tuple[Gate, ...], layout: CycleLayout | None):
-    """One pass over the map fills the three views, each in signature-word order."""
-    grouped: dict[str, dict[MeasurementSignature, list]] = {view: {} for view in _HADAMARD_PAULIS}
-    for loc, (sig, residual) in _fault_map(n_qubits, gates, layout).items():
-        grouped[_VIEW_OF[loc.side, loc.pauli]].setdefault(sig, []).append((loc, residual))
-    return {view: MappingProxyType({sig: TableEntry(sig, tuple(groups[sig])) for sig in sorted(groups)})
-            for view, groups in grouped.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -390,20 +393,20 @@ def ledger_covers(ledger: PerfectOpLedger, loc: FaultLocation) -> bool:
 
 
 def counts_as_member(
-    circuit: Circuit, loc: FaultLocation, sig: MeasurementSignature, canonical: tuple[int, int],
+    layout: CycleLayout, loc: FaultLocation, sig: MeasurementSignature, canonical: tuple[int, int],
     ledger: PerfectOpLedger,
 ) -> bool:
     """The one membership rule of classes, ledgers and depth counts.
 
-    A fault the ledger covers, or one on a flag-qubit leg (gadget-internal:
-    the condition-1 audit covers it), is no member. Any other fault is one
-    when it flips a readout or leaves an observable residual (``canonical``,
-    its :func:`canonical_residual`). Flag bits
+    A fault the ledger covers, or one on a flag-qubit leg of ``layout``
+    (gadget-internal: the condition-1 audit covers it), is no member. Any
+    other fault is one when it flips a readout or leaves an observable
+    residual (``canonical``, its :func:`canonical_residual`). Flag bits
     count only for the flag CNOTs' own wire legs, the overhead the gadget
     must account for; for the labeled gates a flag false-positive alone is
     not a result (the block is rejected, no error is delivered).
     """
-    if circuit.layout.is_flag_leg(loc.label, loc.side) or ledger_covers(ledger, loc):
+    if layout.is_flag_leg(loc.label, loc.side) or ledger_covers(ledger, loc):
         return False
     flipped = sig.word if loc.label.startswith("CN") else sig.word >> sig.shape[3]  # flag bits are lowest
     return bool(flipped) or canonical != (0, 0)
@@ -415,22 +418,20 @@ def classify_collisions(table: DecodingTable, ledger: PerfectOpLedger = frozense
     Only members (:func:`counts_as_member` under ``ledger``) are classified.
     Within one signature class all read-out flips coincide by construction,
     so members can only disagree on the unread data qubit; ``benign`` means
-    they do not. A table's classes are memoized per ledger by its key, so
-    each (circuit content, view, ledger) is classified once, into read-only
-    records.
+    they do not. The table keeps its classes per ledger, so each (circuit
+    content, view, ledger) is classified once, into read-only records, and
+    each call returns a new list.
     """
-    return list(_classes(table.key, ledger))
-
-
-@lru_cache(maxsize=5)  # the (view, ledger) pairs of one analysis: X, Z bare; X, Y, Z under ledgers
-def _classes(key: tuple, ledger: PerfectOpLedger) -> tuple[CollisionClass, ...]:
-    n_qubits, gates, layout, view = key
-    return tuple(_classify(view_table(Circuit(n_qubits, list(gates), layout=layout), view), ledger))
+    classes = table.classes.get(ledger)
+    if classes is None:
+        classes = table.classes[ledger] = tuple(_classify(table, ledger))
+    return list(classes)
 
 
 def _classify(table: DecodingTable, ledger: PerfectOpLedger) -> list[CollisionClass]:
-    circuit = table.circuit
-    clean = MeasurementSignature(0, signature_shape(circuit.layout))
+    layout = table.layout
+    x_mask, z_mask = layout.residual_masks  # of canonical_residual
+    clean = MeasurementSignature(0, signature_shape(layout))
     # The no-error outcome always gets a class; one that no fault shares comes last.
     entries = table.sorted_entries() + ([] if clean in table.entries else [TableEntry(clean, ())])
     classes: list[CollisionClass] = []
@@ -440,8 +441,8 @@ def _classify(table: DecodingTable, ledger: PerfectOpLedger) -> list[CollisionCl
         members = []
         groups: dict[tuple[int, int], list[FaultLocation]] = {(0, 0): []} if includes_no_error else {}
         for loc, res in entry.members:
-            canonical = canonical_residual(circuit, res)
-            if counts_as_member(circuit, loc, sig, canonical, ledger):
+            canonical = res.x_bits & x_mask, res.z_bits & z_mask
+            if counts_as_member(layout, loc, sig, canonical, ledger):
                 members.append((loc, res))
                 groups.setdefault(canonical, []).append(loc)
         if not members and not includes_no_error:

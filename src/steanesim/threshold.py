@@ -1,19 +1,20 @@
 """Concatenation-level expansion, pair-count coefficient and threshold search.
 
 The failure coefficient c counts unordered pairs of fault locations inside
-one encoded block over an error-correction period, each pair once: 21 per
-lineage position, so 21*v^2 when every depth is v. The per-qubit depths are
-(A, B, B, D, E, F, F) + gamma*x, where A walks the expanded first-position
-lineage and B=R2, D=R4, E=R5, F=R6 stay at their base-level values, so
-positions 3 and 7 read R2 and R6 (the expansion is deliberately asymmetric;
-only the first position accumulates +R1 per level). All sums are exact
-integers; the single float division and the 1/(2^k - 1) root reproduce the
-published sixteen-digit values.
+one encoded block over an error-correction period, each pair once (the
+pair count of Aliferis, Gottesman and Preskill, quant-ph/0504218): per
+lineage position, the sum over all 21 pairs of the seven depths
+(A, R2, ..., R7) + gamma*x, so 21*v^2 when every depth is v. A walks the
+expanded first-position lineage and R2..R7 stay at their base-level values
+(the expansion is deliberately asymmetric; only the first position
+accumulates +R1 per level). All sums are exact integers; the single float
+division and the 1/(2^k - 1) root reproduce the published sixteen-digit
+values.
 
 For level k the expanded list has length 7^k; the literal expansion is kept
-for modest k, while the default path evaluates the same sum in closed form:
-sum over lineage positions s of list_k[s] equals T_{k-1} + 7^(k-1) * R1 with
-T_j = (R1+...+R7) * (7^j - 1) / 6.
+for modest k, while the default path evaluates the same sum in closed form.
+c0 is linear in the sum over lineage positions s of list_k[s], which equals
+T_{k-1} + 7^(k-1) * R1 with T_j = (R1+...+R7) * (7^j - 1) / 6.
 
 `p_th` is the one threshold formula and `_scan` the one x loop: `curve`
 lists the scan's (k, x, p_th) rows, and `optimize_x` takes their first
@@ -21,6 +22,7 @@ maximum without materialising them.
 """
 from __future__ import annotations
 
+from itertools import combinations
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -62,37 +64,31 @@ def expand_levels(block: BlockDepth, k: int) -> tuple[int, ...]:
     return tuple(lst)
 
 
-def _pair_sum_terms(A: int, B: int, D: int, E: int, F: int) -> int:
-    return (
-        2 * A * B + A * D + A * E + 2 * A * F
-        + B * B + 2 * B * D + 2 * B * E + D * E
-        + 4 * B * F + 2 * D * F + 2 * E * F + F * F
-    )
-
-
 def coefficient_c0_literal(expanded: tuple[int, ...], x: int, gamma: int) -> int:
-    """Exact integer c0 by walking the lineage positions 0, 7, 14, ... of an
-    `expand_levels` list; positions 1-6 hold R2..R7 at every level."""
-    gx = gamma * x
-    B, D, E, F = (expanded[i] + gx for i in (1, 3, 4, 5))
-    return sum(_pair_sum_terms(expanded[s] + gx, B, D, E, F) for s in range(0, len(expanded), 7))
+    """Exact integer c0 by walking an `expand_levels` list seven depths at a
+    time (a lineage position, then R2..R7): the sum over all 21 pairs of
+    each group's depths + gamma*x."""
+    depths = [e + gamma * x for e in expanded]
+    return sum(a * b for s in range(0, len(depths), 7) for a, b in combinations(depths[s:s + 7], 2))
 
 
 def coefficient_c0(block: BlockDepth, k: int, x: int) -> int:
-    """Exact integer c0 in closed form (no 7^k list)."""
+    """Exact integer c0 in closed form (no 7^k list): with S and P the sum and
+    the pair sum of R2..R7, each lineage value A pairs with the six others
+    for (S + 6*gx)*A, and the six pair among themselves for
+    P + 5*gx*S + 15*gx^2."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if x < 1:
         raise ValueError("x must be >= 1")
-    R = block.R
+    _, r2, r3, r4, r5, r6, r7 = R = block.R
     gx = block.gamma * x
-    B, D, E, F = R[1] + gx, R[3] + gx, R[4] + gx, R[5] + gx
+    S = r2 + r3 + r4 + r5 + r6 + r7
+    P = r2 * (S - r2) + r3 * (r4 + r5 + r6 + r7) + r4 * (r5 + r6 + r7) + r5 * (r6 + r7) + r6 * r7
     n_lineage = 7 ** (k - 1)
     sum_lineage = sum(R) * (n_lineage - 1) // 6 + n_lineage * R[0]  # T_{k-1} + 7^(k-1) * R1
     sum_A = sum_lineage + n_lineage * gx
-    rest = _pair_sum_terms(0, B, D, E, F)  # the A-free terms
-    linear = 2 * B + D + E + 2 * F
-    return linear * sum_A + n_lineage * rest
+    return (S + 6 * gx) * sum_A + n_lineage * (P + 5 * gx * S + 15 * gx * gx)
 
 
 def coefficient_c(block: BlockDepth, k: int, x: int) -> float:

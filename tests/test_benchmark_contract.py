@@ -54,16 +54,16 @@ def test_fault_map_memo_is_cleared_between_ops():
     run_module = load_perfbench("run")
     run_module.depth = depth  # bound by the benchmark's main() before a Run is made
     run = run_module.Run(workload=None)
-    memos = (faults._fault_map, faults._view_entries, faults._classes)  # the map, its views, their classes
+    memos = (faults._analysis,)  # the map and its view tables, which hold their classes
     assert all(memo in run.caches for memo in memos)
     circuit = build_full_ec_circuit()
     faults.check_flag_conditions(circuit)  # fills every memo
     assert all(memo.cache_info().currsize for memo in memos)
     run.clear_caches()
-    assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
-    misses = faults._fault_map.cache_info().misses
+    assert [memo.cache_info().currsize for memo in memos] == [0]
+    misses = faults._analysis.cache_info().misses
     faults.fault_map(circuit)
-    assert faults._fault_map.cache_info().misses == misses + 1
+    assert faults._analysis.cache_info().misses == misses + 1
 
 
 def test_variant_sweep_op_classifies_each_view_and_ledger_once(monkeypatch):
@@ -73,8 +73,7 @@ def test_variant_sweep_op_classifies_each_view_and_ledger_once(monkeypatch):
     run_module = load_perfbench("run")
     run_module.depth, run_module.faults = depth, faults  # bound by the benchmark's main()
     circuit = build_full_ec_circuit()
-    for memo in (faults._fault_map, faults._view_entries, faults._classes):
-        memo.cache_clear()
+    faults._analysis.cache_clear()
     classify, calls = faults._classify, []
     monkeypatch.setattr(faults, "_classify", lambda table, ledger: calls.append((id(table.entries), ledger))
                         or classify(table, ledger))

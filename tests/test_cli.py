@@ -291,7 +291,7 @@ def test_unused_wires_in_a_file_cost_nothing(tmp_path, capsys):
         path.write_text(body)
         tables.append(run(capsys, "propagate", "--circuit", str(path)))
         circuit = faults.reconstruct_meta(parse(body))
-        faults._fault_map.cache_clear()
+        faults._analysis.cache_clear()
         tracemalloc.start()
         try:
             faults.fault_map(circuit)

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from forward_reference import count_locations_one_by_one, decode, flip_bits, propagate_fault, readout_masks
 from golden_tables import X_PERFECT, X_TABLE, Z_PERFECT, Z_TABLE
-from steanesim import faults as faults_module
+from test_benchmark_contract import load_perfbench
+from steanesim import depth as depth_module, faults as faults_module
 from steanesim.builders import AUX_GADGETS, FLAG_GADGETS, build_full_ec_circuit
 from steanesim.circuits import DATA_QUBITS, Circuit, Gate, parse, serialize
 from steanesim.depth import count_fault_locations
@@ -83,7 +84,7 @@ def test_flags_off_enumeration_reproduces_reference_table(data_flags_off, view, 
         assert got_members == expected_members, f"{view} ({syn},{meas})"
         for members, residual in groups:
             for name in members:
-                got = {canonical_name(data_flags_off.circuit if False else data_flags_off, r)
+                got = {canonical_name(data_flags_off, r)
                        for loc, r in cls.members if loc.display_name() == name}
                 assert got == {residual}, f"{name} residual"
         assert cls.includes_no_error == no_error
@@ -122,7 +123,7 @@ def test_x_fault_groups_under_nonzero_syndrome(data_flags_off):
 
 def test_enumeration_is_deterministic(data_flags_off):
     def dump(circuit):
-        faults_module._fault_map.cache_clear()  # rebuild the map, not read the memo
+        faults_module._analysis.cache_clear()  # rebuild the map, not read the memo
         return [
             (str(e.signature), [(l.label, l.side, l.pauli, str(r)) for l, r in e.members])
             for view in ("X", "Y", "Z") for e in view_table(circuit, view).sorted_entries()
@@ -431,15 +432,52 @@ def permute_ancillas(circuit: Circuit, seed: int) -> Circuit:
     return reconstruct_meta(Circuit(circuit.n_qubits, gates))
 
 
+def benchmark_analyse():
+    """The variant-sweep op's analysis, as the benchmark's ``run.py`` defines it."""
+    run_module = load_perfbench("run")
+    run_module.depth, run_module.faults = depth_module, faults_module  # bound by the benchmark's main()
+    return run_module.analyse
+
+
 def test_memos_stay_bounded_over_distinct_circuits():
+    # One slot holds the map and view tables of the last circuit, and after
+    # the benchmark's analysis its tables hold exactly the classes it asked for.
+    analyse = benchmark_analyse()
     pinned = json.loads(GOLDEN_CONFIGS.read_text(encoding="utf-8"))[DEFAULT_CONFIG]
     circuits = [permute_ancillas(build_full_ec_circuit(), seed) for seed in range(20)]
     assert len({tuple(c.gates) for c in circuits}) == 20
     for circuit in circuits:
+        x_ledger, z_ledger, *_ = analyse(circuit)
+        held = {view: set(view_table(circuit, view).classes) for view in "XYZ"}
+        assert held == {"X": {frozenset(), x_ledger}, "Y": {x_ledger | z_ledger}, "Z": {frozenset(), z_ledger}}
         assert analysis_record(circuit) == pinned
-    for memo in (faults_module._fault_map, faults_module._view_entries, faults_module._classes):
-        info = memo.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize <= 5
+    info = faults_module._analysis.cache_info()
+    assert info.maxsize == info.currsize == 1
+
+
+def test_an_analysis_makes_at_most_nine_memo_lookups():
+    analyse = benchmark_analyse()
+    circuit = permute_ancillas(build_full_ec_circuit(), 20)
+    before = faults_module._analysis.cache_info()
+    analyse(circuit)
+    after = faults_module._analysis.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits + after.misses - before.hits - before.misses <= 9
+
+
+def test_a_held_table_classifies_without_a_second_sweep(monkeypatch, aux_flags_on):
+    # The table keeps its own classes: a ledger it has not seen is classified
+    # from its entries, even after the memo has moved on to another circuit.
+    circuit = permute_ancillas(build_full_ec_circuit(), 21)  # content no other test analyses
+    table = view_table(circuit, "X")
+    ledger = derive_perfect_assumptions(table)
+    view_table(aux_flags_on, "X")  # the memo moves on
+    sweeps, sweep = [], faults_module.fault_frames
+    monkeypatch.setattr(faults_module, "fault_frames", lambda *args: sweeps.append(args) or sweep(*args))
+    classes = classify_collisions(table, ledger)
+    assert sweeps == []
+    monkeypatch.undo()
+    assert classes == classify_collisions(view_table(build_full_ec_circuit(), "X"), ledger)
 
 
 def test_returned_tables_and_classes_do_not_poison_the_memo():
@@ -472,7 +510,7 @@ def test_a_table_keeps_its_classes_after_its_circuit_is_edited():
     circuit = build_full_ec_circuit(include_flags=False)
     table = view_table(circuit, "X")
     circuit.gates.append(Gate("H", (0,), "G999"))  # qubit 1 is never read out: residuals change
-    faults_module._classes.cache_clear()
+    faults_module._analysis.cache_clear()
     classes = classify_collisions(table)
     assert classes == classify_collisions(view_table(build_full_ec_circuit(include_flags=False), "X"))
     assert classes != classify_collisions(view_table(circuit, "X"))
@@ -527,7 +565,7 @@ def test_fault_map_follows_edits_of_a_circuit():
     circuit.gates.append(Gate("H", (0,), "G999"))  # qubit 1 is never read out: residuals change
     appended = dict(fault_map(circuit))
     assert before != replaced != appended
-    faults_module._fault_map.cache_clear()
+    faults_module._analysis.cache_clear()
     fresh = Circuit(circuit.n_qubits, list(circuit.gates), layout=circuit.layout)
     assert dict(fault_map(fresh)) == appended
     del fresh.gates[-1]
@@ -553,9 +591,9 @@ def test_fault_map_is_read_only(data_flags_on):
 
 def test_unflagged_cycle_skips_the_flag_audit(data_flags_on, data_flags_off):
     fault_map(data_flags_on)  # the memo holds another circuit's map
-    misses = faults_module._fault_map.cache_info().misses
+    misses = faults_module._analysis.cache_info().misses
     assert check_flag_conditions(data_flags_off) == []
-    assert faults_module._fault_map.cache_info().misses == misses
+    assert faults_module._analysis.cache_info().misses == misses
 
 
 def test_reconstruct_meta_rejects_non_ec_circuits():

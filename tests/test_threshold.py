@@ -1,6 +1,7 @@
 """Level expansion, pair-count coefficient, threshold search and tables."""
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steanesim import pinned
-from steanesim.depth import BlockDepth, aux_block_depth, data_block_depth
+from steanesim.builders import build_full_ec_circuit
+from steanesim.depth import BlockDepth, aux_block_depth, count_fault_locations, data_block_depth, effective_R
+from steanesim.faults import derive_perfect_assumptions, view_table
 from steanesim.threshold import (
     GATE_CLASSES,
     MAX_LEVEL,
@@ -98,6 +101,35 @@ def test_coefficient_matches_pairwise_oracle():
         for x in (1, 2, 5):
             want = step17_by_hand(block.R, 4, x, block.R[0])
             assert coefficient_c0(block, 1, x) == want
+
+
+def all_pairs_by_hand(expanded: tuple[int, ...], gamma: int, x: int) -> int:
+    """Brute force: per group of seven (a lineage position, then R2..R7), the
+    sum over its 21 pairs of depth + gamma*x products."""
+    return sum((a + gamma * x) * (b + gamma * x) for s in range(0, len(expanded), 7)
+               for a, b in itertools.combinations(expanded[s:s + 7], 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(0, 40)] * 7), st.integers(0, 8), st.integers(1, 4), st.integers(1, 60))
+def test_coefficient_is_the_all_pairs_sum_of_any_depths(R, gamma, k, x):
+    # Asymmetric depths too: no position stands in for another. At k = 1 the
+    # expanded list is R itself.
+    block = BlockDepth(R, gamma)
+    expanded = expand_levels(block, k)
+    assert coefficient_c0(block, k, x) == all_pairs_by_hand(expanded, gamma, x)
+    assert coefficient_c0_literal(expanded, x, gamma) == coefficient_c0(block, k, x)
+
+
+def test_an_asymmetric_variant_reads_all_seven_depths():
+    # The Z-type gadget 1 variant (R3 != R2): c0 at x = 1, 2, 3 and its level-1 threshold.
+    circuit = build_full_ec_circuit(gadget_overrides={1: ("Z", 5, ("CN1", "CN2"), ("C4", "C16.2"))})
+    x_ledger, z_ledger = (derive_perfect_assumptions(view_table(circuit, view)) for view in "XZ")
+    block = effective_R(count_fault_locations(circuit, x_ledger, z_ledger))
+    assert block.R == (7, 11, 13, 15, 16, 10, 10)
+    assert [coefficient_c0(block, 1, x) for x in (1, 2, 3)] == [5156, 8132, 11780]
+    res = optimize_x(block, 1)
+    assert res.x_star == 3 and f"{res.max_p_th:.3e}" == "2.547e-04"
 
 
 @settings(max_examples=40, deadline=None)
