@@ -35,8 +35,8 @@ H) expand to the rows of :func:`ancilla_prep`.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import chain
-from typing import NamedTuple
 
 from .circuits import MEASURE_KINDS, Circuit, Gate, copy_label, derive_layout
 
@@ -238,11 +238,11 @@ def build_full_ec_circuit(
 # Gate gadgets
 # ---------------------------------------------------------------------------
 
-class GadgetSpec(NamedTuple):
-    """Named gadget request; ``repetitions`` counts verification rounds."""
+class GadgetSpec(namedtuple("GadgetSpec", ("name", "repetitions"), defaults=(2,))):
+    """Named gadget request; ``repetitions`` counts verification rounds.
+    Fields: ``name`` str; ``repetitions`` int, default 2."""
 
-    name: str
-    repetitions: int = 2
+    __slots__ = ()
 
 
 def _numbered(dest: Circuit, prefix: str, rows) -> Circuit:

@@ -12,8 +12,8 @@ reads it off these labels, for built and parsed circuits alike.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 ONE_QUBIT_KINDS = {"H", "S", "SDG", "T", "TDG", "X", "Z", "Y", "PREP0", "PREPP", "MZ", "MX"}
 TWO_QUBIT_KINDS = {"CNOT", "CAT2"}
@@ -26,10 +26,7 @@ _ARITY = {**dict.fromkeys(ONE_QUBIT_KINDS, 1), **dict.fromkeys(TWO_QUBIT_KINDS, 
           **dict.fromkeys(THREE_QUBIT_KINDS, 3), **dict.fromkeys(MACRO_KINDS, 7)}
 
 
-class _GateFields(NamedTuple):
-    kind: str
-    qubits: tuple[int, ...]
-    label: str
+_GateFields = namedtuple("_GateFields", ("kind", "qubits", "label"))  # str, tuple[int, ...], str
 
 
 class Gate(_GateFields):
@@ -93,18 +90,16 @@ class Circuit:
         return len({base_label(g.label) for g in self.gates if g.kind == "CNOT"})
 
 
-class FlagPlan(NamedTuple):
+class FlagPlan(namedtuple("FlagPlan", ("gadget_id", "kind", "wire", "cn_labels", "meas_labels"))):
     """One flag gadget: a cat pair of flag qubits bracketing a data wire.
 
     X-type gadgets couple wire->flag and read the flags in the Z basis;
     Z-type gadgets couple flag->wire and read them in the X basis.
+    Fields: ``gadget_id`` int; ``kind`` str, "X" or "Z"; ``wire`` int, the
+    0-indexed data qubit; ``cn_labels`` and ``meas_labels`` tuple[str, str].
     """
 
-    gadget_id: int
-    kind: str                 # "X" or "Z"
-    wire: int                 # 0-indexed data qubit
-    cn_labels: tuple[str, str]
-    meas_labels: tuple[str, str]
+    __slots__ = ()
 
     @property
     def flag_side(self) -> str:
@@ -112,13 +107,14 @@ class FlagPlan(NamedTuple):
         return "target" if self.kind == "X" else "control"
 
 
-class _LayoutFields(NamedTuple):
-    block: str                                       # "data" or "aux"
-    x_rounds: tuple[tuple[str, ...], ...]            # ancilla readout labels per round, data-qubit order
-    z_rounds: tuple[tuple[str, ...], ...]
-    terminal_meas: tuple[tuple[int, str, str], ...]  # (data qubit, basis, label)
-    decode_h_qubits: tuple[int, ...]
-    gadgets: tuple[FlagPlan, ...]
+_LayoutFields = namedtuple("_LayoutFields", (
+    "block",            # str: "data" or "aux"
+    "x_rounds",         # tuple[tuple[str, ...], ...]: ancilla readout labels per round, data-qubit order
+    "z_rounds",         # tuple[tuple[str, ...], ...]
+    "terminal_meas",    # tuple[tuple[int, str, str], ...]: (data qubit, basis, label)
+    "decode_h_qubits",  # tuple[int, ...]
+    "gadgets",          # tuple[FlagPlan, ...]
+))
 
 
 class CycleLayout(_LayoutFields):

@@ -31,14 +31,6 @@ from .faults import (
     reconstruct_meta,
     view_table,
 )
-from .resources import LEVEL_GROWTH_FACTOR, check_permitted_depth, cnot_count, derived_cnot_counts, estimate_runtime
-from .threshold import (
-    DEFAULT_X_MAX,
-    curve,
-    generate_table_1,
-    generate_table_2,
-    optimize_x,
-)
 
 FMT = "{:.15e}"
 
@@ -186,6 +178,8 @@ TABLES = {
 
 def _table(name: str) -> tuple[list[str], list[str]]:
     """A table's CSV lines, and one line per entry that disagrees with its pinned value."""
+    from .threshold import generate_table_1, generate_table_2
+
     block, gate, pinned_map = TABLES[name]
     depth = block_analysis(block)[4]
     if gate is None:
@@ -224,19 +218,22 @@ def cmd_tables(args) -> int:
 
 
 def cmd_threshold(args) -> int:
+    from .threshold import DEFAULT_X_MAX, curve, optimize_x
+
     if args.curves and args.out is not None:
         raise ValueError("--curves and --out cannot be combined: --curves names the output file")
     if args.r is not None and args.gate == "transversal":
         raise ValueError("--r needs a measured --gate (t, toffoli1, toffoli2, toffoli3); the transversal class ignores it")
     block_depth = block_analysis(args.block)[4]
+    x_max = DEFAULT_X_MAX if args.x_max is None else args.x_max
     if args.curves:
         ks = list(range(1, 7)) if args.k is None else [args.k]
-        points = [pt for k in ks for pt in curve(block_depth, k, args.x_max, args.r, args.gate)]
+        points = [pt for k in ks for pt in curve(block_depth, k, x_max, args.r, args.gate)]
         _emit(args, {"text": ["k,x,p_th"] + [f"{k},{x},{_fmt(p)}" for k, x, p in points],
                      "json": [{"k": k, "x": x, "p_th": p} for k, x, p in points]}, args.curves)
         return 0
     ks = list(range(1, 11)) if args.k is None else [args.k]
-    rows = [optimize_x(block_depth, k, args.r, args.gate, args.x_max) for k in ks]
+    rows = [optimize_x(block_depth, k, args.r, args.gate, x_max) for k in ks]
     _emit(args, {
         "text": ["k,r,gate,x_star,c,max_p_th"] + [
             f"{r.k},{_r(r.r)},{r.gate_class},{r.x_star},{r.c_at_x_star!r},{_fmt(r.max_p_th)}" for r in rows
@@ -250,6 +247,8 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_resources(args) -> int:
+    from .resources import LEVEL_GROWTH_FACTOR, check_permitted_depth, cnot_count, derived_cnot_counts, estimate_runtime
+
     if args.gate is None and (args.count is not None or args.cnot_time is not None):
         raise ValueError("--count and --cnot-time need --gate")
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: ints of any length print
@@ -344,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, default=None)
     sp.add_argument("--gate", choices=("transversal", "t", "toffoli1", "toffoli2", "toffoli3"),
                     default="transversal")
-    sp.add_argument("--x-max", type=int, default=DEFAULT_X_MAX)
+    sp.add_argument("--x-max", type=int, default=None)  # None: threshold.DEFAULT_X_MAX
     sp.add_argument("--curves", default=None,
                     help="write (k,x,p_th) rows to this file (CSV, or JSON under --format json)")
     common(sp, "json")

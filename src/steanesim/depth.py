@@ -11,9 +11,9 @@ the Y-type depth equals the X-type depth and the Z-type depth is zero.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from math import ceil
-from typing import NamedTuple
 
 from .builders import build_full_ec_circuit
 from .circuits import DATA_QUBITS, Circuit
@@ -25,17 +25,14 @@ from .faults import (
 )
 
 
-class DepthProfile(NamedTuple):
-    """Per-qubit effective fault-location counts, qubits 1..7."""
+class DepthProfile(namedtuple("DepthProfile", ("r_x", "r_y", "r_z"))):
+    """Per-qubit effective fault-location counts, qubits 1..7.
+    Fields: ``r_x``, ``r_y`` and ``r_z``, each tuple[int, ...]."""
 
-    r_x: tuple[int, ...]
-    r_y: tuple[int, ...]
-    r_z: tuple[int, ...]
+    __slots__ = ()
 
 
-class _BlockDepthFields(NamedTuple):
-    R: tuple[int, ...]
-    gamma: int
+_BlockDepthFields = namedtuple("_BlockDepthFields", ("R", "gamma"))  # tuple[int, ...], int
 
 
 class BlockDepth(_BlockDepthFields):

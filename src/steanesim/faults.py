@@ -21,10 +21,10 @@ analysis), the Hadamards H1-H6, and both legs of the flag CNOTs CN1-CN16.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Mapping
 from functools import cache, lru_cache
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .circuits import DATA_QUBITS, MEASURE_KINDS, PREP_KINDS, Circuit, CycleLayout, Gate, base_label, derive_layout
 from .paulis import GENERATOR_SUPPORTS, PauliOperator, conjugate_bits
@@ -32,12 +32,12 @@ from .paulis import GENERATOR_SUPPORTS, PauliOperator, conjugate_bits
 _LOC_RE = re.compile(r"^(C|CN|H)(\d+)(?:\.(\d+))?$")
 
 
-class FaultLocation(NamedTuple):
-    """One fault location-side: gate label (with round-copy suffix), leg, Pauli."""
+class FaultLocation(namedtuple("FaultLocation", ("label", "side", "pauli"))):
+    """One fault location-side: gate label (with round-copy suffix), leg, Pauli.
+    Fields: ``label``, ``side`` ("control" | "target" | "single") and
+    ``pauli`` ("X" | "Y" | "Z"), all str."""
 
-    label: str
-    side: str   # "control" | "target" | "single"
-    pauli: str  # "X" | "Y" | "Z"
+    __slots__ = ()
 
     def display_name(self) -> str:
         """Copy-collapsed display name: X22^C, Z_H1 -> ZH1, XCN7^C."""
@@ -78,7 +78,7 @@ def location_from_name(name: str) -> tuple[str, str, str]:
     return (f"{kind}{num}", "control" if side == "C" else "target", pauli)
 
 
-class MeasurementSignature(NamedTuple):
+class MeasurementSignature(namedtuple("MeasurementSignature", ("word", "shape"))):
     """Deterministic flip pattern of every readout relative to a clean run.
 
     The pattern is one packed word, read most significant bit first: a
@@ -87,10 +87,11 @@ class MeasurementSignature(NamedTuple):
     gadget. ``shape`` counts those four parts, so integer order of the
     word is the order of the ``(z_syn, x_syn, meas, flags)`` tuples, and
     the clean run is word 0.
+    Fields: ``word`` int; ``shape`` tuple[int, int, int, int] (Z rounds,
+    X rounds, terminal readouts, flag gadgets).
     """
 
-    word: int
-    shape: tuple[int, int, int, int]  # Z rounds, X rounds, terminal readouts, flag gadgets
+    __slots__ = ()
 
     def _parts(self) -> tuple[list[str], list[str], str, str]:
         n_z, n_x, n_meas, n_flags = self.shape
@@ -127,21 +128,21 @@ class MeasurementSignature(NamedTuple):
         return out + (f" flags={fs}" if fs else "")
 
 
-class TableEntry(NamedTuple):
-    signature: MeasurementSignature
-    members: tuple[tuple[FaultLocation, PauliOperator], ...]
+# signature: MeasurementSignature; members: tuple[tuple[FaultLocation, PauliOperator], ...]
+TableEntry = namedtuple("TableEntry", ("signature", "members"))
 
 
-class DecodingTable(NamedTuple):
+class DecodingTable(namedtuple("DecodingTable", ("layout", "entries", "classes"))):
     """Map from measurement signature to the faults that produce it: one
     view of a circuit, as :func:`view_table` memoizes it with the map.
     ``classes`` holds the table's classes per ledger, filled by
     :func:`classify_collisions` on first use, so a held table keeps the
-    classes of its own content after the memo moves on."""
+    classes of its own content after the memo moves on.
+    Fields: ``layout`` CycleLayout; ``entries``
+    Mapping[MeasurementSignature, TableEntry]; ``classes``
+    dict[PerfectOpLedger, tuple[CollisionClass, ...]]."""
 
-    layout: CycleLayout
-    entries: Mapping[MeasurementSignature, TableEntry]
-    classes: dict[PerfectOpLedger, tuple[CollisionClass, ...]]
+    __slots__ = ()
 
     def sorted_entries(self) -> list[TableEntry]:
         """Entries in signature order, as the view stores them. Members keep the
@@ -332,10 +333,10 @@ def reconstruct_meta(circuit: Circuit) -> Circuit:
     return circuit
 
 
-def canonical_residual(circuit: Circuit, residual: PauliOperator) -> tuple[int, int]:
-    """Observable part of a residual: full Pauli on unread qubits, the
-    measurement-flipping component on read-out qubits."""
-    x_mask, z_mask = circuit.layout.residual_masks
+def canonical_residual(layout: CycleLayout, residual: PauliOperator) -> tuple[int, int]:
+    """Observable part of a residual in ``layout``'s cycle: full Pauli on
+    unread qubits, the measurement-flipping component on read-out qubits."""
+    x_mask, z_mask = layout.residual_masks
     return (residual.x_bits & x_mask, residual.z_bits & z_mask)
 
 
@@ -375,12 +376,13 @@ _VIEW_OF = {(side, pauli): view for view in _HADAMARD_PAULIS for side in ("contr
 PerfectOpLedger = frozenset  # of (base label, side, pauli) keys
 
 
-class CollisionClass(NamedTuple):
-    signature: MeasurementSignature
-    verdict: str  # "unique" | "benign" | "ambiguous"
-    members: tuple[tuple[FaultLocation, PauliOperator], ...]
-    includes_no_error: bool
-    residual_groups: tuple[tuple[tuple[int, int], tuple[FaultLocation, ...]], ...]
+CollisionClass = namedtuple("CollisionClass", (
+    "signature",          # MeasurementSignature
+    "verdict",            # str: "unique" | "benign" | "ambiguous"
+    "members",            # tuple[tuple[FaultLocation, PauliOperator], ...]
+    "includes_no_error",  # bool
+    "residual_groups",    # tuple[tuple[tuple[int, int], tuple[FaultLocation, ...]], ...]
+))
 
 
 def ledger_covers(ledger: PerfectOpLedger, loc: FaultLocation) -> bool:
@@ -430,7 +432,6 @@ def classify_collisions(table: DecodingTable, ledger: PerfectOpLedger = frozense
 
 def _classify(table: DecodingTable, ledger: PerfectOpLedger) -> list[CollisionClass]:
     layout = table.layout
-    x_mask, z_mask = layout.residual_masks  # of canonical_residual
     clean = MeasurementSignature(0, signature_shape(layout))
     # The no-error outcome always gets a class; one that no fault shares comes last.
     entries = table.sorted_entries() + ([] if clean in table.entries else [TableEntry(clean, ())])
@@ -441,7 +442,7 @@ def _classify(table: DecodingTable, ledger: PerfectOpLedger) -> list[CollisionCl
         members = []
         groups: dict[tuple[int, int], list[FaultLocation]] = {(0, 0): []} if includes_no_error else {}
         for loc, res in entry.members:
-            canonical = res.x_bits & x_mask, res.z_bits & z_mask
+            canonical = canonical_residual(layout, res)
             if counts_as_member(layout, loc, sig, canonical, ledger):
                 members.append((loc, res))
                 groups.setdefault(canonical, []).append(loc)
@@ -494,14 +495,16 @@ def ledger_names(ledger: PerfectOpLedger) -> list[str]:
 # Flag-gadget usage conditions
 # ---------------------------------------------------------------------------
 
-class FlagConditionReport(NamedTuple):
-    gadget_id: int
-    kind: str
-    cn_labels: tuple[str, str]
-    condition1: bool
-    condition2: bool
-    condition3: bool
-    detail: dict
+class FlagConditionReport(namedtuple("FlagConditionReport", (
+    "gadget_id",   # int
+    "kind",        # str
+    "cn_labels",   # tuple[str, str]
+    "condition1",  # bool
+    "condition2",  # bool
+    "condition3",  # bool
+    "detail",      # dict
+))):
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:
@@ -540,9 +543,9 @@ def check_flag_conditions(
 
         sig_a, res_a = faults[FaultLocation(cn_a, wire_side, kind)]
         own = [faults[FaultLocation(lbl, plan.flag_side, kind)] for lbl in (cn_a, cn_b)]
-        harmless_a = canonical_residual(circuit, res_a) == (0, 0)
+        harmless_a = canonical_residual(circuit.layout, res_a) == (0, 0)
         cond1 = all(
-            sig_a != sig or (harmless_a and canonical_residual(circuit, res) == (0, 0))
+            sig_a != sig or (harmless_a and canonical_residual(circuit.layout, res) == (0, 0))
             for sig, res in own
         )
 

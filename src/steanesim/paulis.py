@@ -7,16 +7,13 @@ display helpers render 1-indexed names like ``X1X6``.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 # Stabilizer generator supports, 1-indexed qubits {1,3,5,7}, {2,3,6,7}, {4,5,6,7}.
 GENERATOR_SUPPORTS = ((1, 3, 5, 7), (2, 3, 6, 7), (4, 5, 6, 7))
 
 
-class _PauliFields(NamedTuple):
-    n: int
-    x_bits: int
-    z_bits: int
+_PauliFields = namedtuple("_PauliFields", ("n", "x_bits", "z_bits"))  # int, int, int
 
 
 class PauliOperator(_PauliFields):

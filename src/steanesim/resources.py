@@ -9,8 +9,7 @@ CNOT is replaced transversally, so counts grow by a factor of 7 per level
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import pinned
 from .builders import build_full_ec_circuit, build_t_gadget, build_toffoli_gadget
@@ -19,15 +18,11 @@ from .depth import BlockDepth
 LEVEL_GROWTH_FACTOR = 7
 
 
-class RuntimeEstimate(NamedTuple):
-    total_cnots: int
-    cnot_time: float
-    seconds: float
+RuntimeEstimate = namedtuple("RuntimeEstimate", ("total_cnots", "cnot_time", "seconds"))  # int, float, float
 
 
-@lru_cache(maxsize=None)
 def derived_cnot_counts() -> dict[str, int]:
-    """Counts recomputed from the circuit builders."""
+    """Counts recomputed from the circuit builders, in a new dict per call."""
     return {
         "transversal": build_full_ec_circuit(True, "data").count_cnot_labels(),
         "t": build_t_gadget().count_cnot_labels(),
@@ -69,13 +64,8 @@ def estimate_runtime(
     return RuntimeEstimate(total, cnot_time, seconds)
 
 
-class DepthCheck(NamedTuple):
-    k: int
-    x: int
-    per_qubit_depth: int
-    limit: int
-    passed: bool
-    max_admissible_k: int
+# k, x, per_qubit_depth, limit: int; passed: bool; max_admissible_k: int
+DepthCheck = namedtuple("DepthCheck", ("k", "x", "per_qubit_depth", "limit", "passed", "max_admissible_k"))
 
 
 def period_depth(block: BlockDepth, k: int, x: int) -> int:

@@ -22,9 +22,9 @@ maximum without materialising them.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import combinations
 from operator import itemgetter
-from typing import NamedTuple
 
 from .depth import BlockDepth
 
@@ -35,13 +35,8 @@ MAX_LITERAL_LEVEL = 8
 MAX_LEVEL = 1023  # the largest k whose root exponent 1/(2^k - 1) a float can hold
 
 
-class ThresholdResult(NamedTuple):
-    k: int
-    r: int | None
-    gate_class: str
-    x_star: int
-    c_at_x_star: float
-    max_p_th: float
+# k: int; r: int | None; gate_class: str; x_star: int; c_at_x_star, max_p_th: float
+ThresholdResult = namedtuple("ThresholdResult", ("k", "r", "gate_class", "x_star", "c_at_x_star", "max_p_th"))
 
 
 def expand_levels(block: BlockDepth, k: int) -> tuple[int, ...]:

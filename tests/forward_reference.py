@@ -153,7 +153,7 @@ def count_locations_one_by_one(circuit: Circuit, x_ledger: frozenset, z_ledger: 
             for pauli in view_paulis(view, side):
                 loc = FaultLocation(label, side, pauli)
                 sig, res = faults[loc]
-                if counts_as_member(circuit.layout, loc, sig, canonical_residual(circuit, res), ledger):
+                if counts_as_member(circuit.layout, loc, sig, canonical_residual(circuit.layout, res), ledger):
                     counts[view][qubit] += 1
                     break
     r_x, r_y, r_z = (tuple(counts[view]) for view in "XYZ")

@@ -106,7 +106,7 @@ def test_criterion_04_decoding_table_fidelity():
             for members, residual in groups:
                 for name in members:
                     got = {
-                        str(PauliOperator(7, *canonical_residual(flags_off, r)))
+                        str(PauliOperator(7, *canonical_residual(flags_off.layout, r)))
                         for l, r in cls.members if l.display_name() == name
                     }
                     assert got == {residual}, name

@@ -131,3 +131,36 @@ def test_host_records_the_blas_thread_settings_both_sides_inherit(monkeypatch):
     assert {k: host[k] for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")} == {
         "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "4"}
     assert {"nproc", "python", "machine"} <= set(host)
+
+
+def test_a_gain_in_nine_of_ten_pairs_beyond_the_parents_spread_is_claimable():
+    bench_pairs = load_bench_pairs()
+    runs = pairs({"setup_s": 0.6})
+    runs[3]["change"]["setup_s"] = runs[3]["parent"]["setup_s"]  # a tie counts for neither side
+    summary = bench_pairs.summarize(runs, METRICS)
+    assert summary["setup_s"]["change_wins"] == 9
+    assert summary["setup_s"]["claimable"]
+    assert not any(s["claimable"] for name, s in summary.items() if name != "setup_s")  # unchanged metrics
+    [line] = bench_pairs.claim_lines(summary)
+    assert line == ("setup_s -39.9% is claimable: the change won 9 of 10 pairs, and its median 0.01802 is past "
+                    "the parent's median 0.03 by more than the parent's q3 - q1 of 0.000135")
+
+
+def test_a_gain_in_eight_of_ten_pairs_is_not_claimable():
+    bench_pairs = load_bench_pairs()
+    runs = pairs({"ops_per_s": 1.5})
+    for pair in runs[:2]:
+        pair["change"]["ops_per_s"] = pair["parent"]["ops_per_s"] * 0.99  # worse: higher is better
+    summary = bench_pairs.summarize(runs, METRICS)
+    assert summary["ops_per_s"]["change_wins"] == 8
+    assert not summary["ops_per_s"]["claimable"]
+    assert bench_pairs.claim_lines(summary) == []
+
+
+def test_a_gain_in_every_pair_within_the_parents_spread_is_not_claimable():
+    bench_pairs = load_bench_pairs()
+    # Parent values spread by 0.45% between q1 and q3; the change is 0.1% faster in every pair.
+    summary = bench_pairs.summarize(pairs({"op_p50_ms": 0.999}), METRICS)
+    assert summary["op_p50_ms"]["change_wins"] == 10
+    assert not summary["op_p50_ms"]["claimable"]
+    assert bench_pairs.claim_lines(summary) == []

@@ -31,13 +31,22 @@ def run(capsys, *argv) -> tuple[int, str]:
 
 def test_cli_import_loads_no_dataclasses_inspect_or_numpy():
     # Every subcommand runs as a fresh process that pays this import; only
-    # verify loads numpy, no record type generates code at import, and only
-    # a JSON form loads json.
+    # verify loads numpy, no record type generates code or loads typing at
+    # import, only a JSON form loads json, and only their commands load the
+    # threshold and resources layers. A library caller of the analysis
+    # layers loads neither of those, nor the pinned values. Under -S no
+    # site hook (a .pth file) loads typing first; PYTHONPATH still applies.
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-    probe = "import steanesim.cli, sys; print(sorted({'dataclasses', 'inspect', 'json', 'numpy'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
-                          stdout=subprocess.PIPE, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    layers = {"typing", "steanesim.threshold", "steanesim.resources"}
+    probes = {
+        "import steanesim.cli": layers | {"dataclasses", "inspect", "json", "numpy"},
+        "from steanesim import circuits, depth, faults": layers | {"steanesim.pinned"},
+    }
+    for statement, unwanted in probes.items():
+        probe = f"{statement}; import sys; print(sorted(set({sorted(unwanted)!r}) & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                              stdout=subprocess.PIPE, text=True, check=True)
+        assert (statement, proc.stdout.strip()) == (statement, "[]")
 
 
 def _cli_process(argv: list[str], blas_threads: str | None) -> subprocess.Popen:
@@ -124,6 +133,13 @@ def test_threshold_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload[0]["x_star"] == 2
+
+
+@pytest.mark.parametrize("form", [(), ("--format", "json"), ("--curves", "-")], ids=["text", "json", "curves"])
+def test_threshold_without_x_max_scans_to_200(capsys, form):
+    code, out = run(capsys, "threshold", *form)
+    assert code == 0 and out
+    assert run(capsys, "threshold", *form, "--x-max", "200") == (code, out)
 
 
 def test_propagate_contains_reference_row(capsys):

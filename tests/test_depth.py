@@ -90,7 +90,7 @@ def test_counts_agree_with_enumeration_location_by_location():
         # terminal readout; either counts on an observable residual.
         flags = sig.flags if label.startswith("CN") else ()
         flipped = any(any(bits) for bits in (*sig.z_syn, *sig.x_syn, sig.meas, flags))
-        effective = flipped or canonical_residual(circuit, res) != (0, 0)
+        effective = flipped or canonical_residual(circuit.layout, res) != (0, 0)
         if effective and (label.split(".")[0], side, "X") not in x_ledger:
             recount[qubit] += 1
     assert tuple(recount) == profile.r_x

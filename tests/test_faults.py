@@ -68,7 +68,7 @@ def boxed_view(circuit: Circuit, view: str):
 
 
 def canonical_name(circuit: Circuit, residual: PauliOperator) -> str:
-    x, z = canonical_residual(circuit, residual)
+    x, z = canonical_residual(circuit.layout, residual)
     return str(PauliOperator(7, x, z))
 
 
@@ -111,7 +111,7 @@ def test_spec_anchor_propagations(data_flags_off):
     # a result-neutral location: X after the last fan-in on its wire
     sig, res = inject_and_propagate(data_flags_off, "C28", "control", "X")
     assert not any(any(bits) for bits in (*sig.z_syn, *sig.x_syn, sig.meas, sig.flags))  # no readout flipped
-    assert canonical_residual(data_flags_off, res) == (0, 0)
+    assert canonical_residual(data_flags_off.layout, res) == (0, 0)
 
 
 def test_x_fault_groups_under_nonzero_syndrome(data_flags_off):

@@ -20,6 +20,13 @@ def test_published_constants_match_circuit_counts():
     assert derived == pinned.CNOTS_PER_PERIOD
 
 
+def test_derived_cnot_counts_hands_each_caller_its_own_dict():
+    first, second = derived_cnot_counts(), derived_cnot_counts()
+    assert first == second and first is not second
+    first["transversal"] += 1
+    assert derived_cnot_counts() == second
+
+
 def test_cnot_count_levels():
     assert cnot_count("transversal", 1) == 52
     assert cnot_count("t", 1) == 175

@@ -29,6 +29,11 @@ bound or not. Each op label's raw median ms and quartiles,
 parent -> change, are printed per workload and seed as well, which shows
 the command or op kind that moved; a label whose change median lies inside
 the parent's q1-q3 is marked ``within spread``.
+
+A metric is ``claimable`` when the change reads better in at least 9 of
+every 10 pairs and its median is better than the parent's by more than the
+parent's q3 - q1: a gain that clears both the pair vote and the parent's
+own spread. Each claimable metric is printed per workload and seed.
 """
 from __future__ import annotations
 
@@ -48,6 +53,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SECONDS = 36  # the run length BENCHMARK.json fixes
 PAIRS = 10  # the fewest pairs that can back a claimed gain
+CLAIM_WINS = 9  # pairs of every PAIRS the change must win for a claim
 
 
 def git(*args: str) -> bytes:
@@ -106,11 +112,14 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         parent, change = spread([p["parent"][name] for p in both]), spread([p["change"][name] for p in both])
         attempted = {side: statistics.median(p[side]["attempted"] for p in both) for side in ("parent", "change")}
         relative = (change["median"] - parent["median"]) / parent["median"]
+        wins = sum(sign * (p["parent"][name] - p["change"][name]) > 0 for p in both)
         out[name] = {
             "parent": parent,
             "change": change,
-            "change_wins": sum(sign * (p["parent"][name] - p["change"][name]) > 0 for p in both),
+            "change_wins": wins,
             "pairs": len(both),
+            "claimable": wins * PAIRS >= CLAIM_WINS * len(both)
+            and sign * (parent["median"] - change["median"]) > parent["q3"] - parent["q1"],
             "relative_change": relative,
             "bound": metric["bound"],
             "within_bound": sign * relative <= metric["bound"],  # worse by at most the bound
@@ -149,6 +158,15 @@ def outside_bounds(summary: dict) -> list[str]:
             f"{s['parent']['median']:.4g}, change median {s['change']['median']:.4g}; ops attempted: parent "
             f"median {s['attempted']['parent']:g}, change median {s['attempted']['change']:g})"
             for name, s in summary.items() if not s["within_bound"]]
+
+
+def claim_lines(summary: dict) -> list[str]:
+    """One line per ``claimable`` metric of ``summarize``."""
+    return [f"{name} {s['relative_change']:+.1%} is claimable: the change won {s['change_wins']} of {s['pairs']} "
+            f"pairs, and its median {s['change']['median']:.4g} is past the parent's median "
+            f"{s['parent']['median']:.4g} by more than the parent's q3 - q1 of "
+            f"{s['parent']['q3'] - s['parent']['q1']:.4g}"
+            for name, s in summary.items() if s["claimable"]]
 
 
 def rss_lines(summary: dict) -> list[str]:
@@ -204,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
                     "op_ms_by_label": {"unit": "ms per op, raw: not scaled by the calibration loop",
                                        "spread": medians},
                 }
-                for line in [*label_lines(medians), *rss_lines(summary),
+                for line in [*label_lines(medians), *rss_lines(summary), *claim_lines(summary),
                              *(outside_bounds(summary) or ["every metric within its bound"])]:
                     print(f"{workload} seed={seed}: {line}", flush=True)
                 args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
