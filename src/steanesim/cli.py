@@ -17,7 +17,6 @@ import argparse
 import math
 import os
 import sys
-from pathlib import Path
 
 from . import pinned
 from .builders import build_full_ec_circuit
@@ -44,11 +43,11 @@ def _write(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
         return
-    path = Path(out)
-    if not path.is_absolute() and os.environ.get("STEANESIM_OUTDIR"):
-        path = Path(os.environ["STEANESIM_OUTDIR"]) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    if not os.path.isabs(out) and os.environ.get("STEANESIM_OUTDIR"):
+        out = os.path.join(os.environ["STEANESIM_OUTDIR"], out)
+    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+    with open(out, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 def _emit(args, forms: dict, out: str | None = None) -> None:
@@ -90,7 +89,8 @@ def _load_circuit(args):
         for option, value in (("--block", args.block), ("--flags/--no-flags", args.flags)):
             if value is not None:  # None: not given (the default cycle is the flagged data cycle)
                 raise ValueError(f"--circuit cannot be combined with {option}: the circuit file fixes the cycle")
-        return reconstruct_meta(parse(Path(args.circuit).read_text(encoding="utf-8")))
+        with open(args.circuit, encoding="utf-8") as f:
+            return reconstruct_meta(parse(f.read()))
     return build_full_ec_circuit(include_flags=args.flags is not False, block_kind=args.block or "data")
 
 
@@ -208,7 +208,7 @@ def cmd_tables(args) -> int:
     tables = {name: _table(name) for name in ([args.table] if args.table else TABLES)}
     if args.out_dir:
         for name, (lines, _) in tables.items():
-            _write("\n".join(lines), str(Path(args.out_dir) / f"table{name}.csv"))
+            _write("\n".join(lines), os.path.join(args.out_dir, f"table{name}.csv"))
     else:
         _emit(args, {"text": [line for lines, _ in tables.values() for line in lines]})
     failures = [line for _, lines in tables.values() for line in lines] if args.check else []

@@ -14,12 +14,13 @@ by gate: its seven-wire block state is prepared once per kind from
 must hold exactly |0...0>. Every controlled-X gate (``CNOT``, ``CCX`` and
 the coupling of ``CAT2``, after its H) joins the pending run, and a run is
 applied as one permutation of the amplitudes (``np.take``); a Pauli frame is
-an exact signed permutation, so both are exact.
+an exact signed permutation, so both are exact. A run overwrites its state,
+through the reused buffers of a :class:`WorkingSet`.
 """
 from __future__ import annotations
 
-from functools import cache, lru_cache
-from math import sqrt
+from functools import cache, cached_property
+from math import hypot, sqrt
 
 import numpy as np
 
@@ -88,34 +89,68 @@ def apply_1q(state: np.ndarray, matrix: np.ndarray, qubit: int, n: int) -> np.nd
     return matrix.dot(psi).reshape(2, -1, 1 << qubit).transpose(1, 0, 2).reshape(state.shape)
 
 
-@lru_cache(maxsize=4)
-def _run_source(run: tuple[tuple[int, ...], ...], n: int) -> np.ndarray:
+class WorkingSet:
+    """The buffers that in-place dense runs on stacks of at most ``size``
+    amplitudes, ``n`` qubits wide at most, reuse: a scratch row that
+    permutations go through, two index rows for the source maps of recent
+    controlled-X runs (``maps``: run -> its row), and, made on first use, the
+    clean/faulted ``pair`` of the propagation oracle, one such stack each."""
+
+    def __init__(self, size: int, n: int):
+        self.scratch = np.empty(size, dtype=complex)
+        self.index_rows = np.empty((2, 1 << n), dtype=np.int64)
+        self.maps: dict[tuple, np.ndarray] = {}
+
+    @cached_property
+    def pair(self) -> np.ndarray:
+        return np.empty(2 * self.scratch.size, dtype=complex)
+
+
+def _run_source(run: list[tuple[int, ...]], n: int, work: WorkingSet) -> np.ndarray:
     """The index each amplitude comes from after the controlled-X gates
-    ``run`` (controls..., target), in order.
+    ``run`` (controls..., target), in order, built in place in an index row.
 
     Each gate is a permutation of the indices and its own inverse, so the
     amplitude that lands at index ``j`` comes from ``g1(g2(...gk(j)))``. The
-    propagation oracle runs the faults cut at one gate in several stacks
-    (round-segment faults one at a time), which repeat the same runs; hence
-    the small memo."""
-    source = np.arange(1 << n)
-    for *controls, target in reversed(run):
-        on = source >> controls[0]
-        for c in controls[1:]:
-            on &= source >> c
-        source ^= (on & 1) << target
-    source.flags.writeable = False
-    return source
+    propagation oracle repeats a cut's prefix and suffix runs for each stack
+    of its faults (round-segment faults run one at a time), so the two index
+    rows keep the maps of the last two runs."""
+    key = (n, tuple(run))
+    if key not in work.maps:
+        if len(work.maps) == 2:
+            work.maps.clear()
+        source = work.maps[key] = work.index_rows[len(work.maps), :1 << n]
+        on = work.scratch.view(np.int64)[:1 << n]  # the scratch row is free while a map is built
+        source[0] = 0
+        for b in range(n):  # the identity, by doubling
+            np.add(source[:1 << b], 1 << b, out=source[1 << b:2 << b])
+        for *controls, target in reversed(run):
+            mask = sum(1 << c for c in controls)
+            np.bitwise_and(source, mask, out=on)
+            np.equal(on, mask, out=on)  # 1 where every control is set
+            on <<= target
+            source ^= on
+    return work.maps[key]
 
 
-def _apply_run(state: np.ndarray, run: list[tuple[int, ...]], n: int) -> np.ndarray:
-    """The controlled-X gates ``run`` as one permutation of the amplitudes
-    (one ``np.take``); empties the list."""
-    if not run:
-        return state
-    source = _run_source(tuple(run), n)
-    run.clear()
-    return state.take(source, axis=-1)
+def _permute(state: np.ndarray, source: np.ndarray, scratch: np.ndarray) -> None:
+    """``state[..., j] = state[..., source[j]]`` in place, as many rows at a
+    time as ``scratch`` holds. ``source`` is a permutation, so "clip" clips
+    nothing; unlike "raise" it takes straight into ``out``, unbuffered."""
+    rows = state.reshape(-1, len(source))
+    per = len(scratch) // len(source)
+    for first in range(0, len(rows), per):
+        block = rows[first:first + per]
+        out = scratch[:block.size].reshape(block.shape)
+        block.take(source, axis=-1, out=out, mode="clip")
+        block[...] = out
+
+
+def _apply_run(state: np.ndarray, run: list[tuple[int, ...]], n: int, work: WorkingSet) -> None:
+    """The controlled-X gates ``run`` as one permutation, in place; empties the list."""
+    if run:
+        _permute(state, _run_source(run, n, work), work.scratch)
+        run.clear()
 
 
 def project(state: np.ndarray, qubit: int, outcome: int, n: int) -> np.ndarray:
@@ -156,75 +191,85 @@ def _block_layout(wires: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarra
     return clear, order
 
 
-def _place_block(state: np.ndarray, g: Gate, n: int) -> np.ndarray:
-    """Tensor the cached block of macro ``g`` into its wires (wire ``g.qubits[j]``
-    takes block qubit ``j``); every amplitude with one of them set must be 0."""
+def _place_block(state: np.ndarray, g: Gate, n: int, work: WorkingSet) -> None:
+    """Tensor the cached block of macro ``g`` into its wires, in place (wire
+    ``g.qubits[j]`` takes block qubit ``j``); every amplitude with one of
+    them set must be 0, else the state is left part-cleared."""
     clear, order = _block_layout(tuple(g.qubits), n)
     rows = state.reshape(-1, 1 << n)
     amplitudes = rows[:, clear]
-    if np.count_nonzero(amplitudes) != np.count_nonzero(rows):
+    rows[:, clear] = 0
+    if rows.view(np.float64).any():
         raise ValueError(f"macro {g.label} ({g.kind}) needs its wires in |0>")
-    placed = (_ancilla_block(g.kind)[:, None] * amplitudes[:, None, :]).reshape(rows.shape)
-    return (placed if order is None else placed.take(order, axis=-1)).reshape(state.shape)
+    block = _ancilla_block(g.kind)
+    np.multiply(block[:, None], amplitudes[:, None, :], out=rows.reshape(len(rows), len(block), -1))
+    if order is not None:
+        _permute(rows, order, work.scratch)
 
 
 def simulate_statevector(
     circuit: Circuit,
     input_state: np.ndarray | None = None,
     outcomes: dict[str, int] | None = None,
+    work: WorkingSet | None = None,
 ) -> np.ndarray:
     """Exact dense state after the circuit; measurements need chosen outcomes.
 
     ``input_state`` is one state or a stack of them (shape (..., 2^n)).
     ``outcomes`` maps measurement labels to the selected branch (0/1).
+    Without ``work`` the run is on a copy of the input, with buffers made
+    for it; with ``work`` it overwrites ``input_state`` (C-contiguous
+    complex rows, none longer than ``work.scratch``) and reuses work's buffers.
     """
     n = circuit.n_qubits
     if n > MAX_QUBITS:
         raise ValueError(f"qubit budget exceeded: {n} > {MAX_QUBITS}")
-    state = zero_state(n) if input_state is None else np.asarray(input_state, dtype=complex)
+    state = input_state
+    if work is None:
+        state = zero_state(n) if input_state is None else np.array(input_state, dtype=complex, order="C")
+        work = WorkingSet(state.size, n)
     if state.shape[-1:] != (1 << n,):
         raise ValueError("input state has wrong dimension")
     outcomes = outcomes or {}
     run: list[tuple[int, ...]] = []  # the controlled-X gates not applied yet
 
     for g in circuit.gates:
-        if g.kind in ("CNOT", "CCX"):
+        if g.kind not in ("CNOT", "CCX"):
+            _apply_run(state, run, n, work)
+        # H measures MX in the X basis, opens CAT2's CNOT and prepares PREPP's |+>
+        matrix = _MATRICES.get("H" if g.kind in ("MX", "CAT2", "PREPP") else g.kind)
+        if matrix is not None:
+            state[...] = apply_1q(state, matrix, g.qubits[0], n)
+        if g.kind in ("CNOT", "CCX", "CAT2"):
             run.append(g.qubits)
-        else:
-            state = _apply_run(state, run, n)
-            if g.kind in _MATRICES:
-                state = apply_1q(state, _MATRICES[g.kind], g.qubits[0], n)
-            elif g.kind in ("MZ", "MX"):
-                q = g.qubits[0]
-                if g.kind == "MX":
-                    state = apply_1q(state, _MATRICES["H"], q, n)
-                state = project(state, q, outcomes.get(g.label, 0), n)
-            elif g.kind in MACRO_KINDS:
-                state = _place_block(state, g, n)
-            elif g.kind == "CAT2":  # H, then a CNOT that opens the next run
-                state = apply_1q(state, _MATRICES["H"], g.qubits[0], n)
-                run.append(g.qubits)
-            elif g.kind == "PREPP":
-                state = apply_1q(state, _MATRICES["H"], g.qubits[0], n)
-            elif g.kind != "PREP0":  # PREP0 adds no gate: its wire is taken to start in |0>
-                raise ValueError(f"dense oracle cannot apply {g.kind}")
-    return _apply_run(state, run, n)
+        elif g.kind in ("MZ", "MX"):
+            state[...] = project(state, g.qubits[0], outcomes.get(g.label, 0), n)
+        elif g.kind in MACRO_KINDS:
+            _place_block(state, g, n, work)
+        elif matrix is None and g.kind != "PREP0":  # PREP0 adds no gate: its wire is taken to start in |0>
+            raise ValueError(f"dense oracle cannot apply {g.kind}")
+    _apply_run(state, run, n, work)
+    return state
 
 
-def apply_pauli(state: np.ndarray, p: PauliOperator) -> None:
+def apply_pauli(state: np.ndarray, p: PauliOperator, scratch: np.ndarray | None = None) -> None:
     """``p`` on every row of ``state``, in place, as an exact signed
     permutation equal bit for bit to the product of its 2x2 matrices. Per
     qubit of the support, in increasing order: X swaps the bit's 0- and
-    1-halves, Z negates the 1-half, Y swaps them and multiplies by -i and i."""
+    1-halves, through ``scratch`` (at least half as large as ``state``; made
+    per call when None), Z negates the 1-half, Y swaps them and
+    multiplies by -i and i."""
     if state.shape[-1] != 1 << p.n or not state.flags.c_contiguous:
         raise ValueError("apply_pauli needs C-contiguous rows of 2^n amplitudes, n the Pauli's size")
+    half = (np.empty(state.size >> 1, dtype=complex) if scratch is None else scratch)[:state.size >> 1]
     for q in range(p.n):
         x, z = p.x_bits >> q & 1, p.z_bits >> q & 1
         if not (x or z):
             continue
         psi = state.reshape(-1, 2, 1 << q)
         if x:
-            zero_half = psi[:, 0].copy()
+            zero_half = half.reshape(psi[:, 0].shape)
+            zero_half[...] = psi[:, 0]
             psi[:, 0] = psi[:, 1]
             psi[:, 1] = zero_half
         if x and z:
@@ -235,15 +280,18 @@ def apply_pauli(state: np.ndarray, p: PauliOperator) -> None:
 
 
 def states_equal(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
-    """Equality up to global phase. The sums are ``np.einsum``'s own loops:
-    ``np.linalg.norm`` and ``np.vdot`` hand a 2^14-amplitude row to a
-    threaded BLAS dot product, whose first call took about 1 s in some fresh
-    processes."""
-    a, b = (np.ascontiguousarray(v, dtype=complex).reshape(-1) for v in (a, b))
-    na, nb = (sqrt(np.einsum("i,i", v.view(np.float64), v.view(np.float64))) for v in (a, b))
+    """Equality up to global phase. The sums are ``np.einsum``'s own loops
+    over float64 views of the amplitudes (real and imaginary parts
+    interleaved), so a contiguous complex state is not copied: ``np.vdot``
+    and ``np.linalg.norm`` hand a 2^14-amplitude row to a threaded BLAS dot
+    product, whose first call took about 1 s in some fresh processes."""
+    a, b = (np.ascontiguousarray(v, dtype=complex).reshape(-1).view(np.float64) for v in (a, b))
+    na, nb = (sqrt(np.einsum("i,i", v, v)) for v in (a, b))
     if na < tol or nb < tol:
         return na < tol and nb < tol
-    return bool(abs(abs(np.einsum("i,i", a.conj(), b)) / (na * nb) - 1.0) < tol)
+    re = np.einsum("i,i", a, b)  # <a|b> = sum of conj(a_j) b_j
+    im = np.einsum("i,i", a[::2], b[1::2]) - np.einsum("i,i", a[1::2], b[::2])
+    return bool(abs(hypot(re, im) / (na * nb) - 1.0) < tol)
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -27,6 +27,7 @@ from .circuits import Circuit
 from .faults import enumerable_locations, fault_frames
 from .paulis import PauliOperator
 from .statevec import (
+    WorkingSet,
     apply_1q,
     apply_pauli,
     logical_one_state,
@@ -138,20 +139,24 @@ def _strip_measurements(circuit: Circuit) -> Circuit:
     return Circuit(circuit.n_qubits, gates, name=circuit.name + "-unitary")
 
 
-def _forked(circuit: Circuit, index: int, rows: np.ndarray | list, paulis: list[PauliOperator]) -> np.ndarray:
+def _forked(circuit: Circuit, index: int, rows, paulis: list, work: WorkingSet | None = None) -> np.ndarray:
     """The (clean, faulted) pair of ``rows`` run through ``circuit``, faulted
     by ``paulis[r]`` on row ``r`` right after gate ``index``. A row is a
-    state of the low wires, every other wire in |0>. The prefix up to that
-    gate runs once, in the clean half of the pair, and the suffix runs on
-    both halves as one stack; no other input array is kept."""
+    state of the low wires, every other wire in |0>. The pair is a view of
+    ``work.pair``, overwritten by work's next use (``work`` is made for this
+    call when None). The prefix up to that gate runs once, in place in the
+    clean half, and the suffix runs on both halves as one stack."""
     n, rows = circuit.n_qubits, np.asarray(rows)
-    pair = np.zeros((2,) + rows.shape[:-1] + (1 << n,), dtype=complex)
+    size = rows.size // rows.shape[-1] << n
+    work = WorkingSet(size, n) if work is None else work
+    pair = work.pair[:2 * size].reshape((2,) + rows.shape[:-1] + (1 << n,))
+    pair[0, ..., rows.shape[-1]:] = 0
     pair[0, ..., :rows.shape[-1]] = rows
-    pair[0] = simulate_statevector(Circuit(n, circuit.gates[:index + 1]), pair[0])
+    simulate_statevector(Circuit(n, circuit.gates[:index + 1]), pair[0], work=work)
     pair[1] = pair[0]
     for row, p in zip(pair[1].reshape(-1, 1 << n), paulis):
-        apply_pauli(row, p)
-    return simulate_statevector(Circuit(n, circuit.gates[index + 1:]), pair)
+        apply_pauli(row, p, work.scratch)
+    return simulate_statevector(Circuit(n, circuit.gates[index + 1:]), pair, work=work)
 
 
 def check_propagation_oracle(n_faults: int = 200, seed: int = 20240817, tol: float = 1e-10) -> tuple[bool, str]:
@@ -161,9 +166,9 @@ def check_propagation_oracle(n_faults: int = 200, seed: int = 20240817, tol: flo
     Each fault gets a random state on the data wires 1-7 (the round
     segments' ancilla wires start in |0...0>). The faults at one gate of a
     segment run through :func:`_forked` in stacks of at most 2^14 input
-    amplitudes, so round-segment faults run one at a time. The frame,
-    applied in place to a clean row, must give its faulted row up to global
-    phase."""
+    amplitudes, so round-segment faults run one at a time, all in one
+    :class:`WorkingSet`. The frame, applied in place to a clean row, must
+    give its faulted row up to global phase."""
     rng = np.random.default_rng(seed)
     segments = {
         "encoder": build_encoder(),
@@ -183,6 +188,7 @@ def check_propagation_oracle(n_faults: int = 200, seed: int = 20240817, tol: flo
         name, index, qubit, pauli, frame = pool[int(idx)]
         cuts.setdefault((name, index), []).append((qubit, pauli, frame, random_state(7, rng)))
     widest = max(c.n_qubits for c in segments.values())
+    work = WorkingSet(1 << widest, widest)
     disagreements = 0
     for (name, index), faults in cuts.items():
         circ, n = segments[name], segments[name].n_qubits
@@ -190,9 +196,9 @@ def check_propagation_oracle(n_faults: int = 200, seed: int = 20240817, tol: flo
         for first in range(0, len(faults), per_run):
             run = faults[first:first + per_run]
             paulis = [PauliOperator.single(n, qubit + 1, pauli) for qubit, pauli, _, _ in run]
-            clean, faulted = _forked(circ, index, [psi for *_, psi in run], paulis)  # data wires 1-7: low bits
+            clean, faulted = _forked(circ, index, [psi for *_, psi in run], paulis, work)  # data wires 1-7: low bits
             for (_, _, (x, z, _), _), c, f in zip(run, clean, faulted):
-                apply_pauli(c, PauliOperator(n, x, z))
+                apply_pauli(c, PauliOperator(n, x, z), work.scratch)
                 if not states_equal(f, c, tol):
                     disagreements += 1
     return disagreements == 0, f"{n_faults} random faults, {disagreements} disagreements"

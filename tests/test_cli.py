@@ -32,14 +32,15 @@ def run(capsys, *argv) -> tuple[int, str]:
 def test_cli_import_loads_no_dataclasses_inspect_or_numpy():
     # Every subcommand runs as a fresh process that pays this import; only
     # verify loads numpy, no record type generates code or loads typing at
-    # import, only a JSON form loads json, and only their commands load the
-    # threshold and resources layers. A library caller of the analysis
+    # import, only a JSON form loads json, file paths use os.path rather than
+    # pathlib, and only their commands load the threshold and resources
+    # layers. A library caller of the analysis
     # layers loads neither of those, nor the pinned values. Under -S no
     # site hook (a .pth file) loads typing first; PYTHONPATH still applies.
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     layers = {"typing", "steanesim.threshold", "steanesim.resources"}
     probes = {
-        "import steanesim.cli": layers | {"dataclasses", "inspect", "json", "numpy"},
+        "import steanesim.cli": layers | {"dataclasses", "inspect", "json", "numpy", "pathlib"},
         "from steanesim import circuits, depth, faults": layers | {"steanesim.pinned"},
     }
     for statement, unwanted in probes.items():

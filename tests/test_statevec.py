@@ -1,6 +1,8 @@
 """Dense statevector oracle behavior and the verification suites."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -293,13 +295,13 @@ def test_oracle_runs_each_drawn_fault_on_its_own_input(monkeypatch):
     cuts, runs = [], []
     forked, simulate = verification._forked, verification.simulate_statevector
 
-    def spy_forked(circuit, index, rows, paulis):
+    def spy_forked(circuit, index, rows, paulis, work):
         cuts.append((circuit, index, [str(p) for p in paulis]))
-        return forked(circuit, index, rows, paulis)
+        return forked(circuit, index, rows, paulis, work)
 
-    def spy_simulate(circuit, inputs):
+    def spy_simulate(circuit, inputs, work):
         runs.append((circuit.gates, inputs.copy()))
-        return simulate(circuit, inputs)
+        return simulate(circuit, inputs, work=work)
 
     monkeypatch.setattr(verification, "_forked", spy_forked)
     monkeypatch.setattr(verification, "simulate_statevector", spy_simulate)
@@ -327,6 +329,21 @@ def test_oracle_runs_each_drawn_fault_on_its_own_input(monkeypatch):
         assert prefix == circuit.gates[:index + 1] and suffix == circuit.gates[index + 1:]
         assert pair.shape == (2,) + rows.shape
         assert rows.size <= 1 << 14 and pair.size <= 1 << 15
+
+
+def test_oracle_memory_is_one_working_set():
+    # One (2, 2^14) clean/faulted pair, a scratch row and two index rows (1 MB)
+    # serve every cut, and the 200 drawn 7-qubit states take 0.4 MB: a 1.77 MB
+    # peak, bounded here with 20% to spare. A pair and fresh kernel outputs
+    # per fault, and a memo of 14-qubit maps, peaked at 2.8 MB.
+    verification.check_propagation_oracle()  # builds the cached segments and macro blocks
+    tracemalloc.start()
+    try:
+        assert verification.check_propagation_oracle()[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_125_000
 
 
 # Runs of controlled-X gates, broken by the other kinds; each gate gets its own label.
