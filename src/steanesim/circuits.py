@@ -6,14 +6,16 @@ Hadamards ``H1``..``H6``, flag CNOTs ``CN1``..``CN16``, terminal
 measurements ``M<q>:Z`` / ``M<q>:X``. Everything else gets a synthetic
 ``G<n>`` label. Qubits are 0-indexed in memory and 1-indexed in text.
 
-The readout structure of an encode/decode cycle (syndrome rounds, terminal
-readout bases, flag gadgets) is not stored separately: :func:`derive_layout`
-reads it off these labels, for built and parsed circuits alike.
+The readout roles of an encode/decode cycle (the signature bits each
+readout feeds, the decode-side Hadamards, the flag gadgets) are not stored
+in the text: :func:`derive_layout` reads them off these labels once, into a
+:class:`CycleLayout`, for built and parsed circuits alike.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
+
+from .paulis import GENERATOR_SUPPORTS
 
 ONE_QUBIT_KINDS = {"H", "S", "SDG", "T", "TDG", "X", "Z", "Y", "PREP0", "PREPP", "MZ", "MX"}
 TWO_QUBIT_KINDS = {"CNOT", "CAT2"}
@@ -90,13 +92,13 @@ class Circuit:
         return len({base_label(g.label) for g in self.gates if g.kind == "CNOT"})
 
 
-class FlagPlan(namedtuple("FlagPlan", ("gadget_id", "kind", "wire", "cn_labels", "meas_labels"))):
+class FlagPlan(namedtuple("FlagPlan", ("gadget_id", "kind", "wire", "cn_labels"))):
     """One flag gadget: a cat pair of flag qubits bracketing a data wire.
 
     X-type gadgets couple wire->flag and read the flags in the Z basis;
     Z-type gadgets couple flag->wire and read them in the X basis.
     Fields: ``gadget_id`` int; ``kind`` str, "X" or "Z"; ``wire`` int, the
-    0-indexed data qubit; ``cn_labels`` and ``meas_labels`` tuple[str, str].
+    0-indexed data qubit; ``cn_labels`` tuple[str, str].
     """
 
     __slots__ = ()
@@ -107,47 +109,34 @@ class FlagPlan(namedtuple("FlagPlan", ("gadget_id", "kind", "wire", "cn_labels",
         return "target" if self.kind == "X" else "control"
 
 
-_LayoutFields = namedtuple("_LayoutFields", (
-    "block",            # str: "data" or "aux"
-    "x_rounds",         # tuple[tuple[str, ...], ...]: ancilla readout labels per round, data-qubit order
-    "z_rounds",         # tuple[tuple[str, ...], ...]
-    "terminal_meas",    # tuple[tuple[int, str, str], ...]: (data qubit, basis, label)
-    "decode_h_qubits",  # tuple[int, ...]
-    "gadgets",          # tuple[FlagPlan, ...]
-))
+class CycleLayout(namedtuple("CycleLayout", (
+    "block",       # str: "data" or "aux"
+    "feeds",       # tuple[tuple[str, int], ...]: (readout label, mask of the signature bits it feeds)
+    "shape",       # tuple[int, int, int, int]: Z rounds, X rounds, terminal readouts, flag gadgets
+    "terminal",    # tuple[int, ...]: the data qubit of each terminal readout, in signature order
+    "swap",        # int: mask of the qubits a decode-side Hadamard (H4..H6) acts on
+    "observable",  # tuple[int, int]: X and Z masks of the observable part of a residual
+    "flag_legs",   # frozenset[tuple[str, str]]: the (label, side) flag-qubit leg of every gadget CN
+    "gadgets",     # tuple[FlagPlan, ...]
+))):
+    """Readout roles of one encode/syndrome/decode cycle: which signature
+    bits each readout feeds, and what the analysis reads of a residual."""
 
-
-class CycleLayout(_LayoutFields):
-    """Readout structure of one encode/syndrome/decode cycle. Instances keep
-    a ``__dict__`` (no ``__slots__``) for the per-layout cached masks."""
-
-    @cached_property
-    def flag_legs(self) -> frozenset[tuple[str, str]]:
-        """The ``(label, side)`` flag-qubit leg of every gadget's CN gates."""
-        return frozenset((label, plan.flag_side) for plan in self.gadgets for label in plan.cn_labels)
-
-    def is_flag_leg(self, label: str, side: str) -> bool:
-        """True for the flag-qubit leg of a gadget's CN gate."""
-        return (label, side) in self.flag_legs
-
-    @cached_property
-    def residual_masks(self) -> tuple[int, int]:
-        """X and Z masks of the observable part of a data-block residual: the
-        full Pauli on unread qubits, the readout-flipping component on read ones."""
-        measured = {q: basis for q, basis, _ in self.terminal_meas}
-        x_mask = sum(1 << q for q in DATA_QUBITS if measured.get(q) != "X")
-        z_mask = sum(1 << q for q in DATA_QUBITS if measured.get(q) != "Z")
-        return x_mask, z_mask
+    __slots__ = ()
 
 
 def derive_layout(gates: list[Gate]) -> CycleLayout:
-    """Read the cycle structure off the label scheme.
+    """Read the readout roles of a cycle off the label scheme.
 
     Syndrome round ``r`` of each type is the copy ``r`` of ``C12..C18``
     (X-stabilizers, ancilla as control) or ``C19..C25`` (Z-stabilizers,
     ancilla as target); gadget ``g`` is the pair ``CN(2g-1)``/``CN(2g)``, of
     X type when its first CN takes the data wire as control; ``H4..H6`` mark
-    the qubits read in the X basis. Raises ValueError naming the first
+    the qubits read in the X basis. The signature bits, most significant
+    first, are a parity per stabilizer generator and round (Z rounds, then
+    X rounds), the terminal readout of each data qubit but an unread qubit
+    1, and a parity per gadget's two flag readouts; each readout's ``feeds``
+    mask is assigned here, once. Raises ValueError naming the first
     expected label that is missing, or a gadget whose two CN gates do not
     both couple one data wire to a non-data flag qubit.
     """
@@ -182,17 +171,18 @@ def derive_layout(gates: list[Gate]) -> CycleLayout:
             raise ValueError(f"{owner}: readout M{qubit + 1}:{basis} missing")
         return readout[qubit]
 
-    def rounds(first: int, anc_side: int, basis: str) -> tuple[tuple[str, ...], ...]:
+    def rounds(first: int, anc_side: int, basis: str) -> list[tuple[str, ...]]:
+        """Per generator and round, the ancilla readouts of its support."""
         out = []
         for copy in sorted({int(suffix or 1) for suffix in copies[f"C{first}"]}):
             row = []
             for i in range(len(DATA_QUBITS)):
                 label = copy_label(first + i, copy)
                 row.append(read(gate(label).qubits[anc_side], basis, label))
-            out.append(tuple(row))
-        return tuple(out)
+            out += [tuple(row[q - 1] for q in support) for support in GENERATOR_SUPPORTS]
+        return out
 
-    gadgets = []
+    gadgets, flag_reads = [], []
     for gid in sorted(gadget_ids):
         cn_labels = (f"CN{2 * gid - 1}", f"CN{2 * gid}")
         a, b = (gate(label, f"flag gadget {gid}") for label in cn_labels)
@@ -205,20 +195,30 @@ def derive_layout(gates: list[Gate]) -> CycleLayout:
         ):
             raise ValueError(f"flag gadget {gid}: {'/'.join(cn_labels)} must couple one data wire to flag qubits")
         basis = "Z" if kind == "X" else "X"
-        meas = tuple(read(g.qubits[1 - wire_side], basis, label) for g, label in zip((a, b), cn_labels))
-        gadgets.append(FlagPlan(gid, kind, wire, cn_labels, meas))
+        flag_reads.append(tuple(read(g.qubits[1 - wire_side], basis, label) for g, label in zip((a, b), cn_labels)))
+        gadgets.append(FlagPlan(gid, kind, wire, cn_labels))
 
     block = "data" if "C1" in labels else "aux"
     decode_h = tuple(gate(f"H{i}").qubits[0] for i in (4, 5, 6))
-    terminal = DATA_QUBITS if block == "aux" else DATA_QUBITS[1:]  # the data block keeps qubit 1
+    terminal = tuple(DATA_QUBITS if block == "aux" else DATA_QUBITS[1:])  # the data block keeps qubit 1
+    x_bits, z_bits = rounds(12, 0, "X"), rounds(19, 1, "Z")
+    bits = z_bits + x_bits + [(read(q, "Z", "terminal"),) for q in terminal] + flag_reads
+    feeds: dict[str, int] = {}
+    for k, group in enumerate(bits):  # a signature bit is the parity of the readout flips that feed it
+        for label in group:
+            feeds[label] = feeds.get(label, 0) ^ 1 << (len(bits) - 1 - k)
+    # The observable part of a residual: the full Pauli on unread qubits, the
+    # readout-flipping component (X of a Z readout, Z of an X readout) on read ones.
+    x_read = {q for q in terminal if q in decode_h}
     return CycleLayout(
         block=block,
-        x_rounds=rounds(12, 0, "X"),
-        z_rounds=rounds(19, 1, "Z"),
-        terminal_meas=tuple(
-            (q, "X" if q in decode_h else "Z", read(q, "Z", "terminal")) for q in terminal
-        ),
-        decode_h_qubits=decode_h,
+        feeds=tuple(feeds.items()),
+        shape=(len(z_bits) // 3, len(x_bits) // 3, len(terminal), len(gadgets)),
+        terminal=terminal,
+        swap=sum(1 << q for q in decode_h),
+        observable=(sum(1 << q for q in DATA_QUBITS if q not in x_read),
+                    sum(1 << q for q in DATA_QUBITS if q not in terminal or q in x_read)),
+        flag_legs=frozenset((label, plan.flag_side) for plan in gadgets for label in plan.cn_labels),
         gadgets=tuple(gadgets),
     )
 

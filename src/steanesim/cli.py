@@ -80,7 +80,7 @@ def _sig_convention_b(sig, view: str, layout) -> str:
         syn, wanted, names = sig.agreed_x(), (1, 2, 3), "Meas1,Meas2,Meas3"
     if syn is None:
         return "rounds-disagree"
-    bits = "".join(str(sig.meas[i]) for i, (q, _, _) in enumerate(layout.terminal_meas) if q in wanted)
+    bits = "".join(str(sig.meas[i]) for i, q in enumerate(layout.terminal) if q in wanted)
     return f"g={''.join(map(str, syn))} {names}={bits}"
 
 

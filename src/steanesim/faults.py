@@ -27,7 +27,7 @@ from functools import cache, lru_cache
 from types import MappingProxyType
 
 from .circuits import DATA_QUBITS, MEASURE_KINDS, PREP_KINDS, Circuit, CycleLayout, Gate, base_label, derive_layout
-from .paulis import GENERATOR_SUPPORTS, PauliOperator, conjugate_bits
+from .paulis import PauliOperator, conjugate_bits
 
 _LOC_RE = re.compile(r"^(C|CN|H)(\d+)(?:\.(\d+))?$")
 
@@ -112,10 +112,6 @@ class MeasurementSignature(namedtuple("MeasurementSignature", ("word", "shape"))
     def meas(self) -> tuple[int, ...]:
         return tuple(map(int, self._parts()[2]))
 
-    @property
-    def flags(self) -> tuple[int, ...]:
-        return tuple(map(int, self._parts()[3]))
-
     def agreed_z(self) -> tuple[int, int, int] | None:
         return self.z_syn[0] if len(set(self.z_syn)) == 1 else None
 
@@ -163,25 +159,6 @@ def enumerable_locations(circuit: Circuit) -> list[tuple[int, str, str, int]]:
         elif g.kind == "H" and g.label.startswith("H"):
             out.append((idx, g.label, "single", g.qubits[0]))
     return out
-
-
-def signature_shape(layout: CycleLayout) -> tuple[int, int, int, int]:
-    """The parts of a :class:`MeasurementSignature` word in ``layout``."""
-    return len(layout.z_rounds), len(layout.x_rounds), len(layout.terminal_meas), len(layout.gadgets)
-
-
-def _readout_feeds(layout: CycleLayout) -> dict[str, int]:
-    """Per readout label, the mask of the signature bits it feeds: a
-    signature bit is the parity of the readout flips that feed it."""
-    bits = [tuple(row[q - 1] for q in s) for rounds in (layout.z_rounds, layout.x_rounds)
-            for row in rounds for s in GENERATOR_SUPPORTS]
-    bits += [(label,) for _, _, label in layout.terminal_meas]
-    bits += [plan.meas_labels for plan in layout.gadgets]
-    feeds: dict[str, int] = {}
-    for k, labels in enumerate(bits):
-        for label in labels:
-            feeds[label] = feeds.get(label, 0) ^ 1 << (len(bits) - 1 - k)
-    return feeds
 
 
 def fault_frames(circuit: Circuit, locations, readouts: Mapping[str, int]):
@@ -264,8 +241,8 @@ def fault_map(circuit: Circuit) -> FaultMap:
     location-side, flag legs included, as a read-only mapping.
 
     One backward sweep (:func:`fault_frames`) gives the frames; in it each
-    readout adds the signature bits it feeds, so every entry reads its
-    packed signature word with no decode. The map iterates in
+    readout adds the signature bits it feeds (``CycleLayout.feeds``), so
+    every entry reads its packed signature word with no decode. The map iterates in
     :meth:`FaultLocation.sort_key` order, so a view's members are added
     already sorted. It is memoized by circuit content (wire count, gates
     and layout) with the circuit's view tables, so the analyses of one
@@ -286,17 +263,16 @@ def _analysis(n_qubits: int, gates: tuple[Gate, ...],
     out = {}
     grouped: dict[str, dict[MeasurementSignature, list]] = {view: {} for view in _HADAMARD_PAULIS}
     if locations:  # a circuit without faults needs no layout
-        shape = signature_shape(layout)
+        shape, swap = layout.shape, layout.swap
         # Residuals are reported in the pre-decode-Hadamard frame (an X left
         # after a decode-side H is the same observable as a Z before it): one
-        # masked swap of the X and Z bits of those qubits.
-        swap = sum(1 << q for q in layout.decode_h_qubits)
+        # masked swap of the X and Z bits of the ``swap`` qubits.
         block = (1 << len(DATA_QUBITS)) - 1
         # Entries that share a signature or a residual share one object.
         signature = cache(lambda word: MeasurementSignature(word, shape))
         residual = cache(lambda x, z: PauliOperator(len(DATA_QUBITS), x, z))
         # Sorting the location-sides once gives FaultLocation.sort_key order, as X < Y < Z.
-        located = sorted(zip(locations, fault_frames(circuit, locations, _readout_feeds(layout))),
+        located = sorted(zip(locations, fault_frames(circuit, locations, dict(layout.feeds))),
                          key=lambda item: (*_split_label(item[0][1]), item[0][2]))
         for (_, label, side, _), frames in located:
             for pauli, (x, z, word) in zip("XYZ", frames):
@@ -325,9 +301,10 @@ def inject_and_propagate(
 def reconstruct_meta(circuit: Circuit) -> Circuit:
     """Attach the cycle layout to a parsed encode/decode circuit.
 
-    The text format carries only labels; :func:`derive_layout` recovers the
-    round structure, flag gadgets and terminal-readout conventions from
-    them, exactly as for a built circuit. Returns the same circuit.
+    The text format carries only labels; :func:`derive_layout` reads the
+    readout roles (the signature bits each readout feeds, the decode-side
+    Hadamards, the flag gadgets) off them, exactly as for a built circuit.
+    Returns the same circuit.
     """
     circuit.layout = derive_layout(circuit.gates)
     return circuit
@@ -336,7 +313,7 @@ def reconstruct_meta(circuit: Circuit) -> Circuit:
 def canonical_residual(layout: CycleLayout, residual: PauliOperator) -> tuple[int, int]:
     """Observable part of a residual in ``layout``'s cycle: full Pauli on
     unread qubits, the measurement-flipping component on read-out qubits."""
-    x_mask, z_mask = layout.residual_masks
+    x_mask, z_mask = layout.observable
     return (residual.x_bits & x_mask, residual.z_bits & z_mask)
 
 
@@ -408,7 +385,7 @@ def counts_as_member(
     must account for; for the labeled gates a flag false-positive alone is
     not a result (the block is rejected, no error is delivered).
     """
-    if layout.is_flag_leg(loc.label, loc.side) or ledger_covers(ledger, loc):
+    if (loc.label, loc.side) in layout.flag_legs or ledger_covers(ledger, loc):
         return False
     flipped = sig.word if loc.label.startswith("CN") else sig.word >> sig.shape[3]  # flag bits are lowest
     return bool(flipped) or canonical != (0, 0)
@@ -432,7 +409,7 @@ def classify_collisions(table: DecodingTable, ledger: PerfectOpLedger = frozense
 
 def _classify(table: DecodingTable, ledger: PerfectOpLedger) -> list[CollisionClass]:
     layout = table.layout
-    clean = MeasurementSignature(0, signature_shape(layout))
+    clean = MeasurementSignature(0, layout.shape)
     # The no-error outcome always gets a class; one that no fault shares comes last.
     entries = table.sorted_entries() + ([] if clean in table.entries else [TableEntry(clean, ())])
     classes: list[CollisionClass] = []

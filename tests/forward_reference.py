@@ -8,10 +8,13 @@ it checks the sweep's bookkeeping (effect sums, readout bits, skipped
 preparations, where a location reads), not the rule itself; the dense
 oracle behind ``verify`` checks the rule.
 
-``faults.fault_map`` packs each signature into one word inside the sweep.
-:func:`decode` reads a walked frame's flip word instead, one parity per
-signature bit, into the nested tuples of :class:`ReferenceSignature`, and
-applies the decode-side Hadamards to the residual gate by gate.
+``faults.fault_map`` packs each signature into one word inside the sweep,
+from the readout roles ``circuits.derive_layout`` assigns. :func:`decode`
+reads a walked frame's flip word instead, one parity per signature bit,
+into the nested tuples of :class:`ReferenceSignature`, and applies the
+decode-side Hadamards to the residual gate by gate. It and
+:func:`readout_masks` find the readouts and the Hadamards from the gate
+labels themselves, so the check shares no bit assignment with the layout.
 
 ``depth.count_fault_locations`` tallies the distinct legs among the
 members of the memoized classes. :func:`count_locations_one_by_one` asks
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from steanesim.circuits import DATA_QUBITS, PREP_KINDS, Circuit
+from steanesim.circuits import DATA_QUBITS, PREP_KINDS, Circuit, copy_label
 from steanesim.faults import (
     FaultLocation,
     canonical_residual,
@@ -110,18 +113,28 @@ class ReferenceSignature:
 def readout_masks(circuit: Circuit):
     """Every signature bit as a mask over the flip word, in the shape of
     :class:`ReferenceSignature`: the bit is the parity of the flips its
-    mask selects."""
-    flip = flip_bits(circuit)
-    layout = circuit.layout
+    mask selects.
 
-    def syndromes(rounds) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(sum(flip[row[q - 1]] for q in s) for s in GENERATOR_SUPPORTS) for row in rounds)
+    The readouts are found from the gate labels, not from the layout: round
+    ``r`` reads the ancilla wires of copy ``r`` of C12-C18 (their controls)
+    or C19-C25 (their targets), a gadget reads the non-data wires of its CN
+    pair, and the terminal readout covers every data wire read at all (all
+    but an unread qubit 1)."""
+    gates, bit = {g.label: g for g in circuit.gates}, flip_bits(circuit)
+    flip = {g.qubits[0]: bit[g.label] for g in circuit.gates if g.is_measurement}  # per wire, its readout
 
+    def syndromes(first: int, side: int) -> tuple[tuple[int, ...], ...]:
+        copies = sorted(int(label.partition(".")[2] or 1) for label in gates if label.split(".")[0] == f"C{first}")
+        return tuple(tuple(sum(flip[gates[copy_label(first + q - 1, r)].qubits[side]] for q in s)
+                           for s in GENERATOR_SUPPORTS) for r in copies)
+
+    pairs = sorted({(int(label[2:]) + 1) // 2 for label in gates if label[:2] == "CN"})
     return (
-        syndromes(layout.z_rounds),
-        syndromes(layout.x_rounds),
-        tuple(flip[lbl] for _, _, lbl in layout.terminal_meas),
-        tuple(flip[a] | flip[b] for a, b in (plan.meas_labels for plan in layout.gadgets)),
+        syndromes(19, 1),
+        syndromes(12, 0),
+        tuple(flip[q] for q in DATA_QUBITS if q in flip),
+        tuple(sum(flip[q] for n in (2 * g - 1, 2 * g) for q in gates[f"CN{n}"].qubits if q not in DATA_QUBITS)
+              for g in pairs),
     )
 
 
@@ -134,8 +147,9 @@ def decode(circuit: Circuit, masks, x: int, z: int, flips: int) -> tuple[Referen
 
     sig = ReferenceSignature(tuple(map(read, z_rounds)), tuple(map(read, x_rounds)), read(terminal), read(flags))
     # Residuals are reported in the pre-decode-Hadamard frame.
-    for q in circuit.layout.decode_h_qubits:
-        x, z = conjugate_bits("H", (q,), x, z)
+    for g in circuit.gates:
+        if g.label in ("H4", "H5", "H6"):
+            x, z = conjugate_bits("H", g.qubits, x, z)
     mask = (1 << len(DATA_QUBITS)) - 1
     return sig, PauliOperator(len(DATA_QUBITS), x & mask, z & mask)
 

@@ -62,14 +62,14 @@ def test_aux_block_omits_data_fan_and_z_gadgets():
         assert absent not in labels
     assert "CN8" in labels
     # all seven block qubits are read out
-    assert len(c.layout.terminal_meas) == 7
+    assert c.layout.terminal == tuple(DATA_QUBITS)
 
 
 def test_syndrome_rounds_repeat_with_copy_labels():
     c = build_full_ec_circuit(include_flags=False, block_kind="data")
     labels = {g.label for g in c.gates}
     assert {"C12", "C12.2", "C19", "C19.2", "C25", "C25.2"} <= labels
-    assert len(c.layout.x_rounds) == 2 and len(c.layout.z_rounds) == 2
+    assert c.layout.shape[:2] == (2, 2)  # Z rounds, X rounds
 
 
 def test_round_order_switch():
@@ -239,11 +239,32 @@ def test_layout_of_a_wire_permuted_text_is_the_permuted_layout(name, seed):
 
     gates = [Gate(g.kind, tuple(perm.get(q, q) for q in g.qubits), moved(g.label)) for g in circuit.gates]
     layout = circuit.layout
-    want = layout._replace(
-        x_rounds=tuple(tuple(map(moved, row)) for row in layout.x_rounds),
-        z_rounds=tuple(tuple(map(moved, row)) for row in layout.z_rounds),
-        terminal_meas=tuple((q, basis, moved(label)) for q, basis, label in layout.terminal_meas),
-        gadgets=tuple(plan._replace(meas_labels=tuple(map(moved, plan.meas_labels))) for plan in layout.gadgets),
-    )
+    want = layout._replace(feeds=tuple((moved(label), mask) for label, mask in layout.feeds))
     assert derive_layout(parse(serialize(Circuit(circuit.n_qubits, gates))).gates) == want
     assert derive_layout(parse(serialize(circuit)).gates) == layout
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_CONFIGS))
+def test_every_signature_bit_has_its_readouts(name):
+    # A syndrome bit is the parity of the 4 ancilla readouts on its
+    # generator's support, a terminal bit one data readout, a flag bit its
+    # gadget's two flag readouts; each readout feeds at least one bit.
+    layout = build_full_ec_circuit(**BUILD_CONFIGS[name]).layout
+    n_z, n_x, n_meas, n_flags = layout.shape
+    n_bits = 3 * (n_z + n_x) + n_meas + n_flags
+    masks = dict(layout.feeds).values()
+    assert len(masks) == len(layout.feeds) and all(masks)
+    assert max(mask.bit_length() for mask in masks) == n_bits
+    fed = [sum(mask >> (n_bits - 1 - k) & 1 for mask in masks) for k in range(n_bits)]
+    assert fed == [4] * 3 * (n_z + n_x) + [1] * n_meas + [2] * n_flags
+
+
+@pytest.mark.parametrize("block,n_bits,n_readouts,swap,observable", [
+    ("data", 26, 50, 14, (113, 15)),  # H4-H6 on qubits 2-4; qubit 1 unread, 2-4 read in X, 5-7 in Z
+    ("aux", 23, 43, 14, (113, 14)),   # all seven read: qubit 1 in Z too
+])
+def test_default_cycle_roles(block, n_bits, n_readouts, swap, observable):
+    layout = build_full_ec_circuit(block_kind=block).layout
+    assert max(mask.bit_length() for _, mask in layout.feeds) == n_bits
+    assert len(layout.feeds) == n_readouts
+    assert (layout.swap, layout.observable) == (swap, observable)

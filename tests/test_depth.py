@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 
 from golden_tables import X_PERFECT, Z_PERFECT
+from test_faults import flag_bits
 from steanesim.builders import build_full_ec_circuit
 from steanesim.depth import (
     BlockDepth,
@@ -88,7 +89,7 @@ def test_counts_agree_with_enumeration_location_by_location():
         # The rule, stated here on its own: a flag CNOT's wire leg counts on
         # any flipped readout, a labeled gate's leg on a flipped syndrome or
         # terminal readout; either counts on an observable residual.
-        flags = sig.flags if label.startswith("CN") else ()
+        flags = flag_bits(sig) if label.startswith("CN") else ()
         flipped = any(any(bits) for bits in (*sig.z_syn, *sig.x_syn, sig.meas, flags))
         effective = flipped or canonical_residual(circuit.layout, res) != (0, 0)
         if effective and (label.split(".")[0], side, "X") not in x_ledger:

@@ -67,6 +67,12 @@ def boxed_view(circuit: Circuit, view: str):
     return out
 
 
+def flag_bits(sig) -> tuple[int, ...]:
+    """A signature's flag parities, first gadget first: the low ``shape[3]`` bits of its word."""
+    n = sig.shape[3]
+    return tuple(sig.word >> (n - 1 - k) & 1 for k in range(n))
+
+
 def canonical_name(circuit: Circuit, residual: PauliOperator) -> str:
     x, z = canonical_residual(circuit.layout, residual)
     return str(PauliOperator(7, x, z))
@@ -110,7 +116,7 @@ def test_spec_anchor_propagations(data_flags_off):
 
     # a result-neutral location: X after the last fan-in on its wire
     sig, res = inject_and_propagate(data_flags_off, "C28", "control", "X")
-    assert not any(any(bits) for bits in (*sig.z_syn, *sig.x_syn, sig.meas, sig.flags))  # no readout flipped
+    assert not any(any(bits) for bits in (*sig.z_syn, *sig.x_syn, sig.meas, flag_bits(sig)))  # no readout flipped
     assert canonical_residual(data_flags_off.layout, res) == (0, 0)
 
 
@@ -161,7 +167,7 @@ def test_flags_split_the_cyan_classes(data_flags_on):
     for flagged, partner in [("C22.2", "C29"), ("C26", "C21")]:
         sig_f, _ = inject_and_propagate(data_flags_on, flagged, "control", "X")
         sig_p, _ = inject_and_propagate(data_flags_on, partner, "control", "X")
-        assert any(sig_f.flags), flagged
+        assert any(flag_bits(sig_f)), flagged
         assert sig_f != sig_p
 
 
@@ -218,7 +224,7 @@ def test_cn11_target_fault_matches_reference_claim(data_flags_on):
     sig, res = inject_and_propagate(data_flags_on, "CN11", "target", "Z")
     assert sig.agreed_x() == (0, 0, 0)
     assert tuple(sig.meas[i] for i in (0, 1, 2)) == (0, 1, 1)
-    assert any(sig.flags)
+    assert any(flag_bits(sig))
 
 
 def test_ledger_covers_a_fault_by_its_own_leg_and_components():
@@ -342,7 +348,7 @@ def test_reconstructed_meta_matches_built_analysis(name):
     assert layout == built.layout
     block = kwargs.get("block_kind", "data")
     assert layout.block == block
-    assert len(layout.x_rounds) == len(layout.z_rounds) == kwargs.get("syndrome_reps", 2)
+    assert layout.shape[:2] == (kwargs.get("syndrome_reps", 2),) * 2  # Z rounds, X rounds
     table = {**FLAG_GADGETS, **kwargs.get("gadget_overrides", {})}
     ids = (AUX_GADGETS if block == "aux" else tuple(table)) if kwargs.get("include_flags", True) else ()
     assert [(p.gadget_id, p.kind, p.wire + 1, p.cn_labels) for p in layout.gadgets] == [
@@ -372,7 +378,7 @@ def test_fault_map_matches_single_fault_propagation(kwargs):
     assert faults.keys() == reference.keys()
     for loc, (want, want_res) in reference.items():
         sig, res = faults[loc]
-        got = (sig.z_syn, sig.x_syn, sig.meas, sig.flags, str(sig), sig.agreed_x(), sig.agreed_z(), res)
+        got = (sig.z_syn, sig.x_syn, sig.meas, flag_bits(sig), str(sig), sig.agreed_x(), sig.agreed_z(), res)
         assert got == (want.z_syn, want.x_syn, want.meas, want.flags, str(want), want.agreed_x(), want.agreed_z(),
                        want_res), loc
 
@@ -604,11 +610,11 @@ def test_reconstruct_meta_rejects_non_ec_circuits():
 
 
 def test_flag_leg_faults_enumerated_but_not_classified(data_flags_on):
-    is_flag_leg = data_flags_on.layout.is_flag_leg
+    flag_legs = data_flags_on.layout.flag_legs
     table = view_table(data_flags_on, "X")
     legs = [
         loc for e in table.entries.values() for loc, _ in e.members
-        if is_flag_leg(loc.label, loc.side)
+        if (loc.label, loc.side) in flag_legs
     ]
     assert len(legs) == 16  # one flag leg per CN gate
     classified = {
@@ -616,15 +622,15 @@ def test_flag_leg_faults_enumerated_but_not_classified(data_flags_on):
         for cls in classify_collisions(table)
         for loc, _ in cls.members
     }
-    assert not any(is_flag_leg(*loc.ledger_key()[:2]) for loc in legs if loc.display_name() in classified)
+    assert not any(loc.ledger_key()[:2] in flag_legs for loc in legs if loc.display_name() in classified)
 
 
 def test_flag_legs_follow_the_layout_not_the_numbering():
     # A Z-type gadget under CN1/CN2 couples flag->wire: its flag legs are the
     # controls, and the wire legs (targets, on qubit 5) are classified.
     circuit = build_full_ec_circuit(**BUILD_CONFIGS["z-type-gadget1"])
-    assert circuit.layout.is_flag_leg("CN1", "control")
-    assert not circuit.layout.is_flag_leg("CN1", "target")
+    assert ("CN1", "control") in circuit.layout.flag_legs
+    assert ("CN1", "target") not in circuit.layout.flag_legs
     classified = {
         loc.display_name()
         for cls in classify_collisions(view_table(circuit, "X"))
