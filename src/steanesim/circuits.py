@@ -137,8 +137,9 @@ def derive_layout(gates: list[Gate]) -> CycleLayout:
     X rounds), the terminal readout of each data qubit but an unread qubit
     1, and a parity per gadget's two flag readouts; each readout's ``feeds``
     mask is assigned here, once. Raises ValueError naming the first
-    expected label that is missing, or a gadget whose two CN gates do not
-    both couple one data wire to a non-data flag qubit.
+    expected label that is missing, a gadget whose two CN gates do not
+    both couple one data wire to a non-data flag qubit, or decode-side
+    Hadamards that share a wire.
     """
     # One pass indexes the gate of each label, the readout of each wire, the copy suffixes of
     # each round's first coupling and the gadget ids (gadget g shows by its CAT<g> or either CN).
@@ -200,6 +201,8 @@ def derive_layout(gates: list[Gate]) -> CycleLayout:
 
     block = "data" if "C1" in labels else "aux"
     decode_h = tuple(gate(f"H{i}").qubits[0] for i in (4, 5, 6))
+    if len(set(decode_h)) != len(decode_h):
+        raise ValueError("encode/decode cycle: H4, H5 and H6 must act on three distinct wires")
     terminal = tuple(DATA_QUBITS if block == "aux" else DATA_QUBITS[1:])  # the data block keeps qubit 1
     x_bits, z_bits = rounds(12, 0, "X"), rounds(19, 1, "Z")
     bits = z_bits + x_bits + [(read(q, "Z", "terminal"),) for q in terminal] + flag_reads

@@ -173,6 +173,8 @@ def fault_frames(circuit: Circuit, locations, readouts: Mapping[str, int]):
     One backward sweep over the gates keeps, for every wire a gate or a
     location uses, the end-of-circuit effect of an X and of a Z injected at
     the current point, packed into one int (X word, Z word, then the word).
+    The X and Z words index the used wires by rank, so a wire number no gate
+    uses widens no word, and each frame is read back on wire numbers.
     Stepping back over a gate sums, for each of its qubits' X and Z, the
     effects of its image under :func:`conjugate_bits`; an ``MZ``/``MX``
     adds its readout's word to the X/Z effect of its wire; preparations are
@@ -184,12 +186,12 @@ def fault_frames(circuit: Circuit, locations, readouts: Mapping[str, int]):
     if not locations:
         return []
     gates = circuit.gates
-    # Wires no gate or location uses get no effect and widen no word.
-    used = {q for g in gates for q in g.qubits} | {loc[3] for loc in locations}
-    width = max(used) + 1
-    wires = (1 << width) - 1
-    x_eff = {w: 1 << w for w in used}
-    z_eff = {w: 1 << (width + w) for w in used}
+    # When the used wires are 0..w-1, rank is wire and nothing is mapped back.
+    wire_of = sorted({q for g in gates for q in g.qubits} | {loc[3] for loc in locations})
+    width = len(wire_of)
+    wires, shift = (1 << width) - 1, 2 * width
+    x_eff = {w: 1 << r for r, w in enumerate(wire_of)}
+    z_eff = {w: 1 << (width + r) for r, w in enumerate(wire_of)}
     at: dict[int, list[int]] = {}
     for pos, (start, *_) in enumerate(locations):
         at.setdefault(start, []).append(pos)
@@ -199,23 +201,32 @@ def fault_frames(circuit: Circuit, locations, readouts: Mapping[str, int]):
         for pos in at.get(i, ()):
             q = locations[pos][3]
             vx, vz = x_eff[q], z_eff[q]
-            out[pos] = tuple((v & wires, (v >> width) & wires, v >> 2 * width) for v in (vx, vx ^ vz, vz))
+            xx, xz, xw = vx & wires, (vx >> width) & wires, vx >> shift
+            zx, zz, zw = vz & wires, (vz >> width) & wires, vz >> shift
+            out[pos] = ((xx, xz, xw), (xx ^ zx, xz ^ zz, xw ^ zw), (zx, zz, zw))
         if i == first:
             break
         g = gates[i]
         if g.kind in MEASURE_KINDS:
-            read = readouts.get(g.label, 0) << 2 * width
+            read = readouts.get(g.label, 0) << shift
             (x_eff if g.kind == "MZ" else z_eff)[g.qubits[0]] ^= read
         elif g.kind not in PREP_KINDS:
             # Before the gate, a Pauli has the effect its image has after it.
-            after = [v for q in g.qubits for v in (x_eff[q], z_eff[q])]
-            for q, images in zip(g.qubits, _images(g.kind, len(g.qubits))):
+            after = []
+            for q in g.qubits:
+                after.append(x_eff[q])
+                after.append(z_eff[q])
+            for q, (x_image, z_image) in zip(g.qubits, _images(g.kind, len(g.qubits))):
                 vx, vz = 0, 0
-                for k in images[0]:
+                for k in x_image:
                     vx ^= after[k]
-                for k in images[1]:
+                for k in z_image:
                     vz ^= after[k]
                 x_eff[q], z_eff[q] = vx, vz
+    if wire_of[-1] >= width:  # map each rank bit back to its wire
+        def spread(bits: int) -> int:
+            return sum(1 << w for r, w in enumerate(wire_of) if bits >> r & 1)
+        out = [tuple((spread(x), spread(z), word) for x, z, word in frames) for frames in out]
     return out
 
 
@@ -261,30 +272,44 @@ def _analysis(n_qubits: int, gates: tuple[Gate, ...],
     circuit = Circuit(n_qubits, list(gates), layout=layout)
     locations = enumerable_locations(circuit)
     out = {}
-    grouped: dict[str, dict[MeasurementSignature, list]] = {view: {} for view in _HADAMARD_PAULIS}
+    grouped: dict[str, dict[int, list]] = {view: {} for view in _HADAMARD_PAULIS}
+    # Entries that share a signature or a residual share one object.
+    signatures: dict[int, MeasurementSignature] = {}
+    residuals: dict[tuple[int, int], PauliOperator] = {}
     if locations:  # a circuit without faults needs no layout
         shape, swap = layout.shape, layout.swap
         # Residuals are reported in the pre-decode-Hadamard frame (an X left
         # after a decode-side H is the same observable as a Z before it): one
         # masked swap of the X and Z bits of the ``swap`` qubits.
         block = (1 << len(DATA_QUBITS)) - 1
-        # Entries that share a signature or a residual share one object.
-        signature = cache(lambda word: MeasurementSignature(word, shape))
-        residual = cache(lambda x, z: PauliOperator(len(DATA_QUBITS), x, z))
-        # Sorting the location-sides once gives FaultLocation.sort_key order, as X < Y < Z.
-        located = sorted(zip(locations, fault_frames(circuit, locations, dict(layout.feeds))),
-                         key=lambda item: (*_split_label(item[0][1]), item[0][2]))
-        for (_, label, side, _), frames in located:
-            for pauli, (x, z, word) in zip("XYZ", frames):
+        frames = fault_frames(circuit, locations, dict(layout.feeds))
+        # Sorting by the legs' keys once gives FaultLocation.sort_key order, as X < Y < Z.
+        located = sorted(zip([_legs(label, side) for _, label, side, _ in locations], frames),
+                         key=lambda item: item[0][0])
+        for (_, leg), leg_frames in located:
+            for (loc, view), (x, z, word) in zip(leg, leg_frames):
+                # A record is a non-empty tuple, so ``or`` makes one only on a miss.
+                sig = signatures.get(word) or signatures.setdefault(word, MeasurementSignature(word, shape))
                 d = (x ^ z) & swap
-                loc, sig = FaultLocation(label, side, pauli), signature(word)
-                res = residual((x ^ d) & block, (z ^ d) & block)
+                bits = (x ^ d) & block, (z ^ d) & block
+                res = residuals.get(bits) or residuals.setdefault(bits, PauliOperator(len(DATA_QUBITS), *bits))
                 out[loc] = sig, res
-                grouped[_VIEW_OF[side, pauli]].setdefault(sig, []).append((loc, res))
-    tables = {view: DecodingTable(layout, MappingProxyType({sig: TableEntry(sig, tuple(groups[sig]))
-                                                            for sig in sorted(groups)}), {})
+                members = grouped[view].get(word)
+                if members is None:
+                    members = grouped[view][word] = []
+                members.append((loc, res))
+    tables = {view: DecodingTable(layout, MappingProxyType({
+                  signatures[word]: TableEntry(signatures[word], tuple(members))
+                  for word, members in sorted(groups.items())}), {})
               for view, groups in grouped.items()}
     return MappingProxyType(out), tables
+
+
+@cache  # bounded by the label vocabulary, as _split_label; the records are immutable, so circuits share them
+def _legs(label: str, side: str) -> tuple[tuple, tuple[tuple[FaultLocation, str], ...]]:
+    """A location-side's sort key and its X, Y and Z ``(FaultLocation, view)`` pairs."""
+    return (*_split_label(label), side), tuple((FaultLocation(label, side, pauli), _VIEW_OF[side, pauli])
+                                               for pauli in "XYZ")
 
 
 def inject_and_propagate(

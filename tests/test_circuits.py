@@ -207,6 +207,8 @@ def _layout_cases():
          "flag gadget 1: CN1/CN2 must couple one data wire to flag qubits"),
         ([Gate("H", (1,), "CN1") if g.label == "CN1" else g for g in data.gates],
          "flag gadget 1: CN1/CN2 must couple one data wire to flag qubits"),
+        ([Gate("H", (1,), "H5") if g.label == "H5" else g for g in data.gates],
+         "encode/decode cycle: H4, H5 and H6 must act on three distinct wires"),
     ]
 
 

@@ -346,6 +346,19 @@ def test_gadget_off_the_data_wires_exits_2(tmp_path, capsys):
         assert err.count("\n") == 1 and "flag gadget 1" in err
 
 
+def test_decode_hadamards_on_one_wire_exit_2(tmp_path, capsys):
+    # H5 moved onto H4's wire 2: H.H is the identity there, so the file has
+    # no decode-side Hadamard on wire 3 and is refused, not analysed.
+    text = serialize(build_full_ec_circuit())
+    assert "H4 H 2\nH5 H 3\n" in text
+    path = tmp_path / "ec.txt"
+    path.write_text(text.replace("H5 H 3\n", "H5 H 2\n"))
+    for command in ("flags", "propagate"):
+        assert main([command, "--circuit", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "H4, H5 and H6 must act on three distinct wires" in err
+
+
 def test_flags_on_a_file_uses_its_own_ledgers(tmp_path, capsys):
     # This override's own X ledger differs from the default build's by X4^C;
     # under the default ledgers gadget 3 would fail condition 2.

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -452,13 +453,23 @@ def test_memos_stay_bounded_over_distinct_circuits():
     pinned = json.loads(GOLDEN_CONFIGS.read_text(encoding="utf-8"))[DEFAULT_CONFIG]
     circuits = [permute_ancillas(build_full_ec_circuit(), seed) for seed in range(20)]
     assert len({tuple(c.gates) for c in circuits}) == 20
+    legs = []
     for circuit in circuits:
         x_ledger, z_ledger, *_ = analyse(circuit)
         held = {view: set(view_table(circuit, view).classes) for view in "XYZ"}
         assert held == {"X": {frozenset(), x_ledger}, "Y": {x_ledger | z_ledger}, "Z": {frozenset(), z_ledger}}
         assert analysis_record(circuit) == pinned
+        legs.append(faults_module._legs.cache_info().currsize)
     info = faults_module._analysis.cache_info()
     assert info.maxsize == info.currsize == 1
+    # The interned legs are bounded by the labels, not the circuits, and two
+    # circuits' maps hold the same location records.
+    assert legs == legs[:1] * len(circuits)
+    first, last = fault_map(circuits[0]), dict(fault_map(circuits[-1]))
+    assert len(first) == len(last) == 330 and all(a is b for a, b in zip(first, last))
+    faults_module._legs.cache_clear()
+    faults_module._analysis.cache_clear()
+    assert dict(fault_map(circuits[-1])) == last
 
 
 def test_an_analysis_makes_at_most_nine_memo_lookups():
@@ -560,6 +571,34 @@ def test_backward_sweep_rejects_t_after_the_first_location():
     assert x_frame == propagate_fault(circuit, 1, 0, "X")
     assert y_frame == propagate_fault(circuit, 1, 0, "Y")
     assert z_frame == propagate_fault(circuit, 1, 0, "Z")
+
+
+def test_a_stray_wire_number_widens_no_word():
+    # A headerless file with one X on wire 10^6: the frames equal those
+    # without it, and the sweep's memory does not follow the wire number.
+    text = "".join(line for line in serialize(build_full_ec_circuit()).splitlines(keepends=True)
+                   if not line.startswith("# qubits"))
+    frames = []
+    for body in (text, text + "XS X 1000000\n"):
+        circuit = reconstruct_meta(parse(body))
+        locations = enumerable_locations(circuit)
+        tracemalloc.start()
+        try:
+            frames.append(fault_frames(circuit, locations, dict(circuit.layout.feeds)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000  # about 60 KB; a word over 10^6 wires alone is 125 KB
+    assert circuit.n_qubits == 1_000_000
+    assert frames[0] == frames[1]
+
+
+def test_a_used_wire_past_a_gap_keeps_its_bit():
+    # Words index the used wires densely; each frame is read back on wire numbers.
+    far = 10**6
+    circuit = Circuit(far + 1, [Gate("H", (0,), "G0"), Gate("CNOT", (0, far), "G1"), Gate("MZ", (far,), "M")])
+    [frames] = fault_frames(circuit, [(0, "G0", "single", 0)], {"M": 1})
+    assert frames == ((1 | 1 << far, 0, 1), (1 | 1 << far, 1, 1), (0, 1, 0))
 
 
 def test_fault_map_follows_edits_of_a_circuit():
