@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import chain
 
-from .circuits import MEASURE_KINDS, Circuit, Gate, copy_label, derive_layout
+from .circuits import MEASURE_KINDS, Circuit, Gate, copy_label, layout_of
 
 N = 7
 
@@ -230,7 +230,7 @@ def build_full_ec_circuit(
 
     circuit = Circuit(next_q, gates, name=f"ec-{block_kind}" + ("-flags" if include_flags else ""))
     circuit.validate()
-    circuit.layout = derive_layout(gates)
+    layout_of(tuple(gates))  # refuses a bad cycle at build, and fills the memo its first analysis reads
     return circuit
 
 

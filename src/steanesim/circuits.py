@@ -7,13 +7,14 @@ measurements ``M<q>:Z`` / ``M<q>:X``. Everything else gets a synthetic
 ``G<n>`` label. Qubits are 0-indexed in memory and 1-indexed in text.
 
 The readout roles of an encode/decode cycle (the signature bits each
-readout feeds, the decode-side Hadamards, the flag gadgets) are not stored
-in the text: :func:`derive_layout` reads them off these labels once, into a
-:class:`CycleLayout`, for built and parsed circuits alike.
+readout feeds, the decode-side Hadamards, the flag gadgets) are stored in
+neither the text nor a :class:`Circuit`: :attr:`Circuit.layout` reads them
+off the current labels when asked, for built and parsed circuits alike.
 """
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 
 from .paulis import GENERATOR_SUPPORTS
 
@@ -54,22 +55,24 @@ class Gate(_GateFields):
 class Circuit:
     """Ordered gate list over ``n_qubits`` wires."""
 
-    def __init__(self, n_qubits: int, gates: list[Gate] | None = None, name: str = "",
-                 layout: CycleLayout | None = None):
+    def __init__(self, n_qubits: int, gates: list[Gate] | None = None, name: str = ""):
         self.n_qubits = n_qubits
         self.gates = [] if gates is None else gates
         self.name = name
-        self.layout = layout
 
     def __eq__(self, other):
-        """Same wires, gates and name; the layout is derived from the gates."""
+        """Same wires, gates and name."""
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.n_qubits, self.gates, self.name) == (other.n_qubits, other.gates, other.name)
 
     def __repr__(self) -> str:
-        return (f"Circuit(n_qubits={self.n_qubits!r}, gates={self.gates!r}, name={self.name!r}, "
-                f"layout={self.layout!r})")
+        return f"Circuit(n_qubits={self.n_qubits!r}, gates={self.gates!r}, name={self.name!r})"
+
+    @property
+    def layout(self) -> CycleLayout:
+        """The current gates' :class:`CycleLayout`; ValueError if they are not a cycle."""
+        return layout_of(tuple(self.gates))
 
     def validate(self) -> None:
         """Check operand ranges, label uniqueness and no gate after measurement."""
@@ -224,6 +227,9 @@ def derive_layout(gates: list[Gate]) -> CycleLayout:
         flag_legs=frozenset((label, plan.flag_side) for plan in gadgets for label in plan.cn_labels),
         gadgets=tuple(gadgets),
     )
+
+
+layout_of = lru_cache(maxsize=1)(derive_layout)  # the one read of a layout, keyed by a gate tuple
 
 
 def copy_label(number: int, copy: int) -> str:

@@ -3,8 +3,8 @@ reproducible file outputs.
 
 Exit codes: 0 success, 1 validation failure (a regenerated value disagrees
 with its pinned reference, or a verification suite fails), 2 usage error or
-bad input (an unreadable or malformed circuit file, an out-of-range number),
-reported as one line on stderr.
+bad input (an unreadable or malformed circuit file, an out-of-range number,
+a size too large to allocate), reported as one line on stderr.
 Each subcommand builds its output once, in every form it offers, and one
 writer sends the form ``--format`` selects to stdout or to ``--out``, so a
 file receives exactly what stdout would.
@@ -105,7 +105,7 @@ def cmd_propagate(args) -> int:
         rows.append(
             {
                 "signature": str(cls.signature),
-                "signature_b": _sig_convention_b(cls.signature, args.types, circuit.layout),
+                "signature_b": _sig_convention_b(cls.signature, args.types, table.layout),
                 "locations": members,
                 "residual": residuals,
                 "verdict": cls.verdict,
@@ -386,8 +386,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:  # bad outside input: a file, a circuit, a number
-        sys.stderr.write(f"steanesim {args.command}: error: {exc}\n")
+    except (OSError, ValueError, MemoryError) as exc:  # bad outside input: a file, a circuit, a number, a size
+        sys.stderr.write(f"steanesim {args.command}: error: {str(exc) or 'out of memory'}\n")
         return 2
 
 

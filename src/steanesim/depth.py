@@ -62,14 +62,13 @@ def count_fault_locations(
     wires = {g.label: g.qubits for g in circuit.gates}  # a target leg is its gate's second wire
     ledgers = {"X": x_ledger, "Y": x_ledger | z_ledger, "Z": z_ledger}
     counts = {view: [0] * len(DATA_QUBITS) for view in ledgers}
-    for view in "X" if circuit.layout.block == "aux" else "XYZ":
+    aux = circuit.layout.block == "aux"
+    for view in "X" if aux else "XYZ":
         classes = classify_collisions(view_table(circuit, view), ledgers[view])
         for label, side in {(loc.label, loc.side) for cls in classes for loc, _ in cls.members}:  # never a flag leg
             counts[view][wires[label][1 if side == "target" else 0]] += 1
     r_x, r_y, r_z = (tuple(counts[view]) for view in "XYZ")
-    if circuit.layout.block == "aux":
-        return DepthProfile(r_x, r_x, (0,) * len(DATA_QUBITS))
-    return DepthProfile(r_x, r_y, r_z)
+    return DepthProfile(r_x, r_x, (0,) * len(DATA_QUBITS)) if aux else DepthProfile(r_x, r_y, r_z)
 
 
 def effective_R(profile: DepthProfile) -> BlockDepth:

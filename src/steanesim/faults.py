@@ -10,9 +10,9 @@ One fault map per circuit (:func:`fault_map`) feeds the views, ledgers,
 depth counts and flag audit. Propagation and signature bits are linear over
 GF(2), so one backward sweep over the gates (:func:`fault_frames`) gives the
 X, Y and Z frames and packed signature words of every location-side at
-once; it is the package's one propagation engine. One memo, keyed by
-circuit content, holds the map and its three view tables, and each table
-keeps its classes per ledger, so the analyses of one circuit share them.
+once; it is the package's one propagation engine. One memo, keyed by the
+gate tuple, holds the map and its three view tables, and each table keeps
+its classes per ledger, so the analyses of one circuit share them.
 
 Enumerated locations are the data-block legs of the labeled CNOTs C1-C36
 (ancilla legs of the syndrome couplings belong to the ancilla block's own
@@ -26,7 +26,7 @@ from collections.abc import Mapping
 from functools import cache, lru_cache
 from types import MappingProxyType
 
-from .circuits import DATA_QUBITS, MEASURE_KINDS, PREP_KINDS, Circuit, CycleLayout, Gate, base_label, derive_layout
+from .circuits import DATA_QUBITS, MEASURE_KINDS, PREP_KINDS, Circuit, CycleLayout, Gate, base_label, layout_of
 from .paulis import PauliOperator, conjugate_bits
 
 _LOC_RE = re.compile(r"^(C|CN|H)(\d+)(?:\.(\d+))?$")
@@ -255,28 +255,28 @@ def fault_map(circuit: Circuit) -> FaultMap:
     readout adds the signature bits it feeds (``CycleLayout.feeds``), so
     every entry reads its packed signature word with no decode. The map iterates in
     :meth:`FaultLocation.sort_key` order, so a view's members are added
-    already sorted. It is memoized by circuit content (wire count, gates
-    and layout) with the circuit's view tables, so the analyses of one
-    circuit share one map, and a circuit changed after a call gets the map
-    of its new content.
+    already sorted. It is memoized by the gate tuple, which also gives the
+    layout, with the circuit's view tables, so the analyses of one circuit
+    share one map, and a circuit changed after a call gets the map of its
+    new content. Faults in a circuit that is not a cycle raise ValueError.
     """
-    return _analysis(circuit.n_qubits, tuple(circuit.gates), circuit.layout)[0]
+    return _analysis(tuple(circuit.gates))[0]
 
 
 @lru_cache(maxsize=1)
-def _analysis(n_qubits: int, gates: tuple[Gate, ...],
-              layout: CycleLayout | None) -> tuple[FaultMap, dict[str, DecodingTable]]:
-    """The fault map of one circuit content and its X, Y and Z view tables.
+def _analysis(gates: tuple[Gate, ...]) -> tuple[FaultMap, dict[str, DecodingTable]]:
+    """The fault map of one gate tuple and its X, Y and Z view tables.
     One loop fills both, since the views partition the map (``_VIEW_OF``);
     each view is stored in signature-word order."""
-    circuit = Circuit(n_qubits, list(gates), layout=layout)
+    circuit = Circuit(0, gates)  # no wire count: the leg rule and the sweep read only the gates
     locations = enumerable_locations(circuit)
+    layout = layout_of(gates) if locations else None  # a circuit without faults needs no layout
     out = {}
     grouped: dict[str, dict[int, list]] = {view: {} for view in _HADAMARD_PAULIS}
     # Entries that share a signature or a residual share one object.
     signatures: dict[int, MeasurementSignature] = {}
     residuals: dict[tuple[int, int], PauliOperator] = {}
-    if locations:  # a circuit without faults needs no layout
+    if locations:
         shape, swap = layout.shape, layout.swap
         # Residuals are reported in the pre-decode-Hadamard frame (an X left
         # after a decode-side H is the same observable as a Z before it): one
@@ -324,14 +324,10 @@ def inject_and_propagate(
 
 
 def reconstruct_meta(circuit: Circuit) -> Circuit:
-    """Attach the cycle layout to a parsed encode/decode circuit.
-
-    The text format carries only labels; :func:`derive_layout` reads the
-    readout roles (the signature bits each readout feeds, the decode-side
-    Hadamards, the flag gadgets) off them, exactly as for a built circuit.
-    Returns the same circuit.
-    """
-    circuit.layout = derive_layout(circuit.gates)
+    """The same circuit, once its gates read as an encode/decode cycle: its
+    layout is read off them (:attr:`Circuit.layout`), so this raises
+    ValueError at load for a circuit that is not a cycle, and attaches nothing."""
+    circuit.layout  # raises ValueError on a non-cycle
     return circuit
 
 
@@ -354,7 +350,7 @@ def view_table(circuit: Circuit, view: str) -> DecodingTable:
     """
     if view not in _HADAMARD_PAULIS:
         raise ValueError(f"unknown view {view!r}")
-    return _analysis(circuit.n_qubits, tuple(circuit.gates), circuit.layout)[1][view]
+    return _analysis(tuple(circuit.gates))[1][view]
 
 
 _HADAMARD_PAULIS = {"X": (), "Y": ("Y",), "Z": ("X", "Z")}  # the Hadamard faults in each view
@@ -528,7 +524,8 @@ def check_flag_conditions(
     3. Opposite-type faults on the gadget's wire legs leave the
        opposite-type table unambiguous (judged under that table's ledger).
     """
-    if not circuit.layout.gadgets:
+    layout = circuit.layout
+    if not layout.gadgets:
         return []
     faults = fault_map(circuit)
     ambiguous = {
@@ -537,7 +534,7 @@ def check_flag_conditions(
         for kind, ledger in (("X", x_ledger), ("Z", z_ledger))
     }
     reports = []
-    for plan in circuit.layout.gadgets:
+    for plan in layout.gadgets:
         kind = plan.kind  # also the guarded fault type
         other = "Z" if kind == "X" else "X"
         wire_side = "control" if kind == "X" else "target"
@@ -545,9 +542,9 @@ def check_flag_conditions(
 
         sig_a, res_a = faults[FaultLocation(cn_a, wire_side, kind)]
         own = [faults[FaultLocation(lbl, plan.flag_side, kind)] for lbl in (cn_a, cn_b)]
-        harmless_a = canonical_residual(circuit.layout, res_a) == (0, 0)
+        harmless_a = canonical_residual(layout, res_a) == (0, 0)
         cond1 = all(
-            sig_a != sig or (harmless_a and canonical_residual(circuit.layout, res) == (0, 0))
+            sig_a != sig or (harmless_a and canonical_residual(layout, res) == (0, 0))
             for sig, res in own
         )
 

@@ -72,6 +72,16 @@ def test_syndrome_rounds_repeat_with_copy_labels():
     assert c.layout.shape[:2] == (2, 2)  # Z rounds, X rounds
 
 
+def test_the_layout_is_read_off_the_gates_and_is_never_stored():
+    c = build_full_ec_circuit()
+    with pytest.raises(TypeError):
+        Circuit(c.n_qubits, c.gates, layout=c.layout)
+    with pytest.raises(AttributeError):
+        c.layout = c.layout
+    assert "layout" not in vars(c)
+    assert "layout" not in repr(Circuit(7))  # the repr of a circuit that is no cycle reads no layout
+
+
 def test_round_order_switch():
     c = build_full_ec_circuit(include_flags=False, x_rounds_first=False)
     order = [g.label for g in c.gates]

@@ -104,6 +104,30 @@ def test_tables_check_passes(capsys):
     assert code == 0
 
 
+def test_tables_out_dir_writes_exactly_what_each_table_prints(tmp_path, capsys):
+    assert run(capsys, "tables", "--out-dir", str(tmp_path)) == (0, "")
+    names = ("1a", "1b", "2a", "2b")
+    assert sorted(path.name for path in tmp_path.iterdir()) == [f"table{name}.csv" for name in names]
+    for name in names:
+        code, out = run(capsys, "tables", "--table", name)
+        assert code == 0
+        assert (tmp_path / f"table{name}.csv").read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 745. GiB for an array", ""])
+def test_verify_out_of_memory_exits_2_with_one_line(capsys, monkeypatch, message):
+    from steanesim import verification
+
+    def run_all(**_):
+        raise MemoryError(message) if message else MemoryError
+
+    monkeypatch.setattr(verification, "run_all", run_all)
+    assert main(["verify", "--faults", "100000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"steanesim verify: error: {message or 'out of memory'}\n"
+
+
 def test_tables_check_names_each_failing_entry(capsys, monkeypatch):
     from steanesim import pinned
 

@@ -611,10 +611,54 @@ def test_fault_map_follows_edits_of_a_circuit():
     appended = dict(fault_map(circuit))
     assert before != replaced != appended
     faults_module._analysis.cache_clear()
-    fresh = Circuit(circuit.n_qubits, list(circuit.gates), layout=circuit.layout)
+    fresh = Circuit(circuit.n_qubits, list(circuit.gates))
     assert dict(fault_map(fresh)) == appended
     del fresh.gates[-1]
     assert dict(fault_map(fresh)) == replaced
+
+
+def test_a_wire_edit_in_place_moves_the_layout_with_the_gates():
+    # Moving H4 from qubit 2 to qubit 5 changes which qubits are read in the X basis.
+    circuit = build_full_ec_circuit()
+    i = next(i for i, g in enumerate(circuit.gates) if g.label == "H4")
+    assert circuit.gates[i].qubits == (1,)
+    fault_map(circuit)  # the memo and the layout read hold the unedited cycle
+    circuit.gates[i] = Gate("H", (4,), "H4")
+    edited = dict(fault_map(circuit))
+    faults_module._analysis.cache_clear()
+    assert edited == dict(fault_map(reconstruct_meta(parse(serialize(circuit)))))
+    assert circuit.layout.swap == build_full_ec_circuit().layout.swap ^ 0b10010
+
+
+def test_a_deleted_gadget_gate_is_refused_by_every_analysis():
+    circuit = build_full_ec_circuit()
+    x_ledger, z_ledger = (derive_perfect_assumptions(view_table(circuit, view)) for view in "XZ")
+    assert check_flag_conditions(circuit, x_ledger, z_ledger)
+    del circuit.gates[next(i for i, g in enumerate(circuit.gates) if g.label == "CN7")]
+    with pytest.raises(ValueError, match="^flag gadget 4: CN7 missing$"):
+        check_flag_conditions(circuit, x_ledger, z_ledger)
+    with pytest.raises(ValueError, match="^flag gadget 4: CN7 missing$"):
+        count_fault_locations(circuit, x_ledger, z_ledger)
+
+
+def test_a_parsed_cycle_needs_no_reconstruct_meta():
+    text = serialize(build_full_ec_circuit())
+    bare = {view: view_table(parse(text), view).sorted_entries() for view in "XYZ"}
+    faults_module._analysis.cache_clear()
+    assert bare == {view: view_table(reconstruct_meta(parse(text)), view).sorted_entries() for view in "XYZ"}
+
+
+@pytest.mark.parametrize("read", [lambda c: c, lambda c: parse(serialize(c))], ids=["built", "parsed"])
+def test_faults_outside_a_cycle_name_the_missing_couplings(read):
+    from steanesim.builders import build_encoder
+
+    with pytest.raises(ValueError, match="C12/C19 missing"):
+        fault_map(read(build_encoder()))
+
+
+def test_a_bad_gadget_override_is_refused_at_build():
+    with pytest.raises(ValueError, match="^flag gadget 1: CN1/CN2 must couple one data wire to flag qubits$"):
+        build_full_ec_circuit(gadget_overrides={1: ("X", 9, ("CN1", "CN2"), ("C3", "C5"))})
 
 
 def test_alternating_circuits_get_their_own_maps(data_flags_on, aux_flags_on):
