@@ -36,9 +36,9 @@ H) expand to the rows of :func:`ancilla_prep`.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, count
 
-from .circuits import MEASURE_KINDS, Circuit, Gate, copy_label, layout_of
+from .circuits import MEASURE_KINDS, Circuit, Gate, copy_label
 
 N = 7
 
@@ -230,7 +230,7 @@ def build_full_ec_circuit(
 
     circuit = Circuit(next_q, gates, name=f"ec-{block_kind}" + ("-flags" if include_flags else ""))
     circuit.validate()
-    layout_of(tuple(gates))  # refuses a bad cycle at build, and fills the memo its first analysis reads
+    circuit.layout  # refuses a bad cycle at build, and fills the memo its first analysis reads
     return circuit
 
 
@@ -246,16 +246,12 @@ class GadgetSpec(namedtuple("GadgetSpec", ("name", "repetitions"), defaults=(2,)
 
 
 def _numbered(dest: Circuit, prefix: str, rows) -> Circuit:
-    """Append ``(kind, qubits)`` rows: a readout gets its ``M<q>:<basis>``
-    label, every other gate the next ``<prefix>G<n>``, from ``G1``."""
-    n = 1
-    for kind, qubits in rows:
-        if kind in MEASURE_KINDS:
-            dest.gates.append(Gate(*_readout(kind[1], qubits[0])))
-        else:
-            dest.gates.append(Gate(kind, qubits, f"{prefix}G{n}"))
-            n += 1
-    return dest
+    """``dest`` followed by ``(kind, qubits)`` rows: a readout gets its
+    ``M<q>:<basis>`` label, every other gate the next ``<prefix>G<n>``, from ``G1``."""
+    labels = (f"{prefix}G{n}" for n in count(1))
+    gates = [Gate(*_readout(kind[1], qubits[0])) if kind in MEASURE_KINDS else Gate(kind, qubits, next(labels))
+             for kind, qubits in rows]
+    return Circuit(dest.n_qubits, dest.gates + tuple(gates), dest.name)
 
 
 def _on(part: Circuit, wires: tuple[int, ...]) -> list[tuple[str, tuple[int, ...]]]:
@@ -294,17 +290,16 @@ def build_cat_state(verification_reps: int = 2) -> Circuit:
     return _numbered(c, "", rows)
 
 
-def _append_block(dest: Circuit, block: Circuit, prefix: str) -> tuple[int, ...]:
-    """Inline a sub-circuit on fresh wires; returns its qubit map."""
+def _append_block(dest: Circuit, block: Circuit, prefix: str) -> tuple[Circuit, tuple[int, ...]]:
+    """``dest`` followed by a sub-circuit on fresh wires, and the wires of
+    the sub-circuit's code block (its qubits 1-7)."""
     offset = dest.n_qubits
-    dest.n_qubits += block.n_qubits
-    for g in block.gates:
-        dest.gates.append(Gate(g.kind, tuple(q + offset for q in g.qubits), f"{prefix}-{g.label}"))
-    return tuple(range(offset, offset + block.n_qubits))
+    moved = tuple(Gate(g.kind, tuple(q + offset for q in g.qubits), f"{prefix}-{g.label}") for g in block.gates)
+    return Circuit(offset + block.n_qubits, dest.gates + moved, dest.name), tuple(range(offset, offset + N))
 
 
-def _theta_measurement_rep(dest: Circuit, cat: tuple[int, ...], blk: tuple[int, ...], prefix: str) -> None:
-    """One repetition of the ancilla-state eigenvalue measurement.
+def _theta_measurement_rep(dest: Circuit, cat: tuple[int, ...], blk: tuple[int, ...], prefix: str) -> Circuit:
+    """``dest`` followed by one repetition of the ancilla-state eigenvalue measurement.
 
     Per data qubit: coupling CNOT, CZ and CS from the cat wire (28 CNOTs per
     repetition once CZ/CS are decomposed), transversal T on the cat, then an
@@ -314,7 +309,7 @@ def _theta_measurement_rep(dest: Circuit, cat: tuple[int, ...], blk: tuple[int, 
     for part in (build_cz_decomposition(), build_cs_decomposition()):
         rows += [row for i in range(N) for row in _on(part, (cat[i], blk[i]))]
     rows += [("T", (q,)) for q in cat] + [("MX", (q,)) for q in cat]
-    _numbered(dest, f"{prefix}-", rows)
+    return _numbered(dest, f"{prefix}-", rows)
 
 
 def build_t_gadget(repetitions: int = 2) -> Circuit:
@@ -326,32 +321,33 @@ def build_t_gadget(repetitions: int = 2) -> Circuit:
     verification readout is schematic; the circuit exists for gate counting
     and structural inspection, not dense simulation.
     """
-    c = Circuit(0, name="t-gadget")
-    blk = _append_block(c, build_full_ec_circuit(True, "data"), "B")
+    c, blk = _append_block(Circuit(0, name="t-gadget"), build_full_ec_circuit(True, "data"), "B")
     for r in range(1, repetitions + 1):
-        cat = _append_block(c, build_cat_state(), f"CAT{r}")[:N]
-        _theta_measurement_rep(c, cat, blk[:N], f"TH{r}")
-    data = _append_block(c, Circuit(N, name="data"), "D")
+        c, cat = _append_block(c, build_cat_state(), f"CAT{r}")
+        c = _theta_measurement_rep(c, cat, blk, f"TH{r}")
+    c, data = _append_block(c, Circuit(N, name="data"), "D")
     # transversal coupling onto the incoming data block
-    _numbered(c, "TC-", [("CNOT", (blk[i], data[i])) for i in range(N)] + [("MZ", (q,)) for q in data])
-    _append_block(c, build_full_ec_circuit(True, "aux"), "AUX")
-    return c
+    c = _numbered(c, "TC-", [("CNOT", (blk[i], data[i])) for i in range(N)] + [("MZ", (q,)) for q in data])
+    return _append_block(c, build_full_ec_circuit(True, "aux"), "AUX")[0]
 
 
 def build_toffoli_gadget(repetitions: int = 2) -> Circuit:
     """Full fault-tolerant Toffoli period (counting/structure circuit)."""
-    c = Circuit(0, name="toffoli-gadget")
+    c, blocks = Circuit(0, name="toffoli-gadget"), []
     data, aux = build_full_ec_circuit(True, "data"), build_full_ec_circuit(True, "aux")  # inlined three times each
-    xyz = [_append_block(c, data, f"B{j}")[:N] for j in range(1, 4)]
-    anc = [_append_block(c, aux, f"AUX{j}")[:N] for j in range(1, 4)]
+    for block, prefix in ((data, "B"), (aux, "AUX")):
+        for j in range(1, 4):
+            c, wires = _append_block(c, block, f"{prefix}{j}")
+            blocks.append(wires)
+    xyz, anc = blocks[:3], blocks[3:]
     cz, toff = build_cz_decomposition(), build_toffoli_decomposition()
     for r in range(1, repetitions + 1):
-        cat = _append_block(c, build_cat_state(), f"CAT{r}")[:N]
+        c, cat = _append_block(c, build_cat_state(), f"CAT{r}")
         rows = [("H", (blk[i],)) for i in range(N) for blk in anc]
         # CZ from the third block to the cat, then transversal Toffoli(anc1, anc2; cat)
         rows += [row for i in range(N) for row in _on(cz, (anc[2][i], cat[i]))]
         rows += [row for i in range(N) for row in _on(toff, (anc[0][i], anc[1][i], cat[i]))]
-        _numbered(c, f"AP{r}-", rows + [("MZ", (q,)) for q in cat])
+        c = _numbered(c, f"AP{r}-", rows + [("MZ", (q,)) for q in cat])
     rows = []
     for i in range(N):  # teleportation couplings
         rows += [("CNOT", (anc[0][i], xyz[0][i])), ("CNOT", (anc[1][i], xyz[1][i])), ("CNOT", (xyz[2][i], anc[2][i]))]
@@ -359,8 +355,7 @@ def build_toffoli_gadget(repetitions: int = 2) -> Circuit:
         rows += [("CNOT", (anc[1][i], anc[2][i])), ("CNOT", (anc[0][i], anc[2][i])), ("CNOT", (anc[0][i], anc[1][i]))]
     for i in range(N):
         rows += [("MZ", (xyz[0][i],)), ("MZ", (xyz[1][i],)), ("MX", (xyz[2][i],))]
-    _numbered(c, "TG-", rows)
-    return c
+    return _numbered(c, "TG-", rows)
 
 
 # -- Trivial-code gadget variants (each logical block is one physical qubit),
@@ -414,11 +409,10 @@ _GADGET_BUILDERS = {
 
 
 def _theta_prep_full(repetitions: int) -> Circuit:
-    c = Circuit(0, name="theta-prep")
-    blk = _append_block(c, Circuit(N), "B")
+    c, blk = _append_block(Circuit(0, name="theta-prep"), Circuit(N), "B")
     for r in range(1, repetitions + 1):
-        cat = _append_block(c, build_cat_state(), f"CAT{r}")[:N]
-        _theta_measurement_rep(c, cat, blk, f"TH{r}")
+        c, cat = _append_block(c, build_cat_state(), f"CAT{r}")
+        c = _theta_measurement_rep(c, cat, blk, f"TH{r}")
     return c
 
 

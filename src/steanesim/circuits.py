@@ -6,10 +6,12 @@ Hadamards ``H1``..``H6``, flag CNOTs ``CN1``..``CN16``, terminal
 measurements ``M<q>:Z`` / ``M<q>:X``. Everything else gets a synthetic
 ``G<n>`` label. Qubits are 0-indexed in memory and 1-indexed in text.
 
-The readout roles of an encode/decode cycle (the signature bits each
-readout feeds, the decode-side Hadamards, the flag gadgets) are stored in
-neither the text nor a :class:`Circuit`: :attr:`Circuit.layout` reads them
-off the current labels when asked, for built and parsed circuits alike.
+A :class:`Circuit` is an immutable record over a gate tuple: it is built
+once and never edited, and a changed cycle is a new circuit. The readout
+roles of an encode/decode cycle (the signature bits each readout feeds, the
+decode-side Hadamards, the flag gadgets) are stored in neither the text nor
+a circuit: :attr:`Circuit.layout` reads them off its labels when asked, for
+built and parsed circuits alike.
 """
 from __future__ import annotations
 
@@ -52,27 +54,20 @@ class Gate(_GateFields):
         return self.kind in MEASURE_KINDS
 
 
-class Circuit:
-    """Ordered gate list over ``n_qubits`` wires."""
+class Circuit(namedtuple("Circuit", ("n_qubits", "gates", "name"))):
+    """An immutable gate sequence over ``n_qubits`` wires.
+    Fields: ``n_qubits`` int; ``gates`` tuple[Gate, ...], stored as a tuple
+    whatever sequence is passed; ``name`` str."""
 
-    def __init__(self, n_qubits: int, gates: list[Gate] | None = None, name: str = ""):
-        self.n_qubits = n_qubits
-        self.gates = [] if gates is None else gates
-        self.name = name
+    __slots__ = ()
 
-    def __eq__(self, other):
-        """Same wires, gates and name."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n_qubits, self.gates, self.name) == (other.n_qubits, other.gates, other.name)
-
-    def __repr__(self) -> str:
-        return f"Circuit(n_qubits={self.n_qubits!r}, gates={self.gates!r}, name={self.name!r})"
+    def __new__(cls, n_qubits: int, gates=(), name: str = ""):
+        return tuple.__new__(cls, (n_qubits, tuple(gates), name))
 
     @property
     def layout(self) -> CycleLayout:
-        """The current gates' :class:`CycleLayout`; ValueError if they are not a cycle."""
-        return layout_of(tuple(self.gates))
+        """The gates' :class:`CycleLayout`; ValueError if they are not a cycle."""
+        return layout_of(self.gates)
 
     def validate(self) -> None:
         """Check operand ranges, label uniqueness and no gate after measurement."""
@@ -139,12 +134,15 @@ def derive_layout(gates: list[Gate]) -> CycleLayout:
     first, are a parity per stabilizer generator and round (Z rounds, then
     X rounds), the terminal readout of each data qubit but an unread qubit
     1, and a parity per gadget's two flag readouts; each readout's ``feeds``
-    mask is assigned here, once. Raises ValueError naming the first
-    expected label that is missing, a gadget whose two CN gates do not
-    both couple one data wire to a non-data flag qubit, or decode-side
-    Hadamards that share a wire.
+    mask is assigned here, once. Readouts are indexed by wire and basis,
+    so a readout in the wrong basis counts as missing. Raises ValueError
+    naming the first expected label that is missing, a round coupling that
+    is not a CNOT between its data wire and an ancilla on the round's side,
+    a gadget whose two CN gates do not both couple one data wire to a
+    non-data flag qubit, or decode-side Hadamards that are not ``H`` gates
+    on three distinct data wires.
     """
-    # One pass indexes the gate of each label, the readout of each wire, the copy suffixes of
+    # One pass indexes the gate of each label, the readout of each wire and basis, the copy suffixes of
     # each round's first coupling and the gadget ids (gadget g shows by its CAT<g> or either CN).
     labels, readout, gadget_ids = {}, {}, set()
     copies: dict[str, set[str]] = {"C12": set(), "C19": set()}
@@ -152,7 +150,7 @@ def derive_layout(gates: list[Gate]) -> CycleLayout:
         label = g.label
         labels[label] = g
         if g.kind in MEASURE_KINDS:
-            readout[g.qubits[0]] = label
+            readout[g.qubits[0], g.kind[1]] = label
         if label[:1] != "C":
             continue
         base, _, copy = label.partition(".")
@@ -171,9 +169,9 @@ def derive_layout(gates: list[Gate]) -> CycleLayout:
         return labels[label]
 
     def read(qubit: int, basis: str, owner: str) -> str:
-        if qubit not in readout:
+        if (qubit, basis) not in readout:
             raise ValueError(f"{owner}: readout M{qubit + 1}:{basis} missing")
-        return readout[qubit]
+        return readout[qubit, basis]
 
     def rounds(first: int, anc_side: int, basis: str) -> list[tuple[str, ...]]:
         """Per generator and round, the ancilla readouts of its support."""
@@ -182,7 +180,11 @@ def derive_layout(gates: list[Gate]) -> CycleLayout:
             row = []
             for i in range(len(DATA_QUBITS)):
                 label = copy_label(first + i, copy)
-                row.append(read(gate(label).qubits[anc_side], basis, label))
+                g = gate(label)
+                if g.kind != "CNOT" or g.qubits[1 - anc_side] != i or g.qubits[anc_side] in DATA_QUBITS:
+                    side = ("control", "target")[anc_side]
+                    raise ValueError(f"{label} must be a CNOT on data qubit {i + 1} with an ancilla {side}")
+                row.append(read(g.qubits[anc_side], basis, label))
             out += [tuple(row[q - 1] for q in support) for support in GENERATOR_SUPPORTS]
         return out
 
@@ -203,7 +205,10 @@ def derive_layout(gates: list[Gate]) -> CycleLayout:
         gadgets.append(FlagPlan(gid, kind, wire, cn_labels))
 
     block = "data" if "C1" in labels else "aux"
-    decode_h = tuple(gate(f"H{i}").qubits[0] for i in (4, 5, 6))
+    hadamards = [gate(f"H{i}") for i in (4, 5, 6)]
+    if any(g.kind != "H" or g.qubits[0] not in DATA_QUBITS for g in hadamards):
+        raise ValueError("encode/decode cycle: H4, H5 and H6 must be H gates on data wires")
+    decode_h = tuple(g.qubits[0] for g in hadamards)
     if len(set(decode_h)) != len(decode_h):
         raise ValueError("encode/decode cycle: H4, H5 and H6 must act on three distinct wires")
     terminal = tuple(DATA_QUBITS if block == "aux" else DATA_QUBITS[1:])  # the data block keeps qubit 1

@@ -255,12 +255,12 @@ def fault_map(circuit: Circuit) -> FaultMap:
     readout adds the signature bits it feeds (``CycleLayout.feeds``), so
     every entry reads its packed signature word with no decode. The map iterates in
     :meth:`FaultLocation.sort_key` order, so a view's members are added
-    already sorted. It is memoized by the gate tuple, which also gives the
-    layout, with the circuit's view tables, so the analyses of one circuit
-    share one map, and a circuit changed after a call gets the map of its
-    new content. Faults in a circuit that is not a cycle raise ValueError.
+    already sorted. It is memoized by the circuit's gate tuple, which also
+    gives the layout, with the circuit's view tables, so the analyses of one
+    circuit share one map, and a circuit built from other gates gets the map
+    of its own. Faults in a circuit that is not a cycle raise ValueError.
     """
-    return _analysis(tuple(circuit.gates))[0]
+    return _analysis(circuit.gates)[0]
 
 
 @lru_cache(maxsize=1)
@@ -350,7 +350,7 @@ def view_table(circuit: Circuit, view: str) -> DecodingTable:
     """
     if view not in _HADAMARD_PAULIS:
         raise ValueError(f"unknown view {view!r}")
-    return _analysis(tuple(circuit.gates))[1][view]
+    return _analysis(circuit.gates)[1][view]
 
 
 _HADAMARD_PAULIS = {"X": (), "Y": ("Y",), "Z": ("X", "Z")}  # the Hadamard faults in each view

@@ -89,7 +89,7 @@ def test_cycle_parts_are_the_oracle_segments(x_rounds_first):
     gates = [g for g in cycle.gates if not g.label.startswith("CN")]
     by_label = {g.label: g for g in gates}
     for segment, first in ((build_encoder(), "H1"), (build_decoder(), "C26")):
-        assert _run(gates, first, len(segment.gates)) == segment.gates
+        assert tuple(_run(gates, first, len(segment.gates))) == segment.gates
     for segment, prep, first in ((build_x_round_segment(), "PX1", "C12"), (build_z_round_segment(), "PZ1", "C19")):
         wires = dict(zip(range(7, 14), by_label[prep].qubits))
         head, *rest = [_mapped(g, wires) for g in segment.gates]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steanesim import builders
 from steanesim.builders import (
     DECODER_CNOTS,
     ENCODER_CNOTS,
@@ -78,8 +79,15 @@ def test_the_layout_is_read_off_the_gates_and_is_never_stored():
         Circuit(c.n_qubits, c.gates, layout=c.layout)
     with pytest.raises(AttributeError):
         c.layout = c.layout
-    assert "layout" not in vars(c)
+    assert not hasattr(c, "__dict__")
     assert "layout" not in repr(Circuit(7))  # the repr of a circuit that is no cycle reads no layout
+
+
+def test_every_circuit_holds_its_gates_as_a_tuple():
+    built = [build() for name, build in vars(builders).items() if name.startswith("build_") and name != "build_gadget"]
+    built += [build_gadget(GadgetSpec(name)) for name in builders._GADGET_BUILDERS]
+    for c in built + [parse(serialize(build_full_ec_circuit())), Circuit(3, [Gate("H", (0,), "G0")])]:
+        assert type(c.gates) is tuple, c.name
 
 
 def test_round_order_switch():
@@ -209,7 +217,7 @@ def _layout_cases():
         (_without(data, lambda g: g.label == "H5"), "encode/decode cycle: H5 missing"),
         (_without(data, lambda g: g.label == "C14.2"), "encode/decode cycle: C14.2 missing"),
         (_without(data, lambda g: g.label == "CN6"), "flag gadget 3: CN6 missing"),
-        (data.gates + [Gate("H", (0,), "CN17")], "flag gadget 9: CN18 missing"),
+        ([*data.gates, Gate("H", (0,), "CN17")], "flag gadget 9: CN18 missing"),
         (_without(data, lambda g: g.label == "M5:Z"), "terminal: readout M5:Z missing"),
         (_without(data, lambda g: g.is_measurement and g.qubits[0] == anc), f"C13: readout M{anc + 1}:X missing"),
         (_without(data, lambda g: g.is_measurement and g.qubits[0] == flag), f"CN1: readout M{flag + 1}:Z missing"),
@@ -219,6 +227,19 @@ def _layout_cases():
          "flag gadget 1: CN1/CN2 must couple one data wire to flag qubits"),
         ([Gate("H", (1,), "H5") if g.label == "H5" else g for g in data.gates],
          "encode/decode cycle: H4, H5 and H6 must act on three distinct wires"),
+        ([Gate("H", (0,), "C19") if g.label == "C19" else g for g in data.gates],
+         "C19 must be a CNOT on data qubit 1 with an ancilla target"),
+        ([Gate("CNOT", g.qubits[::-1], "C13") if g.label == "C13" else g for g in data.gates],
+         "C13 must be a CNOT on data qubit 2 with an ancilla control"),
+        ([Gate("CNOT", (g.qubits[0], 3), "C14.2") if g.label == "C14.2" else g for g in data.gates],
+         "C14.2 must be a CNOT on data qubit 3 with an ancilla control"),
+        ([Gate("CNOT", (1, 2), "H4") if g.label == "H4" else g for g in data.gates],
+         "encode/decode cycle: H4, H5 and H6 must be H gates on data wires"),
+        ([Gate("S", (1,), "H4") if g.label == "H4" else g for g in data.gates],
+         "encode/decode cycle: H4, H5 and H6 must be H gates on data wires"),
+        ([Gate("H", (anc,), "H6") if g.label == "H6" else g for g in data.gates],
+         "encode/decode cycle: H4, H5 and H6 must be H gates on data wires"),
+        ([Gate("MX", (4,), "M5:X") if g.label == "M5:Z" else g for g in data.gates], "terminal: readout M5:Z missing"),
     ]
 
 

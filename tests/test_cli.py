@@ -383,6 +383,25 @@ def test_decode_hadamards_on_one_wire_exit_2(tmp_path, capsys):
         assert err.count("\n") == 1 and "H4, H5 and H6 must act on three distinct wires" in err
 
 
+@pytest.mark.parametrize("line,edited,named", [
+    ("C19 CNOT 1 22", "C19 H 1", "C19 must be a CNOT on data qubit 1 with an ancilla target"),
+    ("C13 CNOT 9 2", "C13 CNOT 2 9", "C13 must be a CNOT on data qubit 2 with an ancilla control"),
+    ("H4 H 2", "H4 CNOT 2 3", "H4, H5 and H6 must be H gates on data wires"),
+    ("H4 H 2", "H4 S 2", "H4, H5 and H6 must be H gates on data wires"),
+    ("M5:Z MZ 5", "M5:X MX 5", "terminal: readout M5:Z missing"),
+], ids=["C19-one-qubit", "C13-reversed", "H4-as-CNOT", "H4-as-S", "M5-in-X"])
+def test_a_role_gate_of_the_wrong_shape_exits_2(tmp_path, capsys, line, edited, named):
+    # Each file parses and validates, but one gate the layout reads has the wrong kind, wires or basis.
+    text = serialize(build_full_ec_circuit())
+    assert f"\n{line}\n" in text
+    path = tmp_path / "ec.txt"
+    path.write_text(text.replace(f"\n{line}\n", f"\n{edited}\n"))
+    for command in ("flags", "propagate"):
+        assert main([command, "--circuit", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
+
+
 def test_flags_on_a_file_uses_its_own_ledgers(tmp_path, capsys):
     # This override's own X ledger differs from the default build's by X4^C;
     # under the default ledgers gadget 3 would fail condition 2.

@@ -6,6 +6,7 @@ import pytest
 from golden_tables import X_PERFECT, Z_PERFECT
 from test_faults import flag_bits
 from steanesim.builders import build_full_ec_circuit
+from steanesim.circuits import Gate
 from steanesim.depth import (
     BlockDepth,
     DepthProfile,
@@ -95,6 +96,17 @@ def test_counts_agree_with_enumeration_location_by_location():
         if effective and (label.split(".")[0], side, "X") not in x_ledger:
             recount[qubit] += 1
     assert tuple(recount) == profile.r_x
+
+
+def test_the_cached_block_circuit_cannot_be_edited_by_a_caller():
+    # Every caller of block_analysis gets the same circuit, so no caller may change it.
+    circuit, x_ledger, z_ledger, profile, _ = block_analysis("data")
+    i = next(i for i, g in enumerate(circuit.gates) if g.label == "C5")
+    with pytest.raises(TypeError):
+        circuit.gates[i] = Gate("CNOT", circuit.gates[i].qubits[::-1], "C5")
+    again = block_analysis("data")[0]
+    assert again == build_full_ec_circuit(include_flags=True, block_kind="data")
+    assert count_fault_locations(again, x_ledger, z_ledger) == profile
 
 
 def test_depth_uses_derived_ledgers_consistently():

@@ -242,11 +242,12 @@ def test_ledger_covers_a_fault_by_its_own_leg_and_components():
 
 
 def test_record_hazards():
-    # Mutable state is never shared between records: each fresh circuit
-    # gets its own gate list.
+    # Mutable state is never shared between records: a fresh circuit holds
+    # an empty gate tuple, which no append can reach.
     first, second = Circuit(3), Circuit(3)
-    first.gates.append(Gate("H", (0,), "H1"))
-    assert second.gates == [] and first != second
+    with pytest.raises(AttributeError):
+        first.gates.append(Gate("H", (0,), "H1"))
+    assert second.gates == () and Circuit(3, [*first.gates, Gate("H", (0,), "H1")]) != second
     # Validation still runs on every construction.
     with pytest.raises(ValueError, match="bit vectors exceed 2 qubits"):
         PauliOperator(2, 0b100)
@@ -522,11 +523,14 @@ def test_returned_tables_and_classes_do_not_poison_the_memo():
 
 
 def test_a_table_keeps_its_classes_after_its_circuit_is_edited():
-    # A table carries the memo key of its own content, so an edit of the
-    # circuit after the build reaches neither its entries nor its classes.
+    # A table carries the memo key of its own content, and a circuit is
+    # never edited, so a circuit built from edited gates reaches neither its
+    # entries nor its classes.
     circuit = build_full_ec_circuit(include_flags=False)
     table = view_table(circuit, "X")
-    circuit.gates.append(Gate("H", (0,), "G999"))  # qubit 1 is never read out: residuals change
+    with pytest.raises(AttributeError):
+        circuit.gates.append(Gate("H", (0,), "G999"))
+    circuit = Circuit(circuit.n_qubits, [*circuit.gates, Gate("H", (0,), "G999")])  # qubit 1 is never read out: residuals change
     faults_module._analysis.cache_clear()
     classes = classify_collisions(table)
     assert classes == classify_collisions(view_table(build_full_ec_circuit(include_flags=False), "X"))
@@ -605,15 +609,22 @@ def test_fault_map_follows_edits_of_a_circuit():
     circuit = build_full_ec_circuit(include_flags=False)
     before = dict(fault_map(circuit))
     i = next(i for i, g in enumerate(circuit.gates) if g.label == "C5")
-    circuit.gates[i] = Gate("CNOT", circuit.gates[i].qubits[::-1], "C5")
+    reversed_c5 = Gate("CNOT", circuit.gates[i].qubits[::-1], "C5")
+    with pytest.raises(TypeError):
+        circuit.gates[i] = reversed_c5
+    circuit = Circuit(circuit.n_qubits, [*circuit.gates[:i], reversed_c5, *circuit.gates[i + 1:]])
     replaced = dict(fault_map(circuit))
-    circuit.gates.append(Gate("H", (0,), "G999"))  # qubit 1 is never read out: residuals change
+    with pytest.raises(AttributeError):
+        circuit.gates.append(Gate("H", (0,), "G999"))
+    circuit = Circuit(circuit.n_qubits, [*circuit.gates, Gate("H", (0,), "G999")])  # qubit 1 is never read out: residuals change
     appended = dict(fault_map(circuit))
     assert before != replaced != appended
     faults_module._analysis.cache_clear()
     fresh = Circuit(circuit.n_qubits, list(circuit.gates))
     assert dict(fault_map(fresh)) == appended
-    del fresh.gates[-1]
+    with pytest.raises(TypeError):
+        del fresh.gates[-1]
+    fresh = Circuit(fresh.n_qubits, fresh.gates[:-1])
     assert dict(fault_map(fresh)) == replaced
 
 
@@ -623,7 +634,9 @@ def test_a_wire_edit_in_place_moves_the_layout_with_the_gates():
     i = next(i for i, g in enumerate(circuit.gates) if g.label == "H4")
     assert circuit.gates[i].qubits == (1,)
     fault_map(circuit)  # the memo and the layout read hold the unedited cycle
-    circuit.gates[i] = Gate("H", (4,), "H4")
+    with pytest.raises(TypeError):
+        circuit.gates[i] = Gate("H", (4,), "H4")
+    circuit = Circuit(circuit.n_qubits, [*circuit.gates[:i], Gate("H", (4,), "H4"), *circuit.gates[i + 1:]])
     edited = dict(fault_map(circuit))
     faults_module._analysis.cache_clear()
     assert edited == dict(fault_map(reconstruct_meta(parse(serialize(circuit)))))
@@ -634,7 +647,10 @@ def test_a_deleted_gadget_gate_is_refused_by_every_analysis():
     circuit = build_full_ec_circuit()
     x_ledger, z_ledger = (derive_perfect_assumptions(view_table(circuit, view)) for view in "XZ")
     assert check_flag_conditions(circuit, x_ledger, z_ledger)
-    del circuit.gates[next(i for i, g in enumerate(circuit.gates) if g.label == "CN7")]
+    i = next(i for i, g in enumerate(circuit.gates) if g.label == "CN7")
+    with pytest.raises(TypeError):
+        del circuit.gates[i]
+    circuit = Circuit(circuit.n_qubits, circuit.gates[:i] + circuit.gates[i + 1:])
     with pytest.raises(ValueError, match="^flag gadget 4: CN7 missing$"):
         check_flag_conditions(circuit, x_ledger, z_ledger)
     with pytest.raises(ValueError, match="^flag gadget 4: CN7 missing$"):
